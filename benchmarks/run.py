@@ -9,9 +9,12 @@ Every CLI call is a fresh ``python3 -m natreg.cli`` process on the checkout's
 client.  Inputs are generated here from ``--seed``.
 
 ``--trace 0`` times whole passes over the workload's command list and
-prints the end-to-end metrics.  ``--trace 1`` instead runs the same calls
-in one traced process (``trace_child.py``) plus an import probe, and prints
-the per-layer metrics.  Per-layer ``*_s`` metrics are inclusive times,
+prints the end-to-end metrics.  Failed calls show as ``success_rate``,
+the share of calls that pass their check: a regression bound is a share
+of the baseline, so a compared metric must never read 0.  ``error_rate``
+is in the detail line.  ``--trace 1`` instead runs the same calls in one
+traced process (``trace_child.py``) plus an import probe, and prints the
+per-layer metrics.  Per-layer ``*_s`` metrics are inclusive times,
 ``*.self_s`` exclude the time of traced callees, and a layer the workload
 never reaches reads 0.  The last stdout line is the result object; the
 lines before it carry run metadata and failure reasons.
@@ -305,7 +308,9 @@ def blas_threads() -> int | None:
         for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                        "openblas_get_num_threads"):
             if hasattr(lib, symbol):
-                return int(getattr(lib, symbol)())
+                get = getattr(lib, symbol)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
     return None
 
 
@@ -362,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     result["detail"]["failures"] = tally.reasons
+    result["detail"]["error_rate"] = tally.failed / tally.attempted
     print(json.dumps({"meta": metadata(root, args.workload, args.seed)}))
     print(json.dumps({"detail": result["detail"]}))
     print(json.dumps({

@@ -1,8 +1,9 @@
 """Traced run of one workload's CLI calls, inside a single process.
 
 Usage: ``python3 trace_child.py SPEC OUT`` with natreg importable.  SPEC is a
-JSON list of CLI argument lists.  The calls run once untraced and once with
-every wrapper installed, so the difference is the tracer's own overhead;
+JSON list of CLI argument lists.  After one warm-up sequence the calls run
+once untraced and once with every wrapper installed, so the difference is
+the tracer's own overhead;
 then each distinct CSV is parsed once more under tracemalloc for its peak.
 OUT receives the spans, counts, timings and the traced calls' outputs.
 """
@@ -125,6 +126,7 @@ def main() -> None:
     spec_path, out_path = sys.argv[1:3]
     with open(spec_path, encoding="utf-8") as handle:
         commands = json.load(handle)
+    run_calls(cli.main, commands)  # warm-up, so neither timed sequence pays first-call costs
     untraced_s, _ = run_calls(cli.main, commands)
     peak_mb = parse_peak_mb(commands)
     tracer = Tracer()
