@@ -156,7 +156,7 @@ def children_cpu_s() -> float:
 
 
 def measure(ops: list[Op], seconds: float, root: str, env: dict[str, str], tally: Tally) -> dict:
-    """Set up SETUPS times, then run whole passes until ``seconds`` are up."""
+    """Set up SETUPS times, then run whole passes, at least one, until ``seconds`` are up."""
     setups = []
     for _ in range(SETUPS):
         shutil.rmtree(os.path.join(root, "src", "natreg", "__pycache__"), ignore_errors=True)
@@ -166,7 +166,7 @@ def measure(ops: list[Op], seconds: float, root: str, env: dict[str, str], tally
         tally.record(ops[0], *result, counted=False)
     walls, cpus = [], []
     begin = time.perf_counter()
-    while time.perf_counter() - begin < seconds:
+    while not walls or time.perf_counter() - begin < seconds:
         cpu0, start = children_cpu_s(), time.perf_counter()
         results = [cli_call(op, root, env) for op in ops]
         walls.append(time.perf_counter() - start)
