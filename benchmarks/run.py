@@ -2,22 +2,26 @@
 
 Usage, from the root of a source checkout:
 
-    python3 benchmarks/run.py --workload audit-default --seed 1 --seconds 25 --trace 0
+    python3 benchmarks/run.py --workload audit-default --seed 1 --seconds 27 --trace 0
 
 Every CLI call is a fresh ``python3 -m natreg.cli`` process on the checkout's
 ``src``, run one after another from this process: a closed loop with one
 client.  Inputs are generated here from ``--seed``.
 
 ``--trace 0`` times whole passes over the workload's command list and
-prints the end-to-end metrics.  Failed calls show as ``success_rate``,
-the share of calls that pass their check: a regression bound is a share
-of the baseline, so a compared metric must never read 0.  ``error_rate``
-is in the detail line.  ``--trace 1`` instead runs the same calls in one
-traced process (``trace_child.py``) plus an import probe, and prints the
-per-layer metrics.  Per-layer ``*_s`` metrics are inclusive times,
-``*.self_s`` exclude the time of traced callees, and a layer the workload
-never reaches reads 0.  The last stdout line is the result object; the
-lines before it carry run metadata and failure reasons.
+prints the end-to-end metrics.  A speed probe, a fixed kernel that never
+runs natreg, is timed before the first call and after every call, and each
+call's wall and CPU time is scaled by the two probes around it to one
+nominal host speed before it is added to its pass; the raw samples are in
+the detail line.  Failed calls show as ``success_rate``, the share of calls
+that pass their check: a regression bound is a share of the baseline, so a
+compared metric must never read 0.  ``error_rate`` is in the detail line.
+``--trace 1`` instead runs the same calls in one traced process
+(``trace_child.py``) plus an import probe, and prints the per-layer metrics.
+Per-layer ``*_s`` metrics are inclusive times, ``*.self_s`` exclude the time
+of traced callees, and a layer the workload never reaches reads 0.  The last
+stdout line is the result object; the lines before it carry run metadata and
+failure reasons.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,16 @@ SETUPS = 3
 IMPORT_PROBES = 3
 CALL_TIMEOUT_S = 150
 WORK_DIR = ".bench_work"
+# The speed probe's kernel, and the seconds it takes at the nominal host speed
+# to which setup_s, wall_s and cpu_s are scaled (about its median between calls
+# on a 2-vCPU Xeon).  A shared host's speed drifts by 1.5x and more over seconds
+# to minutes, and every timed call drifts with it.  A probe right before and
+# after a call drifts alike (the call runs on the probe's vCPU when the other is
+# idle); a change in natreg moves the call and not the probes.
+SPEED_PROBE_LOOP = 1_200_000
+SPEED_PROBE_SOLVES = 8_000
+SPEED_PROBE_LINES = 10_000
+SPEED_REFERENCE_S = 0.30
 
 
 @dataclass(frozen=True)
@@ -155,24 +169,77 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def speed_probe() -> float:
+    """Seconds a fixed kernel takes now, in this process.
+
+    The kernel mixes what the workloads spend their time on: interpreter
+    bytecode, 4x4 numpy solves, and splitting and parsing CSV lines.
+    """
+    start = time.perf_counter()
+    total = 0
+    for i in range(SPEED_PROBE_LOOP):
+        total += i * i % 7
+    rng = np.random.default_rng(0)
+    for _ in range(SPEED_PROBE_SOLVES):
+        a = rng.standard_normal((4, 4))
+        np.linalg.solve(a @ a.T + np.eye(4), np.ones(4))
+    line = ",".join(format(v, ".17g") for v in rng.standard_normal(22))
+    rows = [[float(field) for field in line.split(",")] for _ in range(SPEED_PROBE_LINES)]
+    del rows
+    return time.perf_counter() - start
+
+
+def at_reference_speed(seconds: float, probe_before: float, probe_after: float) -> float:
+    """``seconds`` scaled by SPEED_REFERENCE_S over the mean of the probes around them."""
+    return seconds * 2 * SPEED_REFERENCE_S / (probe_before + probe_after)
+
+
+class TimedCall(NamedTuple):
+    result: tuple[int, str, str]
+    wall_s: float
+    cpu_s: float
+    scaled_wall_s: float  # at the reference speed
+    scaled_cpu_s: float
+
+
+class ProbedCaller:
+    """Runs CLI calls with a speed probe after each, the first call also preceded by one."""
+
+    def __init__(self, root: str, env: dict[str, str]) -> None:
+        self.root, self.env = root, env
+        speed_probe()  # the first run pays numpy's first-call costs
+        self.probes = [speed_probe()]
+
+    def __call__(self, op: Op) -> TimedCall:
+        cpu0, start = children_cpu_s(), time.perf_counter()
+        result = cli_call(op, self.root, self.env)
+        wall, cpu = time.perf_counter() - start, children_cpu_s() - cpu0
+        self.probes.append(speed_probe())
+        before, after = self.probes[-2:]
+        return TimedCall(result, wall, cpu, at_reference_speed(wall, before, after),
+                         at_reference_speed(cpu, before, after))
+
+
 def measure(ops: list[Op], seconds: float, root: str, env: dict[str, str], tally: Tally) -> dict:
     """Set up SETUPS times, then run whole passes, at least one, until ``seconds`` are up."""
-    setups = []
+    caller = ProbedCaller(root, env)
+    setups, raw_setups = [], []
     for _ in range(SETUPS):
         shutil.rmtree(os.path.join(root, "src", "natreg", "__pycache__"), ignore_errors=True)
-        start = time.perf_counter()
-        result = cli_call(ops[0], root, env)
-        setups.append(time.perf_counter() - start)
-        tally.record(ops[0], *result, counted=False)
-    walls, cpus = [], []
+        timed = caller(ops[0])
+        raw_setups.append(timed.wall_s)
+        setups.append(timed.scaled_wall_s)
+        tally.record(ops[0], *timed.result, counted=False)
+    walls, cpus, raw_walls, raw_cpus = [], [], [], []
     begin = time.perf_counter()
     while not walls or time.perf_counter() - begin < seconds:
-        cpu0, start = children_cpu_s(), time.perf_counter()
-        results = [cli_call(op, root, env) for op in ops]
-        walls.append(time.perf_counter() - start)
-        cpus.append(children_cpu_s() - cpu0)
-        for op, result in zip(ops, results):
-            tally.record(op, *result)
+        timed = [caller(op) for op in ops]
+        raw_walls.append(sum(t.wall_s for t in timed))
+        raw_cpus.append(sum(t.cpu_s for t in timed))
+        walls.append(sum(t.scaled_wall_s for t in timed))
+        cpus.append(sum(t.scaled_cpu_s for t in timed))
+        for op, t in zip(ops, timed):
+            tally.record(op, *t.result)
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     return {
         "metrics": {
@@ -183,8 +250,10 @@ def measure(ops: list[Op], seconds: float, root: str, env: dict[str, str], tally
             "success_rate": (1.0 - tally.failed / tally.attempted, "ratio"),
         },
         "detail": {
-            "setup_samples_s": setups,
-            "wall_samples_s": walls,
+            "setup_samples_s": raw_setups,
+            "wall_samples_s": raw_walls,
+            "cpu_samples_s": raw_cpus,
+            "speed_probe_s": caller.probes,
             "wall_n": len(walls),
             "wall_tail": tail_percentile(walls),
         },

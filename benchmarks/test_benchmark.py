@@ -116,6 +116,12 @@ def test_tally_flags_output_that_changes_between_calls():
     assert (tally.attempted, tally.failed, tally.correct) == (3, 1, False)
 
 
+def test_speed_scaling_divides_by_the_mean_of_the_probes_around_a_call():
+    ref = run.SPEED_REFERENCE_S
+    assert run.at_reference_speed(2.0, ref, 2 * ref) == pytest.approx(2.0 / 1.5)
+    assert run.at_reference_speed(3.0, ref, ref) == pytest.approx(3.0)
+
+
 def _result(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
