@@ -174,7 +174,6 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         trials_per_cell=args.trials,
         master_seed=args.seed,
         base_tolerance=args.tolerance,
-        output_format=args.format,
     )
     report = run_audit(config)
     if args.format == "json":

@@ -134,7 +134,6 @@ class AuditConfig:
     trials_per_cell: int = 200
     master_seed: int = 42
     base_tolerance: float = 1e-8
-    output_format: str = "text"
 
     def __post_init__(self):
         if not self.algorithms:
@@ -164,8 +163,6 @@ class AuditConfig:
             raise ConfigError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
         if not self.base_tolerance > 0.0:
             raise ConfigError("base_tolerance", f"must be positive, got {self.base_tolerance}")
-        if self.output_format not in ("text", "json"):
-            raise ConfigError("output_format", f"must be text or json, got {self.output_format}")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,10 @@ from .data import Dataset
 from .errors import (
     ContractViolation,
     InvalidHyperparameter,
-    NotPositiveDefinite,
     OracleDiverged,
     RankDeficient,
 )
-from .linalg import as_matrix, numerical_rank, solve_spd
+from .linalg import EPS, as_matrix, solve_spd
 
 
 @dataclass(frozen=True)
@@ -126,29 +125,30 @@ def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.n
     return sse_gradient(d, model) + 2.0 * float(lam) * model.coef
 
 
+def _lstsq(d: Dataset) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares solution and numerical rank of ``x``.
+
+    One SVD-based solve; singular values at or below
+    :func:`numerical_rank`'s cutoff, ``max(dims) * eps * s_max``, are
+    treated as zero, so the rank agrees with that function.
+    """
+    coef, _, rank, _ = np.linalg.lstsq(d.x, d.y, rcond=max(d.x.shape) * EPS)
+    return coef, int(rank)
+
+
 def ols_fit(d: Dataset) -> LinearModel:
-    """Least-squares fit by solving the normal equations (x'x) coef = x'y.
+    """Least-squares fit from one SVD of ``x``, accurate to about kappa(x) * eps.
 
     Requires full column rank; otherwise the minimizer is not unique and a
     :class:`RankDeficient` error reports the detected rank.
     """
-    rank = numerical_rank(d.x)
+    coef, rank = _lstsq(d)
     if rank < d.p:
         raise RankDeficient(
             f"predictor matrix has numerical rank {rank} < {d.p}",
             rank=rank,
             required=d.p,
         )
-    try:
-        coef = solve_spd(d.x.T @ d.x, d.x.T @ d.y)
-    except NotPositiveDefinite as exc:
-        # Full rank by the SVD test yet not Cholesky-positive: borderline
-        # conditioning, which for this fit means the same thing.
-        raise RankDeficient(
-            f"predictor matrix is numerically rank-deficient (rank {rank})",
-            rank=rank,
-            required=d.p,
-        ) from exc
     return LinearModel(coef)
 
 
@@ -161,8 +161,8 @@ def ridge_fit(d: Dataset, lam: float) -> LinearModel:
 
 
 def min_norm_ols_fit(d: Dataset) -> LinearModel:
-    """Minimum-Frobenius-norm least-squares fit via the pseudo-inverse."""
-    return LinearModel(np.linalg.pinv(d.x) @ d.y)
+    """Minimum-Frobenius-norm least-squares fit from the same SVD solve as OLS."""
+    return LinearModel(_lstsq(d)[0])
 
 
 def ols_oracle_fit(

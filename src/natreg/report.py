@@ -50,7 +50,6 @@ def _config_payload(report: AuditReport) -> dict:
         "trials_per_cell": config.trials_per_cell,
         "master_seed": config.master_seed,
         "base_tolerance": config.base_tolerance,
-        "output_format": config.output_format,
     }
 
 

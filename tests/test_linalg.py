@@ -3,40 +3,27 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import natreg
 from natreg import (
     ContractViolation,
     NotPositiveDefinite,
     RankDeficient,
     SeedState,
     condition_estimate,
-    matmul,
     numerical_rank,
     qr_thin,
     rel_distance,
     sample_gaussian,
     solve_spd,
 )
-
-
-def test_matmul_basic():
-    out = matmul([[1.0, 1.0], [0.0, 1.0]], [[1.0, -1.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(out, np.eye(2))
-
-
-def test_matmul_shear_on_column():
-    k, a = 3.0, 2.0
-    out = matmul([[1.0, k], [0.0, 1.0]], [[1.0], [a]])
-    np.testing.assert_array_equal(out, [[1.0 + k * a], [a]])
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_solve_spd_known_system():
@@ -223,3 +210,10 @@ def test_seed_state_derive_composes_labels():
     derived = seed.derive("a", 3)
     assert derived == SeedState(9, "root/a/3")
     assert SeedState(9).derive("a") == SeedState(9, "a")
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(natreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import natreg, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

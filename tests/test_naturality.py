@@ -173,8 +173,6 @@ def test_audit_config_validation():
         AuditConfig(p_range=(3, 2))
     with pytest.raises(ConfigError):
         AuditConfig(max_examples=5)
-    with pytest.raises(ConfigError):
-        AuditConfig(output_format="xml")
 
 
 def test_run_audit_is_deterministic():

@@ -104,6 +104,25 @@ def test_ols_perturbation_optimality():
         assert sse(d, LinearModel(model.coef + delta)) >= base
 
 
+@pytest.mark.parametrize("kappa", [1e5, 1e7, 1e9])
+def test_ols_and_min_norm_accuracy_tracks_conditioning(kappa):
+    # x = U diag(s) V' with log-spaced singular values and a consistent target:
+    # a backward-stable solve recovers coef to about kappa * eps, while the
+    # normal equations lose accuracy like kappa^2 * eps.
+    gen = SeedState(int(math.log10(kappa)), "conditioning").generator()
+    n, p = 200, 6
+    u, _ = np.linalg.qr(gen.standard_normal((n, p)))
+    v, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    s = np.logspace(0.0, -math.log10(kappa), p)
+    x = (u * s) @ v.T
+    coef = gen.standard_normal((p, 1))
+    d = Dataset(x, x @ coef)
+    bound = 100.0 * kappa * np.finfo(np.float64).eps
+    for fit in (ols_fit, min_norm_ols_fit):
+        err = np.linalg.norm(fit(d).coef - coef) / np.linalg.norm(coef)
+        assert err <= bound, (fit.__name__, err, bound)
+
+
 def test_ridge_known_values():
     np.testing.assert_allclose(
         ridge_fit(Dataset([[1.0]], [[1.0]]), 1.0).coef, [[0.5]], rtol=0, atol=1e-15
