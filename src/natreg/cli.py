@@ -13,15 +13,7 @@ import sys
 
 from . import __version__
 from .data import dataset_from_csv
-from .errors import (
-    ContractViolation,
-    EmptyDataset,
-    InvalidHyperparameter,
-    NatregError,
-    ParseError,
-    RankDeficient,
-)
-from .morphisms import Axis, CategoryKind
+from .errors import NatregError, RankDeficient
 from .naturality import (
     ALL_AXES,
     ALL_CATEGORIES,
@@ -38,7 +30,8 @@ from .report import (
     counterexamples_to_text,
 )
 
-_AUDIT_LAMBDA = 1.0  # fixed penalty for audited ridge cells
+# Audited algorithms by CLI name, with AuditConfig's default ridge penalty.
+_AUDIT_ALGORITHMS = {spec.kind.value: spec for spec in AuditConfig.algorithms}
 
 
 def _positive_int(text: str) -> int:
@@ -71,22 +64,22 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="run randomized commutative-diagram checks")
     audit.add_argument(
         "--algorithm",
-        default="ols,ridge",
+        default=",".join(_AUDIT_ALGORITHMS),
         help="comma-separated subset of ols,ridge (default both)",
     )
     audit.add_argument(
         "--axes",
-        default=",".join(axis.value for axis in ALL_AXES),
+        default=",".join(axis.value for axis in AuditConfig.axes),
         help="comma-separated subset of predictor,target,index",
     )
     audit.add_argument(
         "--categories",
-        default=",".join(category.value for category in ALL_CATEGORIES),
+        default=",".join(category.value for category in AuditConfig.categories),
         help="comma-separated subset of the morphism kinds",
     )
-    audit.add_argument("--trials", type=_positive_int, default=200)
-    audit.add_argument("--seed", type=int, default=42)
-    audit.add_argument("--tolerance", type=float, default=1e-8)
+    audit.add_argument("--trials", type=_positive_int, default=AuditConfig.trials_per_cell)
+    audit.add_argument("--seed", type=int, default=AuditConfig.master_seed)
+    audit.add_argument("--tolerance", type=float, default=AuditConfig.base_tolerance)
     audit.add_argument("--format", choices=["text", "json"], default="text")
     audit.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -109,22 +102,15 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    kind = AlgorithmKind(args.algorithm)
-    if kind is AlgorithmKind.RIDGE and args.lam is None:
-        print("error: ridge requires --lambda", file=sys.stderr)
-        return 2
-    if kind is not AlgorithmKind.RIDGE and args.lam is not None:
-        print(f"error: {kind.value} takes no --lambda", file=sys.stderr)
-        return 2
+    spec = AlgorithmSpec(AlgorithmKind(args.algorithm), args.lam)  # usage errors before I/O
     try:
         with open(args.data, "r", encoding="utf-8") as handle:
             content = handle.read()
     except OSError as exc:
         print(f"error: cannot read {args.data}: {exc}", file=sys.stderr)
         return 2
+    d = dataset_from_csv(content, args.predictors, args.targets)
     try:
-        d = dataset_from_csv(content, args.predictors, args.targets)
-        spec = AlgorithmSpec(kind, args.lam)
         model = spec.fit(d)
     except RankDeficient as exc:
         print(
@@ -133,15 +119,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    except (ParseError, EmptyDataset, InvalidHyperparameter, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rows = [",".join(format(v, ".17g") for v in row) for row in model.coef]
     _write_output("\n".join(rows) + "\n", args.out)
     print(f"sse = {sse(d, model):.17g}", file=sys.stderr)
-    if kind is AlgorithmKind.RIDGE:
+    if spec.kind is AlgorithmKind.RIDGE:
         print(
-            f"ridge objective = {ridge_objective(d, model, args.lam):.17g}",
+            f"ridge objective = {ridge_objective(d, model, spec.lam):.17g}",
             file=sys.stderr,
         )
     return 0
@@ -161,14 +144,10 @@ def _parse_names(raw: str, allowed: dict[str, object], flag: str, parser: argpar
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    algorithms_by_name = {
-        "ols": AlgorithmSpec.ols(),
-        "ridge": AlgorithmSpec.ridge(_AUDIT_LAMBDA),
-    }
     axes_by_name = {axis.value: axis for axis in ALL_AXES}
     categories_by_name = {category.value: category for category in ALL_CATEGORIES}
     config = AuditConfig(
-        algorithms=_parse_names(args.algorithm, algorithms_by_name, "--algorithm", parser),
+        algorithms=_parse_names(args.algorithm, _AUDIT_ALGORITHMS, "--algorithm", parser),
         axes=_parse_names(args.axes, axes_by_name, "--axes", parser),
         categories=_parse_names(args.categories, categories_by_name, "--categories", parser),
         trials_per_cell=args.trials,

@@ -76,13 +76,11 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, signs[:, None] * r
 
 
-def numerical_rank(a: np.ndarray, tol_factor: float = 1.0) -> int:
-    """Number of singular values above ``tol_factor * max(dims) * eps * s_max``."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Number of singular values above ``max(dims) * eps * s_max``."""
     a = as_matrix(a, "a")
-    if tol_factor <= 0.0:
-        raise ContractViolation(f"tol_factor must be positive, got {tol_factor}")
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = tol_factor * max(a.shape) * EPS * float(s[0])
+    cutoff = max(a.shape) * EPS * float(s[0])
     return int(np.count_nonzero(s > cutoff))
 
 

@@ -57,6 +57,20 @@ DEFAULT_KAPPA_MAX = 1e4
 _RESAMPLE_CAP = 100
 
 
+def _check_dims(kind: CategoryKind, source_dim: int, target_dim: int) -> None:
+    """The dimension rules of a morphism kind: positive, square, or widening."""
+    if source_dim < 1 or target_dim < 1:
+        raise ContractViolation(f"dimensions must be positive, got {source_dim}->{target_dim}")
+    if kind in SQUARE_KINDS and source_dim != target_dim:
+        raise ContractViolation(
+            f"{kind.value} morphisms are square, got {source_dim}->{target_dim}"
+        )
+    if kind is CategoryKind.EUC_MONO and target_dim < source_dim:
+        raise ContractViolation(
+            f"euc_mono needs target_dim >= source_dim, got {source_dim}->{target_dim}"
+        )
+
+
 @dataclass(frozen=True)
 class Morphism:
     """A structured map from a source dimension to a target dimension.
@@ -78,10 +92,7 @@ class Morphism:
         matrix = as_matrix(self.matrix, "matrix")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        if self.source_dim < 1 or self.target_dim < 1:
-            raise ContractViolation(
-                f"dimensions must be positive, got {self.source_dim}->{self.target_dim}"
-            )
+        _check_dims(self.kind, self.source_dim, self.target_dim)
         if self.axis is Axis.INDEX:
             expected = (self.target_dim, self.source_dim)
         else:
@@ -89,16 +100,6 @@ class Morphism:
         if matrix.shape != expected:
             raise ContractViolation(
                 f"{self.axis.value} morphism matrix must be {expected}, got {matrix.shape}"
-            )
-        if self.kind in SQUARE_KINDS and self.source_dim != self.target_dim:
-            raise ContractViolation(
-                f"{self.kind.value} morphisms are square, got "
-                f"{self.source_dim}->{self.target_dim}"
-            )
-        if self.kind is CategoryKind.EUC_MONO and self.target_dim < self.source_dim:
-            raise ContractViolation(
-                f"euc_mono needs target_dim >= source_dim, got "
-                f"{self.source_dim}->{self.target_dim}"
             )
 
 
@@ -117,20 +118,7 @@ def sample_morphism(
     the orthonormal factor of a Gaussian (thin QR with its sign convention, so
     draws are unique); set_iso permutes; discrete is the identity.
     """
-    if source_dim < 1 or target_dim < 1:
-        raise ContractViolation(
-            f"dimensions must be positive, got {source_dim}->{target_dim}"
-        )
-    if kind in SQUARE_KINDS and source_dim != target_dim:
-        raise ContractViolation(
-            f"{kind.value} needs source_dim == target_dim, got "
-            f"{source_dim}->{target_dim}"
-        )
-    if kind is CategoryKind.EUC_MONO and target_dim < source_dim:
-        raise ContractViolation(
-            f"euc_mono needs target_dim >= source_dim, got {source_dim}->{target_dim}"
-        )
-
+    _check_dims(kind, source_dim, target_dim)
     if kind is CategoryKind.DISCRETE:
         m = np.eye(source_dim)
     elif kind is CategoryKind.SET_ISO:
@@ -185,47 +173,41 @@ def verify_morphism(morphism: Morphism) -> float:
     return float(np.linalg.norm(gram - np.eye(morphism.source_dim)))
 
 
+def _check_action(morphism: Morphism, axis: Axis, end_dim: int, dim: int, what: str) -> None:
+    """Raise unless ``morphism`` acts on ``axis`` and ``end_dim``, the dimension
+    of its end that meets the data or model, equals ``what``'s dimension ``dim``."""
+    if morphism.axis is not axis:
+        raise ContractViolation(
+            f"expected a morphism on the {axis.value} axis, got one on {morphism.axis.value}"
+        )
+    if end_dim != dim:
+        raise ContractViolation(
+            f"{axis.value} morphism {morphism.source_dim}->{morphism.target_dim} "
+            f"does not fit {what} {dim}"
+        )
+
+
 def act_on_predictors(d: Dataset, morphism: Morphism) -> Dataset:
     """Transform predictor rows: x -> x @ m, targets untouched."""
-    if morphism.axis is not Axis.PREDICTOR:
-        raise ContractViolation(f"expected a predictor morphism, got {morphism.axis.value}")
-    if morphism.source_dim != d.p:
-        raise ContractViolation(
-            f"morphism source {morphism.source_dim} != dataset p {d.p}"
-        )
+    _check_action(morphism, Axis.PREDICTOR, morphism.source_dim, d.p, "dataset p")
     return Dataset(x=d.x @ morphism.matrix, y=d.y)
 
 
 def act_on_targets(d: Dataset, morphism: Morphism) -> Dataset:
     """Transform target rows: y -> y @ m, predictors untouched."""
-    if morphism.axis is not Axis.TARGET:
-        raise ContractViolation(f"expected a target morphism, got {morphism.axis.value}")
-    if morphism.source_dim != d.q:
-        raise ContractViolation(
-            f"morphism source {morphism.source_dim} != dataset q {d.q}"
-        )
+    _check_action(morphism, Axis.TARGET, morphism.source_dim, d.q, "dataset q")
     return Dataset(x=d.x, y=d.y @ morphism.matrix)
 
 
 def act_on_index(d: Dataset, morphism: Morphism) -> Dataset:
     """Recombine examples: x -> m @ x and y -> m @ y together."""
-    if morphism.axis is not Axis.INDEX:
-        raise ContractViolation(f"expected an index morphism, got {morphism.axis.value}")
-    if morphism.source_dim != d.n_examples:
-        raise ContractViolation(
-            f"morphism source {morphism.source_dim} != dataset N {d.n_examples}"
-        )
+    _check_action(morphism, Axis.INDEX, morphism.source_dim, d.n_examples, "dataset N")
     return Dataset(x=morphism.matrix @ d.x, y=morphism.matrix @ d.y)
 
 
 def model_action_target(model: LinearModel, morphism: Morphism) -> LinearModel:
     """Push a model forward along a target morphism: coef -> coef @ m."""
-    if morphism.axis is not Axis.TARGET:
-        raise ContractViolation(f"expected a target morphism, got {morphism.axis.value}")
-    if morphism.source_dim != model.q:
-        raise ContractViolation(
-            f"morphism source {morphism.source_dim} != model q {model.q}"
-        )
+    _check_action(morphism, Axis.TARGET, morphism.source_dim, model.q, "model q")
     return LinearModel(model.coef @ morphism.matrix)
 
 
@@ -235,10 +217,5 @@ def model_precompose_predictor(morphism: Morphism, model: LinearModel) -> Linear
     The result predicts on the morphism's source coordinates, so the model
     must live on its target coordinates.
     """
-    if morphism.axis is not Axis.PREDICTOR:
-        raise ContractViolation(f"expected a predictor morphism, got {morphism.axis.value}")
-    if morphism.target_dim != model.p:
-        raise ContractViolation(
-            f"morphism target {morphism.target_dim} != model p {model.p}"
-        )
+    _check_action(morphism, Axis.PREDICTOR, morphism.target_dim, model.p, "model p")
     return LinearModel(morphism.matrix @ model.coef)

@@ -47,15 +47,11 @@ VIOLATION_MARGIN = 10.0
 # Counterexample residuals above this threshold count as exhibited.
 COUNTEREXAMPLE_THRESHOLD = 1e-6
 
-ALL_AXES = (Axis.PREDICTOR, Axis.TARGET, Axis.INDEX)
-ALL_CATEGORIES = (
-    CategoryKind.FINVEC,
-    CategoryKind.FINVEC_ISO,
-    CategoryKind.EUC,
-    CategoryKind.EUC_MONO,
-    CategoryKind.SET_ISO,
-    CategoryKind.DISCRETE,
-)
+ALL_AXES = tuple(Axis)
+ALL_CATEGORIES = tuple(CategoryKind)
+
+# The algorithms with an expected classification, hence the ones audited.
+AUDITED_KINDS = (AlgorithmKind.OLS, AlgorithmKind.RIDGE)
 
 
 def check_target_naturality(spec: AlgorithmSpec, d: Dataset, eta: Morphism) -> float:
@@ -102,7 +98,7 @@ def expected_natural(kind: AlgorithmKind, axis: Axis, category: CategoryKind) ->
     inner products; dimension-raising isometries are fine for the penalized
     fit but outside the plain fit's domain.
     """
-    if kind not in (AlgorithmKind.OLS, AlgorithmKind.RIDGE):
+    if kind not in AUDITED_KINDS:
         raise ContractViolation(f"no expected classification for {kind.value}")
     if category is CategoryKind.DISCRETE:
         return True
@@ -139,7 +135,7 @@ class AuditConfig:
         if not self.algorithms:
             raise ConfigError("algorithms", "must not be empty")
         for spec in self.algorithms:
-            if spec.kind not in (AlgorithmKind.OLS, AlgorithmKind.RIDGE):
+            if spec.kind not in AUDITED_KINDS:
                 raise ConfigError(
                     "algorithms",
                     f"{spec.kind.value} has no expected classification to audit against",
@@ -205,10 +201,6 @@ class CellSummary:
     max_residual: float
 
     @property
-    def fail_count(self) -> int:
-        return self.trials - self.pass_count
-
-    @property
     def agrees(self) -> bool:
         """Whether the empirical outcome matches the expected classification.
 
@@ -225,7 +217,6 @@ class AuditReport:
     """Full outcome of an audit: per-trial records plus per-cell summaries."""
 
     tool_version: str
-    master_seed: int
     config: AuditConfig
     cells: tuple[CellSummary, ...]
     trials: tuple[DiagramTrial, ...]
@@ -236,7 +227,6 @@ class AuditReport:
 
 
 def _sample_trial(
-    spec: AlgorithmSpec,
     axis: Axis,
     category: CategoryKind,
     config: AuditConfig,
@@ -266,7 +256,7 @@ def _run_trial(
     config: AuditConfig,
     seed: SeedState,
 ) -> DiagramTrial:
-    d, morphism = _sample_trial(spec, axis, category, config, seed)
+    d, morphism = _sample_trial(axis, category, config, seed)
     tolerance = config.base_tolerance
     if category is CategoryKind.FINVEC_ISO:
         # Ill-conditioned invertible maps amplify roundoff; scale the pass
@@ -330,7 +320,6 @@ def run_audit(config: AuditConfig) -> AuditReport:
                 all_trials.extend(trials)
     return AuditReport(
         tool_version=__version__,
-        master_seed=config.master_seed,
         config=config,
         cells=tuple(cells),
         trials=tuple(all_trials),

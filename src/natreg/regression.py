@@ -50,6 +50,14 @@ class AlgorithmKind(enum.Enum):
     MIN_NORM_OLS = "minnorm-ols"
 
 
+def _check_lambda(lam: float) -> None:
+    """The ridge penalty must be a positive finite number (a bool is not one)."""
+    if isinstance(lam, bool) or not (
+        isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0
+    ):
+        raise InvalidHyperparameter(f"lambda must be a positive finite number, got {lam}")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """A fitting algorithm plus its hyperparameter, if it takes one."""
@@ -61,8 +69,8 @@ class AlgorithmSpec:
         if self.kind is AlgorithmKind.RIDGE:
             if self.lam is None:
                 raise InvalidHyperparameter("ridge requires lambda")
-            if not (isinstance(self.lam, (int, float)) and self.lam > 0.0):
-                raise InvalidHyperparameter(f"lambda must be positive, got {self.lam}")
+            _check_lambda(self.lam)
+            object.__setattr__(self, "lam", float(self.lam))
         elif self.lam is not None:
             raise InvalidHyperparameter(f"{self.kind.value} takes no lambda")
 
@@ -72,7 +80,7 @@ class AlgorithmSpec:
 
     @classmethod
     def ridge(cls, lam: float) -> "AlgorithmSpec":
-        return cls(AlgorithmKind.RIDGE, float(lam))
+        return cls(AlgorithmKind.RIDGE, lam)
 
     @classmethod
     def min_norm_ols(cls) -> "AlgorithmSpec":
@@ -154,8 +162,7 @@ def ols_fit(d: Dataset) -> LinearModel:
 
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
     """Penalized fit solving (x'x + lam I) coef = x'y; needs lam > 0 only."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise InvalidHyperparameter(f"lambda must be a positive finite number, got {lam}")
+    _check_lambda(lam)
     gram = d.x.T @ d.x + float(lam) * np.eye(d.p)
     return LinearModel(solve_spd(gram, d.x.T @ d.y))
 

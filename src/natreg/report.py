@@ -89,7 +89,7 @@ def _serialize(payload: dict) -> str:
 def audit_report_to_json(report: AuditReport) -> str:
     payload = {
         "tool_version": report.tool_version,
-        "master_seed": report.master_seed,
+        "master_seed": report.config.master_seed,
         "config": _config_payload(report),
         "cells": [_cell_payload(cell) for cell in report.cells],
         "counterexamples": None,
@@ -122,7 +122,7 @@ def audit_report_to_text(report: AuditReport) -> str:
     """One aligned row per cell with a PASS/FAIL agreement marker."""
     config = report.config
     header = (
-        f"naturality audit: seed {report.master_seed}, "
+        f"naturality audit: seed {config.master_seed}, "
         f"{config.trials_per_cell} trials/cell, base tolerance {config.base_tolerance:g}"
     )
     columns = ("algorithm", "axis", "category", "expected", "trials",

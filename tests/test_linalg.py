@@ -113,12 +113,9 @@ def test_numerical_rank_known_values():
     assert numerical_rank([[1.0, 0.0], [0.0, 1e-20]]) == 1
 
 
-def test_numerical_rank_tol_factor():
+def test_numerical_rank_default_cutoff():
     a = np.diag([1.0, 1e-12])
     assert numerical_rank(a) == 2
-    assert numerical_rank(a, tol_factor=1e5) == 1
-    with pytest.raises(ContractViolation):
-        numerical_rank(a, tol_factor=0.0)
 
 
 def test_condition_estimate_shear():

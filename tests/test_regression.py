@@ -140,7 +140,7 @@ def test_ridge_known_values():
 
 def test_ridge_rejects_non_positive_lambda():
     d = Dataset([[1.0]], [[1.0]])
-    for lam in (0.0, -1.0, math.inf, math.nan):
+    for lam in (0.0, -1.0, math.inf, math.nan, True):
         with pytest.raises(InvalidHyperparameter):
             ridge_fit(d, lam)
 
@@ -290,8 +290,11 @@ def test_predict_known_value():
 def test_algorithm_spec_validation():
     with pytest.raises(InvalidHyperparameter):
         AlgorithmSpec(AlgorithmKind.RIDGE)
+    for lam in (0.0, math.inf, math.nan, True):
+        with pytest.raises(InvalidHyperparameter):
+            AlgorithmSpec(AlgorithmKind.RIDGE, lam)
     with pytest.raises(InvalidHyperparameter):
-        AlgorithmSpec(AlgorithmKind.RIDGE, 0.0)
+        AlgorithmSpec.ridge(math.inf)
     with pytest.raises(InvalidHyperparameter):
         AlgorithmSpec(AlgorithmKind.OLS, 1.0)
     assert AlgorithmSpec.ridge(2.0).lam == 2.0
