@@ -103,12 +103,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     spec = AlgorithmSpec(AlgorithmKind(args.algorithm), args.lam)  # usage errors before I/O
-    try:
-        with open(args.data, "r", encoding="utf-8") as handle:
-            content = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.data}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.data, "r", encoding="utf-8") as handle:
+        content = handle.read()
     d = dataset_from_csv(content, args.predictors, args.targets)
     try:
         model = spec.fit(d)
@@ -185,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_counterexamples(args)
     except SystemExit as exc:  # argparse reports usage errors by exiting
         return int(exc.code or 0)
-    except NatregError as exc:
+    except (NatregError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

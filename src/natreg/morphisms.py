@@ -73,34 +73,33 @@ def _check_dims(kind: CategoryKind, source_dim: int, target_dim: int) -> None:
 
 @dataclass(frozen=True)
 class Morphism:
-    """A structured map from a source dimension to a target dimension.
+    """A structured map between the dimensions given by its matrix's shape.
 
     Predictor and target morphisms store a source x target matrix applied by
     right multiplication; index morphisms store a target x source matrix
-    applied by left multiplication.  Construction checks shapes and dimension
-    rules; the structural constraint itself is checked by
+    applied by left multiplication.  ``source_dim`` and ``target_dim`` are
+    read from the shape by that convention, and construction checks the
+    kind's dimension rules; the structural constraint itself is checked by
     :func:`verify_morphism` and guaranteed by :func:`sample_morphism`.
     """
 
     kind: CategoryKind
     axis: Axis
     matrix: np.ndarray
-    source_dim: int
-    target_dim: int
 
     def __post_init__(self):
         matrix = as_matrix(self.matrix, "matrix")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         _check_dims(self.kind, self.source_dim, self.target_dim)
-        if self.axis is Axis.INDEX:
-            expected = (self.target_dim, self.source_dim)
-        else:
-            expected = (self.source_dim, self.target_dim)
-        if matrix.shape != expected:
-            raise ContractViolation(
-                f"{self.axis.value} morphism matrix must be {expected}, got {matrix.shape}"
-            )
+
+    @property
+    def source_dim(self) -> int:
+        return self.matrix.shape[1 if self.axis is Axis.INDEX else 0]
+
+    @property
+    def target_dim(self) -> int:
+        return self.matrix.shape[0 if self.axis is Axis.INDEX else 1]
 
 
 def sample_morphism(
@@ -145,7 +144,7 @@ def sample_morphism(
     else:  # EUC_MONO
         frame, _ = qr_thin(sample_gaussian(target_dim, source_dim, seed))
         m = frame if axis is Axis.INDEX else frame.T
-    return Morphism(kind=kind, axis=axis, matrix=m, source_dim=source_dim, target_dim=target_dim)
+    return Morphism(kind=kind, axis=axis, matrix=m)
 
 
 def verify_morphism(morphism: Morphism) -> float:

@@ -163,12 +163,8 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class DiagramTrial:
-    """One sampled diagram check inside an audit cell."""
+    """One sampled diagram check; its cell records what was checked."""
 
-    algorithm: str
-    lam: float | None
-    axis: Axis
-    category: CategoryKind
     p: int
     q: int
     n_examples: int
@@ -188,17 +184,34 @@ class DiagramTrial:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Aggregate outcome of all trials of one (algorithm, axis, kind) cell."""
+    """All trials of one (algorithm, axis, kind) cell.
 
-    algorithm: str
-    lam: float | None
+    Only the cell's coordinates and its trials are stored; the expected
+    classification and every count are derived from them.
+    """
+
+    spec: AlgorithmSpec
     axis: Axis
     category: CategoryKind
-    expected_natural: bool
-    trials: int
-    pass_count: int
-    violations: int
-    max_residual: float
+    trials: tuple[DiagramTrial, ...]
+
+    @property
+    def expected_natural(self) -> bool:
+        return expected_natural(self.spec.kind, self.axis, self.category)
+
+    @property
+    def pass_count(self) -> int:
+        return sum(t.passed for t in self.trials)
+
+    @property
+    def violations(self) -> int:
+        return sum(t.violation for t in self.trials)
+
+    @property
+    def max_residual(self) -> float:
+        """Largest finite residual; undefined refits (inf) count only as violations."""
+        finite = [t.residual for t in self.trials if math.isfinite(t.residual)]
+        return max(finite, default=0.0)
 
     @property
     def agrees(self) -> bool:
@@ -208,18 +221,22 @@ class CellSummary:
         natural must exhibit at least one clear violation.
         """
         if self.expected_natural:
-            return self.pass_count == self.trials
+            return self.pass_count == len(self.trials)
         return self.violations >= 1
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Full outcome of an audit: per-trial records plus per-cell summaries."""
+    """Full outcome of an audit: the config and one summary per cell."""
 
     tool_version: str
     config: AuditConfig
     cells: tuple[CellSummary, ...]
-    trials: tuple[DiagramTrial, ...]
+
+    @property
+    def trials(self) -> tuple[DiagramTrial, ...]:
+        """Every trial, cell by cell in the order of :attr:`cells`."""
+        return tuple(trial for cell in self.cells for trial in cell.trials)
 
     @property
     def all_agree(self) -> bool:
@@ -270,10 +287,6 @@ def _run_trial(
         # cannot commute, which is as hard a violation as they come.
         residual = math.inf
     return DiagramTrial(
-        algorithm=spec.kind.value,
-        lam=spec.lam,
-        axis=axis,
-        category=category,
         p=d.p,
         q=d.q,
         n_examples=d.n_examples,
@@ -292,38 +305,18 @@ def run_audit(config: AuditConfig) -> AuditReport:
     """
     from . import __version__
 
-    cells: list[CellSummary] = []
-    all_trials: list[DiagramTrial] = []
+    cells = []
     root = SeedState(config.master_seed)
     for spec in config.algorithms:
         for axis in config.axes:
             for category in config.categories:
                 cell_seed = root.derive(spec.label(), axis.value, category.value)
-                trials = [
+                trials = tuple(
                     _run_trial(spec, axis, category, config, cell_seed.derive(i))
                     for i in range(config.trials_per_cell)
-                ]
-                finite = [t.residual for t in trials if math.isfinite(t.residual)]
-                cells.append(
-                    CellSummary(
-                        algorithm=spec.kind.value,
-                        lam=spec.lam,
-                        axis=axis,
-                        category=category,
-                        expected_natural=expected_natural(spec.kind, axis, category),
-                        trials=len(trials),
-                        pass_count=sum(t.passed for t in trials),
-                        violations=sum(t.violation for t in trials),
-                        max_residual=max(finite, default=0.0),
-                    )
                 )
-                all_trials.extend(trials)
-    return AuditReport(
-        tool_version=__version__,
-        config=config,
-        cells=tuple(cells),
-        trials=tuple(all_trials),
-    )
+                cells.append(CellSummary(spec, axis, category, trials))
+    return AuditReport(tool_version=__version__, config=config, cells=tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -358,8 +351,6 @@ def counterexample_ols_shear(k: float) -> ShearCounterexample:
         kind=CategoryKind.FINVEC_ISO,
         axis=Axis.PREDICTOR,
         matrix=[[1.0, float(k)], [0.0, 1.0]],
-        source_dim=2,
-        target_dim=2,
     )
     fitted = min_norm_ols_fit(d)
     transformed = act_on_predictors(d, xi)
@@ -410,13 +401,7 @@ def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCount
         raise ContractViolation(f"c must be finite and nonzero, got {c}")
     b, c, lam = float(b), float(c), float(lam)
     d = Dataset(x=[[b]], y=[[1.0]])
-    xi = Morphism(
-        kind=CategoryKind.FINVEC_ISO,
-        axis=Axis.PREDICTOR,
-        matrix=[[c]],
-        source_dim=1,
-        target_dim=1,
-    )
+    xi = Morphism(kind=CategoryKind.FINVEC_ISO, axis=Axis.PREDICTOR, matrix=[[c]])
     fitted = ridge_fit(d, lam).coef[0, 0]
     refitted = ridge_fit(act_on_predictors(d, xi), lam).coef[0, 0]
     return ScalingCounterexample(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ class AlgorithmKind(enum.Enum):
 def _check_lambda(lam: float) -> None:
     """The ridge penalty must be a positive finite number (a bool is not one)."""
     if isinstance(lam, bool) or not (
-        isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0
+        isinstance(lam, numbers.Real) and math.isfinite(lam) and lam > 0.0
     ):
         raise InvalidHyperparameter(f"lambda must be a positive finite number, got {lam}")
 
@@ -213,13 +214,3 @@ def ols_oracle_fit(
             )
         previous = objective
     return LinearModel(coef)
-
-
-def predict(model: LinearModel, x_new: np.ndarray) -> np.ndarray:
-    """Apply the fitted linear map to new predictor rows."""
-    x_new = as_matrix(x_new, "x_new")
-    if x_new.shape[1] != model.p:
-        raise ContractViolation(
-            f"x_new has {x_new.shape[1]} columns, model expects {model.p}"
-        )
-    return x_new @ model.coef

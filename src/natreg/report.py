@@ -23,12 +23,12 @@ def _expected_label(natural: bool) -> str:
 
 def _cell_payload(cell: CellSummary) -> dict:
     return {
-        "algorithm": cell.algorithm,
-        "lambda": cell.lam,
+        "algorithm": cell.spec.kind.value,
+        "lambda": cell.spec.lam,
         "axis": cell.axis.value,
         "category": cell.category.value,
         "expected": _expected_label(cell.expected_natural),
-        "trials": cell.trials,
+        "trials": len(cell.trials),
         "max_residual": cell.max_residual,
         "violations": cell.violations,
         "agrees_with_paper": cell.agrees,
@@ -129,13 +129,12 @@ def audit_report_to_text(report: AuditReport) -> str:
                "violations", "max_residual", "result")
     rows = []
     for cell in report.cells:
-        label = cell.algorithm if cell.lam is None else f"{cell.algorithm}(lambda={cell.lam:g})"
         rows.append((
-            label,
+            cell.spec.label(),
             cell.axis.value,
             cell.category.value,
             _expected_label(cell.expected_natural),
-            str(cell.trials),
+            str(len(cell.trials)),
             str(cell.violations),
             f"{cell.max_residual:.6e}",
             "PASS" if cell.agrees else "FAIL",

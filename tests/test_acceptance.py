@@ -13,29 +13,27 @@ import time
 import numpy as np
 from conftest import record_criterion
 
-from natreg import (
-    AlgorithmSpec,
-    Axis,
-    CategoryKind,
-    Dataset,
-    LinearModel,
-    SeedState,
+from natreg.cli import main
+from natreg.data import Dataset, synth_dataset
+from natreg.linalg import SeedState, rel_distance
+from natreg.morphisms import Axis, CategoryKind, sample_morphism
+from natreg.naturality import (
     check_index_invariance,
     check_predictor_dinaturality,
     counterexample_ols_shear,
     counterexample_ridge_scaling,
+)
+from natreg.regression import (
+    AlgorithmSpec,
+    LinearModel,
     ols_fit,
     ols_oracle_fit,
-    rel_distance,
     ridge_fit,
     ridge_objective,
     ridge_objective_gradient,
-    sample_morphism,
     sse,
     sse_gradient,
-    synth_dataset,
 )
-from natreg.cli import main
 
 
 def _criterion(number: int, description: str):

@@ -39,7 +39,8 @@ def test_fit_ols_writes_coefficients_to_stdout(tmp_path, capsys):
 
 
 def test_fit_ridge_output_round_trips_at_full_precision(tmp_path, capsys):
-    from natreg import Dataset, ridge_fit
+    from natreg.data import Dataset
+    from natreg.regression import ridge_fit
 
     data = _write(tmp_path, "d.csv", "2,1\n")
     code = main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
@@ -103,6 +104,14 @@ def test_fit_usage_errors_exit_two(tmp_path, capsys):
     # missing file
     assert main(["fit", "--data", str(tmp_path / "nope.csv"), "--predictors", "2",
                  "--targets", "1", "--algorithm", "ols"]) == 2
+    # data that is not UTF-8
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("caf\xe9,y\n1,2\n".encode("latin-1"))
+    assert main(["fit", "--data", str(latin1), "--predictors", "1", "--targets", "1",
+                 "--algorithm", "ols"]) == 2
+    # output into a directory that does not exist
+    assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
+                 "--algorithm", "ols", "--out", str(tmp_path / "nope" / "coef.csv")]) == 2
     capsys.readouterr()
 
 
@@ -139,6 +148,7 @@ def test_audit_json_runs_are_byte_identical(tmp_path):
     assert main(argv + ["--out", str(first)]) == 0
     assert main(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    assert main(argv + ["--out", str(tmp_path / "nope" / "c.json")]) == 2
     payload = json.loads(first.read_text())
     assert payload["master_seed"] == 9
     assert {cell["category"] for cell in payload["cells"]} == {"euc", "finvec_iso"}

@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from natreg import (
-    ContractViolation,
-    Dataset,
-    EmptyDataset,
-    ParseError,
-    SeedState,
-    dataset_from_csv,
-    dataset_to_csv,
-    numerical_rank,
-    synth_dataset,
-)
+from natreg.data import Dataset, dataset_from_csv, dataset_to_csv, synth_dataset
+from natreg.errors import ContractViolation, EmptyDataset, ParseError
+from natreg.linalg import SeedState, numerical_rank
 
 
 def test_dataset_shapes_and_properties():

@@ -12,10 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import natreg
-from natreg import (
-    ContractViolation,
-    NotPositiveDefinite,
-    RankDeficient,
+from natreg.errors import ContractViolation, NotPositiveDefinite, RankDeficient
+from natreg.linalg import (
     SeedState,
     condition_estimate,
     numerical_rank,

@@ -7,17 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from natreg import (
-    AlgorithmKind,
-    AlgorithmSpec,
+from natreg.data import Dataset, synth_dataset
+from natreg.errors import ConfigError, ContractViolation, InvalidHyperparameter
+from natreg.linalg import SeedState, condition_estimate
+from natreg.morphisms import Axis, CategoryKind, sample_morphism
+from natreg.naturality import (
     AuditConfig,
-    Axis,
-    CategoryKind,
-    ConfigError,
-    ContractViolation,
-    Dataset,
-    InvalidHyperparameter,
-    SeedState,
     check_index_invariance,
     check_predictor_dinaturality,
     check_target_naturality,
@@ -25,9 +20,8 @@ from natreg import (
     counterexample_ridge_scaling,
     expected_natural,
     run_audit,
-    sample_morphism,
-    synth_dataset,
 )
+from natreg.regression import AlgorithmKind, AlgorithmSpec
 
 ALGORITHMS = (
     AlgorithmSpec.ols(),
@@ -63,7 +57,6 @@ def test_predictor_dinaturality_holds_for_ols_under_invertible_maps():
         d, _ = synth_dataset(seed.derive("data"), p + 1 + int(gen.integers(0, 20)), p,
                              1 + int(gen.integers(0, 3)), noise_sd=1.0)
         xi = sample_morphism(CategoryKind.FINVEC_ISO, Axis.PREDICTOR, p, p, seed.derive("m"))
-        from natreg import condition_estimate
         residual = check_predictor_dinaturality(AlgorithmSpec.ols(), d, xi)
         assert residual <= 1e-8 * condition_estimate(xi.matrix)
 
@@ -199,7 +192,7 @@ def test_run_audit_cell_layout_follows_config_order():
     )
     report = run_audit(config)
     assert len(report.cells) == 8
-    assert [c.algorithm for c in report.cells[:4]] == ["ols"] * 4
+    assert [c.spec for c in report.cells[:4]] == [AlgorithmSpec.ols()] * 4
     assert [c.axis for c in report.cells[:2]] == [Axis.INDEX, Axis.INDEX]
     assert [c.category for c in report.cells[:2]] == [
         CategoryKind.SET_ISO,
@@ -236,9 +229,7 @@ def test_run_audit_scales_tolerance_by_condition():
         master_seed=11,
     )
     report = run_audit(config)
-    by_category = {}
-    for trial in report.trials:
-        by_category.setdefault(trial.category, []).append(trial)
+    by_category = {cell.category: cell.trials for cell in report.cells}
     for trial in by_category[CategoryKind.EUC]:
         assert trial.tolerance == config.base_tolerance
     assert any(

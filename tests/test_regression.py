@@ -7,27 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from natreg import (
+from natreg.data import Dataset, synth_dataset
+from natreg.errors import ContractViolation, InvalidHyperparameter, OracleDiverged, RankDeficient
+from natreg.linalg import SeedState, rel_distance
+from natreg.regression import (
     AlgorithmKind,
     AlgorithmSpec,
-    ContractViolation,
-    Dataset,
-    InvalidHyperparameter,
     LinearModel,
-    OracleDiverged,
-    RankDeficient,
-    SeedState,
     min_norm_ols_fit,
     ols_fit,
     ols_oracle_fit,
-    predict,
-    rel_distance,
     ridge_fit,
     ridge_objective,
     ridge_objective_gradient,
     sse,
     sse_gradient,
-    synth_dataset,
 )
 
 
@@ -280,13 +274,6 @@ def test_gradients_match_central_differences():
             )
 
 
-def test_predict_known_value():
-    model = LinearModel([[1.0], [2.0]])
-    np.testing.assert_array_equal(predict(model, [[1.0, 1.0]]), [[3.0]])
-    with pytest.raises(ContractViolation):
-        predict(model, [[1.0, 2.0, 3.0]])
-
-
 def test_algorithm_spec_validation():
     with pytest.raises(InvalidHyperparameter):
         AlgorithmSpec(AlgorithmKind.RIDGE)
@@ -298,6 +285,9 @@ def test_algorithm_spec_validation():
     with pytest.raises(InvalidHyperparameter):
         AlgorithmSpec(AlgorithmKind.OLS, 1.0)
     assert AlgorithmSpec.ridge(2.0).lam == 2.0
+    for lam in (np.float32(0.5), np.int64(2)):
+        stored = AlgorithmSpec.ridge(lam).lam
+        assert type(stored) is float and stored == float(lam)
 
 
 def test_algorithm_spec_fit_dispatch():

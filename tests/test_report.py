@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import json
 
-from natreg import AlgorithmSpec, AuditConfig, Axis, CategoryKind, run_audit
-from natreg.naturality import counterexample_ols_shear, counterexample_ridge_scaling
+from natreg.morphisms import Axis, CategoryKind
+from natreg.naturality import (
+    AuditConfig,
+    counterexample_ols_shear,
+    counterexample_ridge_scaling,
+    run_audit,
+)
+from natreg.regression import AlgorithmSpec
 from natreg.report import (
     audit_report_to_json,
     audit_report_to_text,
