@@ -90,13 +90,12 @@ def dataset_to_csv(d: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def synth_dataset(
+def draw_dataset(
     seed: SeedState, n_examples: int, p: int, q: int, noise_sd: float = 0.0
-) -> tuple[Dataset, np.ndarray]:
-    """Gaussian predictors with targets x @ coef + noise; returns (data, coef).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (x, y, coef) that :func:`synth_dataset` wraps.
 
-    With ``noise_sd == 0`` the targets lie exactly in the predictor column
-    space.  Identical arguments always produce the identical dataset.
+    Gaussian predictors with targets x @ coef + noise.
     """
     if n_examples < 1 or p < 1 or q < 1:
         raise ContractViolation(
@@ -109,4 +108,16 @@ def synth_dataset(
     y = x @ coef
     if noise_sd > 0.0:
         y = y + noise_sd * sample_gaussian(n_examples, q, seed.derive("noise"))
+    return x, y, coef
+
+
+def synth_dataset(
+    seed: SeedState, n_examples: int, p: int, q: int, noise_sd: float = 0.0
+) -> tuple[Dataset, np.ndarray]:
+    """Gaussian predictors with targets x @ coef + noise; returns (data, coef).
+
+    With ``noise_sd == 0`` the targets lie exactly in the predictor column
+    space.  Identical arguments always produce the identical dataset.
+    """
+    x, y, coef = draw_dataset(seed, n_examples, p, q, noise_sd)
     return Dataset(x=x, y=y), coef

@@ -30,30 +30,62 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def solve_spd_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a[i] @ f[i] = b[i]`` for a stack of symmetric matrices ``a[i]``.
+
+    Returns ``(f, definite)``.  ``definite[i]`` is False where a Cholesky
+    factorization of ``a[i]`` meets a non-positive pivot; ``f[i]`` is NaN
+    there.  Every other member is solved by LU on ``a[i]`` itself, so its
+    bits equal those of solving that system alone.  An asymmetric member is
+    rejected.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ContractViolation(f"a must be a stack of square matrices, got shape {a.shape}")
+    if b.ndim != 3 or b.shape[:2] != a.shape[:2] or b.shape[2] < 1:
+        raise ContractViolation(f"b has shape {b.shape}, expected {a.shape[:2]} + (m,)")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ContractViolation("a or b contains non-finite entries")
+    asym = np.linalg.norm(a - a.transpose(0, 2, 1), axis=(1, 2))
+    asymmetric = np.flatnonzero(asym > 1e-12 * np.linalg.norm(a, axis=(1, 2)))
+    if asymmetric.size:
+        i = int(asymmetric[0])
+        raise ContractViolation(f"a[{i}] is not symmetric (asymmetry {asym[i]:.3e})")
+    try:
+        np.linalg.cholesky(a)
+        definite = np.ones(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        definite = np.array([_cholesky_succeeds(member) for member in a], dtype=bool)
+    f = np.full(b.shape, np.nan)
+    if definite.any():
+        # LU on ``a`` itself rather than triangular solves with the factor:
+        # the ridge scaling witness then keeps the bits the CLI tests pin.
+        f[definite] = np.linalg.solve(a[definite], b[definite])
+    return f, definite
+
+
+def _cholesky_succeeds(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ f = b`` for symmetric positive definite ``a``.
 
-    Asymmetric input is rejected, and a Cholesky factorization that meets a
-    non-positive pivot raises :class:`NotPositiveDefinite` rather than
-    returning garbage.
+    The single-system form of :func:`solve_spd_stack`: asymmetric input is
+    rejected, and a matrix that is not positive definite raises
+    :class:`NotPositiveDefinite` rather than returning garbage.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ContractViolation(f"a must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ContractViolation(f"b has {b.shape[0]} rows, expected {n}")
-    asym = float(np.linalg.norm(a - a.T))
-    if asym > 1e-12 * float(np.linalg.norm(a)):
-        raise ContractViolation(f"a is not symmetric (asymmetry {asym:.3e})")
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix of size {n} is not positive definite") from exc
-    # LU on ``a`` itself rather than triangular solves with the factor: the
-    # ridge scaling witness then keeps the bits the CLI tests pin.
-    return np.linalg.solve(a, b)
+    f, definite = solve_spd_stack(a[None], b[None])
+    if not definite[0]:
+        raise NotPositiveDefinite(f"matrix of size {a.shape[0]} is not positive definite")
+    return f[0]
 
 
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -102,6 +102,49 @@ class Morphism:
         return self.matrix.shape[0 if self.axis is Axis.INDEX else 1]
 
 
+def draw_morphism_matrix(
+    kind: CategoryKind,
+    axis: Axis,
+    source_dim: int,
+    target_dim: int,
+    seed: SeedState,
+    kappa_max: float = DEFAULT_KAPPA_MAX,
+) -> np.ndarray:
+    """The C-contiguous matrix that :func:`sample_morphism` wraps.
+
+    finvec draws a Gaussian matrix; finvec_iso rejection-samples Gaussians
+    until the condition number is at most ``kappa_max``; euc and euc_mono take
+    the orthonormal factor of a Gaussian (thin QR with its sign convention, so
+    draws are unique); set_iso permutes; discrete is the identity.
+    """
+    _check_dims(kind, source_dim, target_dim)
+    if kind is CategoryKind.DISCRETE:
+        return np.eye(source_dim)
+    if kind is CategoryKind.SET_ISO:
+        perm = seed.generator().permutation(source_dim)
+        return np.eye(source_dim)[perm]
+    if kind is CategoryKind.FINVEC:
+        if axis is Axis.INDEX:
+            return sample_gaussian(target_dim, source_dim, seed)
+        return sample_gaussian(source_dim, target_dim, seed)
+    if kind is CategoryKind.FINVEC_ISO:
+        if not kappa_max >= 1.0:
+            raise ContractViolation(f"kappa_max must be >= 1, got {kappa_max}")
+        for attempt in range(_RESAMPLE_CAP):
+            m = sample_gaussian(source_dim, source_dim, seed.derive("attempt", attempt))
+            if condition_estimate(m) <= kappa_max:
+                return m
+        raise SamplingFailed(
+            f"no draw with condition <= {kappa_max:g} in {_RESAMPLE_CAP} attempts"
+        )
+    if kind is CategoryKind.EUC:
+        return qr_thin(sample_gaussian(source_dim, source_dim, seed))[0]
+    # euc_mono: an orthonormal frame, transposed into a row-major copy off the
+    # index axis (products of a transposed view round differently)
+    frame, _ = qr_thin(sample_gaussian(target_dim, source_dim, seed))
+    return frame if axis is Axis.INDEX else np.ascontiguousarray(frame.T)
+
+
 def sample_morphism(
     kind: CategoryKind,
     axis: Axis,
@@ -112,39 +155,10 @@ def sample_morphism(
 ) -> Morphism:
     """Draw a morphism of the requested kind, deterministically from the seed.
 
-    finvec draws a Gaussian matrix; finvec_iso rejection-samples Gaussians
-    until the condition number is at most ``kappa_max``; euc and euc_mono take
-    the orthonormal factor of a Gaussian (thin QR with its sign convention, so
-    draws are unique); set_iso permutes; discrete is the identity.
+    The matrix comes from :func:`draw_morphism_matrix`.
     """
-    _check_dims(kind, source_dim, target_dim)
-    if kind is CategoryKind.DISCRETE:
-        m = np.eye(source_dim)
-    elif kind is CategoryKind.SET_ISO:
-        perm = seed.generator().permutation(source_dim)
-        m = np.eye(source_dim)[perm]
-    elif kind is CategoryKind.FINVEC:
-        if axis is Axis.INDEX:
-            m = sample_gaussian(target_dim, source_dim, seed)
-        else:
-            m = sample_gaussian(source_dim, target_dim, seed)
-    elif kind is CategoryKind.FINVEC_ISO:
-        if not kappa_max >= 1.0:
-            raise ContractViolation(f"kappa_max must be >= 1, got {kappa_max}")
-        for attempt in range(_RESAMPLE_CAP):
-            m = sample_gaussian(source_dim, source_dim, seed.derive("attempt", attempt))
-            if condition_estimate(m) <= kappa_max:
-                break
-        else:
-            raise SamplingFailed(
-                f"no draw with condition <= {kappa_max:g} in {_RESAMPLE_CAP} attempts"
-            )
-    elif kind is CategoryKind.EUC:
-        m, _ = qr_thin(sample_gaussian(source_dim, source_dim, seed))
-    else:  # EUC_MONO
-        frame, _ = qr_thin(sample_gaussian(target_dim, source_dim, seed))
-        m = frame if axis is Axis.INDEX else frame.T
-    return Morphism(kind=kind, axis=axis, matrix=m)
+    matrix = draw_morphism_matrix(kind, axis, source_dim, target_dim, seed, kappa_max)
+    return Morphism(kind=kind, axis=axis, matrix=matrix)
 
 
 def verify_morphism(morphism: Morphism) -> float:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, synth_dataset
-from .errors import ConfigError, ContractViolation, NotPositiveDefinite, RankDeficient
+from .data import Dataset, draw_dataset
+from .errors import ConfigError, ContractViolation
 from .linalg import SeedState, condition_estimate, rel_distance
 from .morphisms import (
     Axis,
@@ -32,11 +32,18 @@ from .morphisms import (
     act_on_index,
     act_on_predictors,
     act_on_targets,
+    draw_morphism_matrix,
     model_action_target,
     model_precompose_predictor,
-    sample_morphism,
 )
-from .regression import AlgorithmKind, AlgorithmSpec, min_norm_ols_fit, ridge_fit, sse
+from .regression import (
+    AlgorithmKind,
+    AlgorithmSpec,
+    fit_systems,
+    min_norm_ols_fit,
+    ridge_fit,
+    sse,
+)
 
 # Noise level for audit trial datasets; naturality does not depend on it.
 TRIAL_NOISE_SD = 1.0
@@ -243,12 +250,10 @@ class AuditReport:
         return all(cell.agrees for cell in self.cells)
 
 
-def _sample_trial(
-    axis: Axis,
-    category: CategoryKind,
-    config: AuditConfig,
-    seed: SeedState,
-) -> tuple[Dataset, Morphism]:
+def draw_trial(
+    axis: Axis, category: CategoryKind, config: AuditConfig, seed: SeedState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dataset arrays (x, y) and the morphism matrix of one audit trial."""
     gen = seed.derive("dims").generator()
     p = int(gen.integers(config.p_range[0], config.p_range[1] + 1))
     q = int(gen.integers(config.q_range[0], config.q_range[1] + 1))
@@ -261,62 +266,94 @@ def _sample_trial(
     else:  # FINVEC: any codomain near the source, above or below
         lo = max(1, source - config.codomain_offset)
         target = int(gen.integers(lo, source + config.codomain_offset + 1))
-    d, _ = synth_dataset(seed.derive("data"), n, p, q, noise_sd=TRIAL_NOISE_SD)
-    morphism = sample_morphism(category, axis, source, target, seed.derive("morphism"))
-    return d, morphism
+    x, y, _ = draw_dataset(seed.derive("data"), n, p, q, noise_sd=TRIAL_NOISE_SD)
+    m = draw_morphism_matrix(category, axis, source, target, seed.derive("morphism"))
+    return x, y, m
 
 
-def _run_trial(
-    spec: AlgorithmSpec,
-    axis: Axis,
-    category: CategoryKind,
-    config: AuditConfig,
-    seed: SeedState,
-) -> DiagramTrial:
-    d, morphism = _sample_trial(axis, category, config, seed)
-    tolerance = config.base_tolerance
-    if category is CategoryKind.FINVEC_ISO:
-        # Ill-conditioned invertible maps amplify roundoff; scale the pass
-        # line by the condition number instead of loosening it globally.
-        tolerance *= condition_estimate(morphism.matrix)
-    checker = _CHECKERS[axis]
-    try:
-        residual = checker(spec, d, morphism)
-    except (RankDeficient, NotPositiveDefinite):
-        # The transformed data left the algorithm's domain: the diagram
-        # cannot commute, which is as hard a violation as they come.
-        residual = math.inf
-    return DiagramTrial(
-        p=d.p,
-        q=d.q,
-        n_examples=d.n_examples,
-        morphism_dim=morphism.target_dim,
-        seed=seed,
-        residual=residual,
-        tolerance=tolerance,
-    )
+def _transform(axis: Axis, x: np.ndarray, y: np.ndarray, m: np.ndarray):
+    """The data a trial refits: the arrays of ``act_on_*``."""
+    if axis is Axis.PREDICTOR:
+        return x @ m, y
+    if axis is Axis.TARGET:
+        return x, y @ m
+    return m @ x, m @ y
+
+
+def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarray) -> float:
+    """The residual of the axis's ``check_*`` diagram, from raw coefficients."""
+    if axis is Axis.PREDICTOR:
+        return rel_distance(m @ refitted, fitted)
+    if axis is Axis.TARGET:
+        return rel_distance(refitted, fitted @ m)
+    return rel_distance(refitted, fitted)
+
+
+def _run_cell(
+    spec: AlgorithmSpec, axis: Axis, category: CategoryKind, config: AuditConfig, seed: SeedState
+) -> CellSummary:
+    """All trials of one cell: sample them as arrays, then fit and check them.
+
+    The numbers equal those of ``_CHECKERS[axis]`` run on each trial's
+    dataset and morphism; a fit that leaves its domain (a rank-deficient OLS
+    or a ridge system that is not positive definite) makes the diagram
+    undefined, which counts as a residual of ``inf``.
+    """
+    seeds = [seed.derive(i) for i in range(config.trials_per_cell)]
+    sampled = []
+    systems = []
+    for trial_seed in seeds:
+        x, y, m = draw_trial(axis, category, config, trial_seed)
+        x2, y2 = _transform(axis, x, y, m)
+        if not (np.all(np.isfinite(x2)) and np.all(np.isfinite(y2))):
+            raise ContractViolation("transformed data contains non-finite entries")
+        tolerance = config.base_tolerance
+        if category is CategoryKind.FINVEC_ISO:
+            # Ill-conditioned invertible maps amplify roundoff; scale the pass
+            # line by the condition number instead of loosening it globally.
+            tolerance *= condition_estimate(m)
+        sampled.append((x.shape, y.shape[1], m, tolerance))
+        systems += [(x, y), (x2, y2)]
+    coefs = fit_systems(spec, systems)
+    trials = []
+    for trial_seed, (shape, q, m, tolerance), fitted, refitted in zip(
+        seeds, sampled, coefs[0::2], coefs[1::2]
+    ):
+        if fitted is None or refitted is None:
+            residual = math.inf
+        else:
+            residual = _residual(axis, fitted, refitted, m)
+        trials.append(
+            DiagramTrial(
+                p=shape[1],
+                q=q,
+                n_examples=shape[0],
+                morphism_dim=m.shape[0 if axis is Axis.INDEX else 1],
+                seed=trial_seed,
+                residual=residual,
+                tolerance=tolerance,
+            )
+        )
+    return CellSummary(spec, axis, category, tuple(trials))
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
     """Run every configured cell and summarize agreement with expectations.
 
     The report is a pure function of the config: trial seeds are derived from
-    the master seed and the cell labels, never from execution order.
+    the master seed and the cell labels, never from execution order.  Cells
+    run one at a time, so at most one cell's trial arrays are held at once.
     """
     from . import __version__
 
-    cells = []
     root = SeedState(config.master_seed)
-    for spec in config.algorithms:
-        for axis in config.axes:
-            for category in config.categories:
-                cell_seed = root.derive(spec.label(), axis.value, category.value)
-                trials = tuple(
-                    _run_trial(spec, axis, category, config, cell_seed.derive(i))
-                    for i in range(config.trials_per_cell)
-                )
-                cells.append(CellSummary(spec, axis, category, trials))
-    return AuditReport(tool_version=__version__, config=config, cells=tuple(cells))
+    cells = tuple(
+        _run_cell(spec, axis, category, config, root.derive(spec.label(), axis.value, category.value))
+        for spec in config.algorithms
+        for axis in config.axes
+        for category in config.categories
+    )
+    return AuditReport(tool_version=__version__, config=config, cells=cells)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .errors import (
     OracleDiverged,
     RankDeficient,
 )
-from .linalg import EPS, as_matrix, solve_spd
+from .linalg import EPS, as_matrix, solve_spd, solve_spd_stack
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,20 @@ def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.n
     return sse_gradient(d, model) + 2.0 * float(lam) * model.coef
 
 
-def _lstsq(d: Dataset) -> tuple[np.ndarray, int]:
+def _lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least-squares solution and numerical rank of ``x``.
 
     One SVD-based solve; singular values at or below
     :func:`numerical_rank`'s cutoff, ``max(dims) * eps * s_max``, are
     treated as zero, so the rank agrees with that function.
     """
-    coef, _, rank, _ = np.linalg.lstsq(d.x, d.y, rcond=max(d.x.shape) * EPS)
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=max(x.shape) * EPS)
     return coef, int(rank)
+
+
+def _ridge_system(x: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The penalized normal equations (x'x + lam I, x'y) of a ridge fit."""
+    return x.T @ x + float(lam) * np.eye(x.shape[1]), x.T @ y
 
 
 def ols_fit(d: Dataset) -> LinearModel:
@@ -151,7 +156,7 @@ def ols_fit(d: Dataset) -> LinearModel:
     Requires full column rank; otherwise the minimizer is not unique and a
     :class:`RankDeficient` error reports the detected rank.
     """
-    coef, rank = _lstsq(d)
+    coef, rank = _lstsq(d.x, d.y)
     if rank < d.p:
         raise RankDeficient(
             f"predictor matrix has numerical rank {rank} < {d.p}",
@@ -164,13 +169,44 @@ def ols_fit(d: Dataset) -> LinearModel:
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
     """Penalized fit solving (x'x + lam I) coef = x'y; needs lam > 0 only."""
     _check_lambda(lam)
-    gram = d.x.T @ d.x + float(lam) * np.eye(d.p)
-    return LinearModel(solve_spd(gram, d.x.T @ d.y))
+    return LinearModel(solve_spd(*_ridge_system(d.x, d.y, lam)))
 
 
 def min_norm_ols_fit(d: Dataset) -> LinearModel:
     """Minimum-Frobenius-norm least-squares fit from the same SVD solve as OLS."""
-    return LinearModel(_lstsq(d)[0])
+    return LinearModel(_lstsq(d.x, d.y)[0])
+
+
+def fit_systems(
+    spec: AlgorithmSpec, systems: list[tuple[np.ndarray, np.ndarray]]
+) -> list[np.ndarray | None]:
+    """Coefficients of ``spec``'s fit to each (x, y) pair, from raw arrays.
+
+    The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
+    without building a :class:`Dataset` or :class:`LinearModel` per pair.
+    An entry is None where the pair leaves the fit's domain: ``x`` is
+    rank-deficient for OLS, or the ridge system is not positive definite.
+    Ridge systems of equal shape are solved as one stack.
+    """
+    coefs: list[np.ndarray | None] = [None] * len(systems)
+    if spec.kind is AlgorithmKind.RIDGE:
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, (x, y) in enumerate(systems):
+            groups.setdefault((x.shape[1], y.shape[1]), []).append(i)
+        for members in groups.values():
+            grams, rhs = zip(*(_ridge_system(*systems[i], spec.lam) for i in members))
+            solved, definite = solve_spd_stack(np.stack(grams), np.stack(rhs))
+            for i, coef, ok in zip(members, solved, definite):
+                if ok:
+                    coefs[i] = coef
+    else:
+        for i, (x, y) in enumerate(systems):
+            coef, rank = _lstsq(x, y)
+            if spec.kind is AlgorithmKind.MIN_NORM_OLS or rank == x.shape[1]:
+                coefs[i] = coef
+    if not all(np.all(np.isfinite(coef)) for coef in coefs if coef is not None):
+        raise ContractViolation("coef contains non-finite entries")
+    return coefs
 
 
 def ols_oracle_fit(
