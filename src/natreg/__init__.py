@@ -9,7 +9,7 @@ The top level holds only the five names of the README's library example;
 every other name is imported from the module that defines it.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .data import synth_dataset
 from .linalg import SeedState

@@ -9,6 +9,8 @@ violation), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from . import __version__
@@ -93,6 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(out: str | None) -> None:
+    """Raise the error that opening ``out`` for writing would, before any work.
+
+    The file itself is neither created nor truncated here.
+    """
+    if out is None:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -103,8 +124,12 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     spec = AlgorithmSpec(AlgorithmKind(args.algorithm), args.lam)  # usage errors before I/O
-    with open(args.data, "r", encoding="utf-8") as handle:
-        content = handle.read()
+    _check_writable(args.out)
+    try:
+        with open(args.data, "r", encoding="utf-8") as handle:
+            content = handle.read()
+    except UnicodeDecodeError as exc:
+        raise NatregError(f"--data {args.data!r} is not UTF-8 text: {exc}") from exc
     d = dataset_from_csv(content, args.predictors, args.targets)
     try:
         model = spec.fit(d)
@@ -150,6 +175,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         master_seed=args.seed,
         base_tolerance=args.tolerance,
     )
+    _check_writable(args.out)
     report = run_audit(config)
     if args.format == "json":
         rendered = audit_report_to_json(report)
@@ -181,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_counterexamples(args)
     except SystemExit as exc:  # argparse reports usage errors by exiting
         return int(exc.code or 0)
-    except (NatregError, OSError, UnicodeDecodeError) as exc:
+    except (NatregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, EmptyDataset, ParseError
-from .linalg import SeedState, as_matrix, sample_gaussian
+from .linalg import SeedState, as_matrix
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,12 @@ def dataset_to_csv(d: Dataset) -> str:
 
 
 def draw_dataset(
-    seed: SeedState, n_examples: int, p: int, q: int, noise_sd: float = 0.0
+    gen: np.random.Generator, n_examples: int, p: int, q: int, noise_sd: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arrays (x, y, coef) that :func:`synth_dataset` wraps.
 
-    Gaussian predictors with targets x @ coef + noise.
+    Gaussian predictors with targets x @ coef + noise, drawn from ``gen`` in
+    that order: x, coef, then the noise when ``noise_sd > 0``.
     """
     if n_examples < 1 or p < 1 or q < 1:
         raise ContractViolation(
@@ -103,11 +104,11 @@ def draw_dataset(
         )
     if not noise_sd >= 0.0:
         raise ContractViolation(f"noise_sd must be non-negative, got {noise_sd}")
-    x = sample_gaussian(n_examples, p, seed.derive("x"))
-    coef = sample_gaussian(p, q, seed.derive("coef"))
+    x = gen.standard_normal((n_examples, p))
+    coef = gen.standard_normal((p, q))
     y = x @ coef
     if noise_sd > 0.0:
-        y = y + noise_sd * sample_gaussian(n_examples, q, seed.derive("noise"))
+        y = y + noise_sd * gen.standard_normal((n_examples, q))
     return x, y, coef
 
 
@@ -117,7 +118,8 @@ def synth_dataset(
     """Gaussian predictors with targets x @ coef + noise; returns (data, coef).
 
     With ``noise_sd == 0`` the targets lie exactly in the predictor column
-    space.  Identical arguments always produce the identical dataset.
+    space.  Identical arguments always produce the identical dataset: every
+    array is drawn from the one stream ``seed.generator()``.
     """
-    x, y, coef = draw_dataset(seed, n_examples, p, q, noise_sd)
+    x, y, coef = draw_dataset(seed.generator(), n_examples, p, q, noise_sd)
     return Dataset(x=x, y=y), coef

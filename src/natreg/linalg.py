@@ -25,7 +25,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise ContractViolation(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ContractViolation(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractViolation(f"{name} contains non-finite entries")
     return m
 
@@ -45,7 +45,7 @@ def solve_spd_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ContractViolation(f"a must be a stack of square matrices, got shape {a.shape}")
     if b.ndim != 3 or b.shape[:2] != a.shape[:2] or b.shape[2] < 1:
         raise ContractViolation(f"b has shape {b.shape}, expected {a.shape[:2]} + (m,)")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ContractViolation("a or b contains non-finite entries")
     asym = np.linalg.norm(a - a.transpose(0, 2, 1), axis=(1, 2))
     asymmetric = np.flatnonzero(asym > 1e-12 * np.linalg.norm(a, axis=(1, 2)))

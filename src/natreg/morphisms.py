@@ -29,7 +29,6 @@ from .linalg import (
     condition_estimate,
     numerical_rank,
     qr_thin,
-    sample_gaussian,
 )
 from .regression import LinearModel
 
@@ -107,41 +106,42 @@ def draw_morphism_matrix(
     axis: Axis,
     source_dim: int,
     target_dim: int,
-    seed: SeedState,
+    gen: np.random.Generator,
     kappa_max: float = DEFAULT_KAPPA_MAX,
 ) -> np.ndarray:
-    """The C-contiguous matrix that :func:`sample_morphism` wraps.
+    """The C-contiguous matrix that :func:`sample_morphism` wraps, drawn from ``gen``.
 
-    finvec draws a Gaussian matrix; finvec_iso rejection-samples Gaussians
-    until the condition number is at most ``kappa_max``; euc and euc_mono take
-    the orthonormal factor of a Gaussian (thin QR with its sign convention, so
-    draws are unique); set_iso permutes; discrete is the identity.
+    finvec draws a Gaussian matrix; finvec_iso draws successive Gaussians
+    until one has condition number at most ``kappa_max``; euc and euc_mono
+    take the orthonormal factor of a Gaussian (thin QR with its sign
+    convention, so draws are unique); set_iso permutes; discrete is the
+    identity and draws nothing.
     """
     _check_dims(kind, source_dim, target_dim)
     if kind is CategoryKind.DISCRETE:
         return np.eye(source_dim)
     if kind is CategoryKind.SET_ISO:
-        perm = seed.generator().permutation(source_dim)
+        perm = gen.permutation(source_dim)
         return np.eye(source_dim)[perm]
     if kind is CategoryKind.FINVEC:
         if axis is Axis.INDEX:
-            return sample_gaussian(target_dim, source_dim, seed)
-        return sample_gaussian(source_dim, target_dim, seed)
+            return gen.standard_normal((target_dim, source_dim))
+        return gen.standard_normal((source_dim, target_dim))
     if kind is CategoryKind.FINVEC_ISO:
         if not kappa_max >= 1.0:
             raise ContractViolation(f"kappa_max must be >= 1, got {kappa_max}")
-        for attempt in range(_RESAMPLE_CAP):
-            m = sample_gaussian(source_dim, source_dim, seed.derive("attempt", attempt))
+        for _ in range(_RESAMPLE_CAP):
+            m = gen.standard_normal((source_dim, source_dim))
             if condition_estimate(m) <= kappa_max:
                 return m
         raise SamplingFailed(
             f"no draw with condition <= {kappa_max:g} in {_RESAMPLE_CAP} attempts"
         )
     if kind is CategoryKind.EUC:
-        return qr_thin(sample_gaussian(source_dim, source_dim, seed))[0]
+        return qr_thin(gen.standard_normal((source_dim, source_dim)))[0]
     # euc_mono: an orthonormal frame, transposed into a row-major copy off the
     # index axis (products of a transposed view round differently)
-    frame, _ = qr_thin(sample_gaussian(target_dim, source_dim, seed))
+    frame, _ = qr_thin(gen.standard_normal((target_dim, source_dim)))
     return frame if axis is Axis.INDEX else np.ascontiguousarray(frame.T)
 
 
@@ -155,9 +155,9 @@ def sample_morphism(
 ) -> Morphism:
     """Draw a morphism of the requested kind, deterministically from the seed.
 
-    The matrix comes from :func:`draw_morphism_matrix`.
+    The matrix comes from :func:`draw_morphism_matrix` on ``seed.generator()``.
     """
-    matrix = draw_morphism_matrix(kind, axis, source_dim, target_dim, seed, kappa_max)
+    matrix = draw_morphism_matrix(kind, axis, source_dim, target_dim, seed.generator(), kappa_max)
     return Morphism(kind=kind, axis=axis, matrix=matrix)
 
 

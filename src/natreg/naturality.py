@@ -253,8 +253,12 @@ class AuditReport:
 def draw_trial(
     axis: Axis, category: CategoryKind, config: AuditConfig, seed: SeedState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dataset arrays (x, y) and the morphism matrix of one audit trial."""
-    gen = seed.derive("dims").generator()
+    """The dataset arrays (x, y) and the morphism matrix of one audit trial.
+
+    Everything is drawn from the one stream ``seed.generator()``, in a fixed
+    order: the dimensions, then x, coef and noise, then the morphism.
+    """
+    gen = seed.generator()
     p = int(gen.integers(config.p_range[0], config.p_range[1] + 1))
     q = int(gen.integers(config.q_range[0], config.q_range[1] + 1))
     n = int(gen.integers(p + 1, config.max_examples + 1))
@@ -266,8 +270,8 @@ def draw_trial(
     else:  # FINVEC: any codomain near the source, above or below
         lo = max(1, source - config.codomain_offset)
         target = int(gen.integers(lo, source + config.codomain_offset + 1))
-    x, y, _ = draw_dataset(seed.derive("data"), n, p, q, noise_sd=TRIAL_NOISE_SD)
-    m = draw_morphism_matrix(category, axis, source, target, seed.derive("morphism"))
+    x, y, _ = draw_dataset(gen, n, p, q, noise_sd=TRIAL_NOISE_SD)
+    m = draw_morphism_matrix(category, axis, source, target, gen)
     return x, y, m
 
 
@@ -305,7 +309,7 @@ def _run_cell(
     for trial_seed in seeds:
         x, y, m = draw_trial(axis, category, config, trial_seed)
         x2, y2 = _transform(axis, x, y, m)
-        if not (np.all(np.isfinite(x2)) and np.all(np.isfinite(y2))):
+        if not (np.isfinite(x2).all() and np.isfinite(y2).all()):
             raise ContractViolation("transformed data contains non-finite entries")
         tolerance = config.base_tolerance
         if category is CategoryKind.FINVEC_ISO:

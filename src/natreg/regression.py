@@ -204,7 +204,7 @@ def fit_systems(
             coef, rank = _lstsq(x, y)
             if spec.kind is AlgorithmKind.MIN_NORM_OLS or rank == x.shape[1]:
                 coefs[i] = coef
-    if not all(np.all(np.isfinite(coef)) for coef in coefs if coef is not None):
+    if not all(np.isfinite(coef).all() for coef in coefs if coef is not None):
         raise ContractViolation("coef contains non-finite entries")
     return coefs
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import natreg.cli
 from natreg.cli import main
 
 EXACT_CSV = "1,0,1\n0,1,2\n1,1,3\n"
@@ -107,11 +108,42 @@ def test_fit_usage_errors_exit_two(tmp_path, capsys):
     # data that is not UTF-8
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes("caf\xe9,y\n1,2\n".encode("latin-1"))
+    capsys.readouterr()
     assert main(["fit", "--data", str(latin1), "--predictors", "1", "--targets", "1",
                  "--algorithm", "ols"]) == 2
+    assert str(latin1) in capsys.readouterr().err
     # output into a directory that does not exist
     assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
                  "--algorithm", "ols", "--out", str(tmp_path / "nope" / "coef.csv")]) == 2
+    capsys.readouterr()
+
+
+def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(natreg.cli, "run_audit", never)
+    monkeypatch.setattr(natreg.cli, "dataset_from_csv", never)
+    data = _write(tmp_path, "d.csv", EXACT_CSV)
+    missing = str(tmp_path / "nope" / "out.txt")
+    for out in (missing, str(tmp_path)):
+        assert main(["audit", "--out", out]) == 2
+        assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
+                     "--algorithm", "ols", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and missing in err
+    assert "Is a directory" in err
+
+
+def test_fit_leaves_out_untouched_when_it_writes_nothing(tmp_path, capsys):
+    data = _write(tmp_path, "d.csv", RANK_DEFICIENT_CSV)
+    kept = _write(tmp_path, "kept.csv", "old contents\n")
+    fresh = tmp_path / "fresh.csv"
+    for out in (kept, str(fresh)):
+        assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
+                     "--algorithm", "ols", "--out", out]) == 1
+    assert (tmp_path / "kept.csv").read_text() == "old contents\n"
+    assert not fresh.exists()
     capsys.readouterr()
 
 
@@ -156,9 +188,10 @@ def test_audit_json_runs_are_byte_identical(tmp_path):
 
 def test_audit_exit_one_when_a_cell_disagrees(capsys):
     # one trial of an any-linear-map cell can sample a square invertible
-    # morphism, exhibiting no violation where one is expected
+    # morphism, exhibiting no violation where one is expected; seed 15 draws
+    # a 3x3 one
     code = main(["audit", "--algorithm", "ols", "--axes", "predictor",
-                 "--categories", "finvec", "--trials", "1", "--seed", "1"])
+                 "--categories", "finvec", "--trials", "1", "--seed", "15"])
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.out

@@ -8,16 +8,24 @@ import numpy as np
 import pytest
 
 from natreg.data import Dataset, synth_dataset
-from natreg.errors import ConfigError, ContractViolation, InvalidHyperparameter
+from natreg.errors import (
+    ConfigError,
+    ContractViolation,
+    InvalidHyperparameter,
+    NotPositiveDefinite,
+    RankDeficient,
+)
 from natreg.linalg import SeedState, condition_estimate
-from natreg.morphisms import Axis, CategoryKind, sample_morphism
+from natreg.morphisms import Axis, CategoryKind, Morphism, sample_morphism
 from natreg.naturality import (
+    _CHECKERS,
     AuditConfig,
     check_index_invariance,
     check_predictor_dinaturality,
     check_target_naturality,
     counterexample_ols_shear,
     counterexample_ridge_scaling,
+    draw_trial,
     expected_natural,
     run_audit,
 )
@@ -236,6 +244,47 @@ def test_run_audit_scales_tolerance_by_condition():
         trial.tolerance > config.base_tolerance
         for trial in by_category[CategoryKind.FINVEC_ISO]
     )
+
+
+def test_engine_matches_the_scalar_checkers_trial_by_trial():
+    # the engine fits a cell's trials from raw arrays; the check_* functions
+    # are the reference, run on each trial's rebuilt Dataset and Morphism
+    config = AuditConfig(trials_per_cell=5)
+    report = run_audit(config)
+    assert len(report.trials) == 2 * 3 * 6 * 5
+    domain_exits = 0
+    for cell in report.cells:
+        for trial in cell.trials:
+            x, y, m = draw_trial(cell.axis, cell.category, config, trial.seed)
+            d = Dataset(x, y)
+            morphism = Morphism(cell.category, cell.axis, m)
+            try:
+                expected = _CHECKERS[cell.axis](cell.spec, d, morphism)
+            except (RankDeficient, NotPositiveDefinite):
+                expected = math.inf
+                domain_exits += 1
+            assert trial.residual == expected
+            tolerance = config.base_tolerance
+            if cell.category is CategoryKind.FINVEC_ISO:
+                tolerance *= condition_estimate(m)
+            assert trial.tolerance == tolerance
+            assert (trial.p, trial.q, trial.n_examples, trial.morphism_dim) == (
+                d.p, d.q, d.n_examples, morphism.target_dim
+            )
+    assert domain_exits >= 1
+
+
+def test_run_audit_draws_each_trial_from_one_stream(monkeypatch):
+    calls = []
+    generator = SeedState.generator
+
+    def counted(self):
+        calls.append(self)
+        return generator(self)
+
+    monkeypatch.setattr(SeedState, "generator", counted)
+    report = run_audit(AuditConfig(trials_per_cell=3))
+    assert calls == [trial.seed for trial in report.trials]
 
 
 def test_shear_counterexample_exact_values():
