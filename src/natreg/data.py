@@ -1,4 +1,4 @@
-"""Dataset container, CSV input/output, and synthetic dataset generation."""
+"""Dataset container, CSV input, and synthetic dataset generation."""
 
 from __future__ import annotations
 
@@ -52,18 +52,54 @@ def dataset_from_csv(content: str, p: int, q: int) -> Dataset:
     A single leading header record is skipped when its first field is not
     numeric.  Blank lines are ignored.  Any other malformed record raises
     :class:`ParseError` carrying the 1-based record number.
+
+    Valid input is parsed by one ``np.loadtxt`` call.  Whatever that call
+    rejects or shapes differently (including text that ``float`` accepts
+    and numpy does not, such as ``1_0``) is parsed again by
+    :func:`_parse_records`, which alone raises the parse errors.
     """
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
+    # a list of lines, not one StringIO: StringIO stores the text as UCS-4
+    lines = content.splitlines()
+    first = _first_record(lines, 0)
+    if first is not None and not _is_number(lines[first].split(",", 1)[0]):
+        del lines[first]  # header
+        first = _first_record(lines, first)
+    values = None
+    if first is not None:  # loadtxt warns on input without data
+        try:
+            values = np.loadtxt(
+                lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
+            )
+        except ValueError:
+            pass
+    if values is None or values.shape[1] != p + q:
+        values = _parse_records(content, p, q)
+    return Dataset(x=values[:, :p], y=values[:, p:])
+
+
+def _first_record(lines: list[str], start: int) -> int | None:
+    """Index of the first non-blank line at or after ``start``."""
+    return next((i for i in range(start, len(lines)) if lines[i].strip()), None)
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_records(content: str, p: int, q: int) -> np.ndarray:
+    """The values of :func:`dataset_from_csv`, parsed one record at a time."""
     records = [line for line in content.splitlines() if line.strip()]
     rows: list[list[float]] = []
     for number, line in enumerate(records, start=1):
         fields = line.split(",")
-        if number == 1:
-            try:
-                float(fields[0])
-            except ValueError:
-                continue  # header
+        if number == 1 and not _is_number(fields[0]):
+            continue  # header
         if len(fields) != p + q:
             raise ParseError(
                 f"record {number}: expected {p + q} fields, got {len(fields)}",
@@ -77,17 +113,7 @@ def dataset_from_csv(content: str, p: int, q: int) -> Dataset:
             ) from exc
     if not rows:
         raise EmptyDataset("no data records found")
-    values = np.array(rows, dtype=np.float64)
-    return Dataset(x=values[:, :p], y=values[:, p:])
-
-
-def dataset_to_csv(d: Dataset) -> str:
-    """Serialize at 17 significant digits so parsing back is bit-exact."""
-    lines = []
-    for xi, yi in zip(d.x, d.y):
-        fields = [format(v, ".17g") for v in (*xi, *yi)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return np.array(rows, dtype=np.float64)
 
 
 def draw_dataset(

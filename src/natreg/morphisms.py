@@ -108,41 +108,44 @@ def draw_morphism_matrix(
     target_dim: int,
     gen: np.random.Generator,
     kappa_max: float = DEFAULT_KAPPA_MAX,
-) -> np.ndarray:
-    """The C-contiguous matrix that :func:`sample_morphism` wraps, drawn from ``gen``.
+) -> tuple[np.ndarray, float | None]:
+    """The C-contiguous matrix that :func:`sample_morphism` wraps, drawn from
+    ``gen``, and the condition number its draw was accepted on.
 
     finvec draws a Gaussian matrix; finvec_iso draws successive Gaussians
     until one has condition number at most ``kappa_max``; euc and euc_mono
     take the orthonormal factor of a Gaussian (thin QR with its sign
     convention, so draws are unique); set_iso permutes; discrete is the
-    identity and draws nothing.
+    identity and draws nothing.  Only finvec_iso tests a condition number;
+    the other kinds return ``None`` in its place.
     """
     _check_dims(kind, source_dim, target_dim)
     if kind is CategoryKind.DISCRETE:
-        return np.eye(source_dim)
+        return np.eye(source_dim), None
     if kind is CategoryKind.SET_ISO:
         perm = gen.permutation(source_dim)
-        return np.eye(source_dim)[perm]
+        return np.eye(source_dim)[perm], None
     if kind is CategoryKind.FINVEC:
         if axis is Axis.INDEX:
-            return gen.standard_normal((target_dim, source_dim))
-        return gen.standard_normal((source_dim, target_dim))
+            return gen.standard_normal((target_dim, source_dim)), None
+        return gen.standard_normal((source_dim, target_dim)), None
     if kind is CategoryKind.FINVEC_ISO:
         if not kappa_max >= 1.0:
             raise ContractViolation(f"kappa_max must be >= 1, got {kappa_max}")
         for _ in range(_RESAMPLE_CAP):
             m = gen.standard_normal((source_dim, source_dim))
-            if condition_estimate(m) <= kappa_max:
-                return m
+            kappa = condition_estimate(m)
+            if kappa <= kappa_max:
+                return m, kappa
         raise SamplingFailed(
             f"no draw with condition <= {kappa_max:g} in {_RESAMPLE_CAP} attempts"
         )
     if kind is CategoryKind.EUC:
-        return qr_thin(gen.standard_normal((source_dim, source_dim)))[0]
+        return qr_thin(gen.standard_normal((source_dim, source_dim)))[0], None
     # euc_mono: an orthonormal frame, transposed into a row-major copy off the
     # index axis (products of a transposed view round differently)
     frame, _ = qr_thin(gen.standard_normal((target_dim, source_dim)))
-    return frame if axis is Axis.INDEX else np.ascontiguousarray(frame.T)
+    return (frame if axis is Axis.INDEX else np.ascontiguousarray(frame.T)), None
 
 
 def sample_morphism(
@@ -157,7 +160,9 @@ def sample_morphism(
 
     The matrix comes from :func:`draw_morphism_matrix` on ``seed.generator()``.
     """
-    matrix = draw_morphism_matrix(kind, axis, source_dim, target_dim, seed.generator(), kappa_max)
+    matrix, _ = draw_morphism_matrix(
+        kind, axis, source_dim, target_dim, seed.generator(), kappa_max
+    )
     return Morphism(kind=kind, axis=axis, matrix=matrix)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, draw_dataset
 from .errors import ConfigError, ContractViolation
-from .linalg import SeedState, condition_estimate, rel_distance
+from .linalg import SeedState, rel_distance
 from .morphisms import (
     Axis,
     CategoryKind,
@@ -252,8 +252,9 @@ class AuditReport:
 
 def draw_trial(
     axis: Axis, category: CategoryKind, config: AuditConfig, seed: SeedState
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dataset arrays (x, y) and the morphism matrix of one audit trial.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
+    """The dataset arrays (x, y), the morphism matrix and its condition number
+    (``None`` unless the category is finvec_iso) of one audit trial.
 
     Everything is drawn from the one stream ``seed.generator()``, in a fixed
     order: the dimensions, then x, coef and noise, then the morphism.
@@ -271,8 +272,8 @@ def draw_trial(
         lo = max(1, source - config.codomain_offset)
         target = int(gen.integers(lo, source + config.codomain_offset + 1))
     x, y, _ = draw_dataset(gen, n, p, q, noise_sd=TRIAL_NOISE_SD)
-    m = draw_morphism_matrix(category, axis, source, target, gen)
-    return x, y, m
+    m, kappa = draw_morphism_matrix(category, axis, source, target, gen)
+    return x, y, m, kappa
 
 
 def _transform(axis: Axis, x: np.ndarray, y: np.ndarray, m: np.ndarray):
@@ -307,15 +308,15 @@ def _run_cell(
     sampled = []
     systems = []
     for trial_seed in seeds:
-        x, y, m = draw_trial(axis, category, config, trial_seed)
+        x, y, m, kappa = draw_trial(axis, category, config, trial_seed)
         x2, y2 = _transform(axis, x, y, m)
         if not (np.isfinite(x2).all() and np.isfinite(y2).all()):
             raise ContractViolation("transformed data contains non-finite entries")
         tolerance = config.base_tolerance
-        if category is CategoryKind.FINVEC_ISO:
+        if kappa is not None:
             # Ill-conditioned invertible maps amplify roundoff; scale the pass
             # line by the condition number instead of loosening it globally.
-            tolerance *= condition_estimate(m)
+            tolerance *= kappa
         sampled.append((x.shape, y.shape[1], m, tolerance))
         systems += [(x, y), (x2, y2)]
     coefs = fit_systems(spec, systems)

@@ -1,13 +1,16 @@
-"""Dataset container, CSV parsing/serialization, and the synthetic sampler."""
+"""Dataset container, CSV parsing, and the synthetic sampler."""
 
 from __future__ import annotations
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from natreg.data import Dataset, dataset_from_csv, dataset_to_csv, synth_dataset
-from natreg.errors import ContractViolation, EmptyDataset, ParseError
+from natreg.data import Dataset, _parse_records, dataset_from_csv, synth_dataset
+from natreg.errors import ContractViolation, EmptyDataset, NatregError, ParseError
 from natreg.linalg import SeedState, numerical_rank
 
 
@@ -85,6 +88,94 @@ def test_csv_blank_lines_are_ignored():
 def test_csv_rejects_bad_dims():
     with pytest.raises(ContractViolation):
         dataset_from_csv("1,2", p=0, q=2)
+
+
+def test_csv_bad_field_after_header_and_blank_lines_reports_record():
+    # the header is record 1 and blank lines are not records
+    with pytest.raises(ParseError) as excinfo:
+        dataset_from_csv("x,y\n\n1,2\n\n3,4\n5,oops\n", p=1, q=1)
+    assert excinfo.value.record == 4
+
+
+def test_csv_uniform_wrong_field_count_reports_first_record():
+    # every row has three fields, so loadtxt succeeds with the wrong shape
+    with pytest.raises(ParseError) as excinfo:
+        dataset_from_csv("1,2,3\n4,5,6\n", p=1, q=1)
+    assert excinfo.value.record == 1
+    with pytest.raises(ParseError) as excinfo:
+        dataset_from_csv("a,b,c\n1,2,3\n4,5,6\n", p=1, q=1)
+    assert excinfo.value.record == 2
+
+
+def test_csv_single_short_record_reports_record():
+    with pytest.raises(ParseError) as excinfo:
+        dataset_from_csv("1,2", p=1, q=2)
+    assert excinfo.value.record == 1
+    with pytest.raises(ParseError) as excinfo:
+        dataset_from_csv("x,y,z\n1,2\n", p=1, q=2)
+    assert excinfo.value.record == 2
+
+
+def _reference(content: str, p: int, q: int) -> Dataset:
+    values = _parse_records(content, p, q)
+    return Dataset(x=values[:, :p], y=values[:, p:])
+
+
+def _outcome(parse, content: str, p: int, q: int):
+    """The parsed bits and shape, or the error's type, message and record."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = parse(content, p, q)
+    except NatregError as exc:
+        return type(exc), str(exc), getattr(exc, "record", None)
+    return d.x.shape, d.y.shape, d.x.tobytes(), d.y.tobytes()
+
+
+def _assert_same_outcome(content: str, p: int, q: int) -> None:
+    assert _outcome(dataset_from_csv, content, p, q) == _outcome(_reference, content, p, q), (
+        repr(content), p, q
+    )
+
+
+_ODD_FIELDS = (
+    "1", "-0", "0.1", "1e-300", "1_0", "0x10", "nan", "-inf", "1e400", "#1",
+    '"1"', "'1'", "\ufeff1", "\uff11", " 2 ", "\t3", "", "x", "1 2", "1e", "+.5",
+)
+_SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\n\n", "\n \n")
+
+
+def test_csv_fast_path_matches_record_parser_on_odd_input():
+    for field, sep, header in itertools.product(_ODD_FIELDS, _SEPARATORS, ("", "a,b,c")):
+        for position in range(4):
+            rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"]]
+            if position < 3:
+                rows[position][position] = field
+            else:
+                rows.append([field])
+            records = ([header] if header else []) + [",".join(row) for row in rows]
+            for content in (sep.join(records), sep.join(records) + sep, sep + sep.join(records)):
+                for p, q in ((2, 1), (1, 1)):
+                    _assert_same_outcome(content, p, q)
+
+
+@settings(max_examples=300)
+@given(
+    st.text(alphabet="0123456789.,-+e_ x#\n\r\t\x0c", max_size=40),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_csv_fast_path_matches_record_parser_on_any_text(content, p, q):
+    _assert_same_outcome(content, p, q)
+
+
+def dataset_to_csv(d: Dataset) -> str:
+    """Serialize at 17 significant digits so parsing back is bit-exact."""
+    lines = []
+    for xi, yi in zip(d.x, d.y):
+        fields = [format(v, ".17g") for v in (*xi, *yi)]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def test_csv_round_trip_is_bit_exact():

@@ -255,7 +255,7 @@ def test_engine_matches_the_scalar_checkers_trial_by_trial():
     domain_exits = 0
     for cell in report.cells:
         for trial in cell.trials:
-            x, y, m = draw_trial(cell.axis, cell.category, config, trial.seed)
+            x, y, m, kappa = draw_trial(cell.axis, cell.category, config, trial.seed)
             d = Dataset(x, y)
             morphism = Morphism(cell.category, cell.axis, m)
             try:
@@ -267,6 +267,8 @@ def test_engine_matches_the_scalar_checkers_trial_by_trial():
             tolerance = config.base_tolerance
             if cell.category is CategoryKind.FINVEC_ISO:
                 tolerance *= condition_estimate(m)
+            else:
+                assert kappa is None
             assert trial.tolerance == tolerance
             assert (trial.p, trial.q, trial.n_examples, trial.morphism_dim) == (
                 d.p, d.q, d.n_examples, morphism.target_dim
