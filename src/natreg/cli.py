@@ -127,10 +127,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     try:
         with open(args.data, "r", encoding="utf-8") as handle:
-            content = handle.read()
+            d = dataset_from_csv(handle, args.predictors, args.targets)
     except UnicodeDecodeError as exc:
         raise NatregError(f"--data {args.data!r} is not UTF-8 text: {exc}") from exc
-    d = dataset_from_csv(content, args.predictors, args.targets)
     try:
         model = spec.fit(d)
     except RankDeficient as exc:

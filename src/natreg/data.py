@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -46,37 +47,100 @@ class Dataset:
         return self.y.shape[1]
 
 
-def dataset_from_csv(content: str, p: int, q: int) -> Dataset:
+def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     """Parse comma-separated records with p predictor then q target fields.
 
-    A single leading header record is skipped when its first field is not
-    numeric.  Blank lines are ignored.  Any other malformed record raises
-    :class:`ParseError` carrying the 1-based record number.
+    ``content`` is the text itself, or a file opened for reading as text with
+    ``encoding="utf-8"``.  A single leading header record is skipped when its
+    first field is not numeric.  Blank lines are ignored.  Any other
+    malformed record raises :class:`ParseError` carrying the 1-based record
+    number.
 
-    Valid input is parsed by one ``np.loadtxt`` call.  Whatever that call
-    rejects or shapes differently (including text that ``float`` accepts
-    and numpy does not, such as ``1_0``) is parsed again by
-    :func:`_parse_records`, which alone raises the parse errors.
+    Valid input is parsed by one ``np.loadtxt`` call.  A file is first
+    scanned in chunks and then parsed from its path, so neither its text nor
+    its list of lines is ever held.  The scan sends a file to the text path
+    (read it, then ``np.loadtxt`` over its lines) when it holds no data
+    record, or a character at which ``str.splitlines`` ends a line and
+    numpy's file reader does not.  Whatever ``np.loadtxt`` rejects or shapes
+    differently (including text that ``float`` accepts and numpy does not,
+    such as ``1_0``) is parsed again by :func:`_parse_records`, which alone
+    raises the parse errors.
     """
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
+    if isinstance(content, str):
+        values = _loadtxt_text(content)
+    else:
+        skiprows = _lines_before_data(content)
+        if skiprows is None:
+            content = _read_from_start(content)
+            values = _loadtxt_text(content)
+        else:
+            values = _loadtxt(content.name, skiprows=skiprows, encoding="utf-8")
+    if values is None or values.shape[1] != p + q:
+        if not isinstance(content, str):
+            content = _read_from_start(content)
+        values = _parse_records(content, p, q)
+    return Dataset(x=values[:, :p], y=values[:, p:])
+
+
+def _loadtxt(source, **options) -> np.ndarray | None:
+    """One ``np.loadtxt`` call, or None where numpy rejects the input."""
+    try:
+        return np.loadtxt(
+            source, delimiter=",", dtype=np.float64, comments=None, ndmin=2, **options
+        )
+    except ValueError:
+        return None
+
+
+def _loadtxt_text(content: str) -> np.ndarray | None:
+    """:func:`_loadtxt` over the lines of ``content`` after its header."""
     # a list of lines, not one StringIO: StringIO stores the text as UCS-4
     lines = content.splitlines()
     first = _first_record(lines, 0)
     if first is not None and not _is_number(lines[first].split(",", 1)[0]):
         del lines[first]  # header
         first = _first_record(lines, first)
-    values = None
-    if first is not None:  # loadtxt warns on input without data
-        try:
-            values = np.loadtxt(
-                lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
-            )
-        except ValueError:
-            pass
-    if values is None or values.shape[1] != p + q:
-        values = _parse_records(content, p, q)
-    return Dataset(x=values[:, :p], y=values[:, p:])
+    if first is None:  # loadtxt warns on input without data
+        return None
+    return _loadtxt(lines)
+
+
+# str.splitlines ends a line at each of these; numpy's file reader does not
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SCAN_CHARS = 1 << 20
+
+
+def _lines_before_data(handle: TextIO) -> int | None:
+    """The lines up to and including the header, read from ``handle``.
+
+    0 when the first record is data.  None when the file holds no data
+    record or any character of ``_SPLITLINES_ONLY``.  Reads to the end of
+    the file: line by line up to the first data record, then in chunks of
+    ``_SCAN_CHARS`` characters.
+    """
+    header = 0
+    seen = 0
+    while True:
+        line = handle.readline()
+        if not line or any(c in line for c in _SPLITLINES_ONLY):
+            return None
+        seen += 1
+        if not line.strip():
+            continue
+        if header or _is_number(line.split(",", 1)[0]):
+            break  # the first data record
+        header = seen
+    while chunk := handle.read(_SCAN_CHARS):
+        if any(c in chunk for c in _SPLITLINES_ONLY):
+            return None
+    return header
+
+
+def _read_from_start(handle: TextIO) -> str:
+    handle.seek(0)
+    return handle.read()
 
 
 def _first_record(lines: list[str], start: int) -> int | None:

@@ -1,4 +1,4 @@
-"""Dense float64 linear-algebra kernels and deterministic Gaussian sampling.
+"""Dense float64 linear-algebra kernels and deterministic seed streams.
 
 Every function here is pure: results depend only on the arguments, and all
 randomness flows through an explicit :class:`SeedState`, never global state.
@@ -163,9 +163,3 @@ class SeedState:
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
 
-
-def sample_gaussian(rows: int, cols: int, seed: SeedState) -> np.ndarray:
-    """Standard normal matrix; a pure function of (rows, cols, seed)."""
-    if rows < 1 or cols < 1:
-        raise ContractViolation(f"dimensions must be positive, got {rows}x{cols}")
-    return seed.generator().standard_normal((rows, cols))

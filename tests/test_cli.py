@@ -154,13 +154,30 @@ def test_fit_malformed_csv_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "record 2" in captured.err
+    # str.splitlines ends a record at the form feed; numpy's file reader would not
+    data = _write(tmp_path, "ff.csv", "x1,x2,y\n1,0,1\n0,1\x0c,2\n1,1,3\n")
+    assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
+                 "--algorithm", "ols"]) == 2
+    assert capsys.readouterr().err == "error: record 3: expected 3 fields, got 2\n"
 
 
 def test_fit_empty_csv_exits_two(tmp_path, capsys):
     data = _write(tmp_path, "empty.csv", "x,y\n")
     assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
                  "--algorithm", "ols"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: no data records found\n"
+
+
+def test_fit_crlf_csv_matches_its_lf_twin(tmp_path, capsys):
+    outputs = []
+    for name, newline in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(("x1,x2,y\n" + EXACT_CSV).replace("\n", newline).encode())
+        assert main(["fit", "--data", str(path), "--predictors", "2", "--targets", "1",
+                     "--algorithm", "ridge", "--lambda", "0.5"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert _parse_coefficients(outputs[0].out).shape == (2, 1)
 
 
 def test_audit_small_run_exits_zero(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,7 +122,7 @@ def _reference(content: str, p: int, q: int) -> Dataset:
     return Dataset(x=values[:, :p], y=values[:, p:])
 
 
-def _outcome(parse, content: str, p: int, q: int):
+def _outcome(parse, content, p: int, q: int):
     """The parsed bits and shape, or the error's type, message and record."""
     try:
         with warnings.catch_warnings():
@@ -141,11 +142,16 @@ def _assert_same_outcome(content: str, p: int, q: int) -> None:
 _ODD_FIELDS = (
     "1", "-0", "0.1", "1e-300", "1_0", "0x10", "nan", "-inf", "1e400", "#1",
     '"1"', "'1'", "\ufeff1", "\uff11", " 2 ", "\t3", "", "x", "1 2", "1e", "+.5",
+    "2\x0c", "2\u2028",
 )
-_SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\n\n", "\n \n")
+_SEPARATORS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\n\n", "\n \n",
+)
 
 
-def test_csv_fast_path_matches_record_parser_on_odd_input():
+def _odd_inputs():
+    """(content, p, q) for every odd field at each place, around each separator."""
     for field, sep, header in itertools.product(_ODD_FIELDS, _SEPARATORS, ("", "a,b,c")):
         for position in range(4):
             rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"]]
@@ -156,17 +162,67 @@ def test_csv_fast_path_matches_record_parser_on_odd_input():
             records = ([header] if header else []) + [",".join(row) for row in rows]
             for content in (sep.join(records), sep.join(records) + sep, sep + sep.join(records)):
                 for p, q in ((2, 1), (1, 1)):
-                    _assert_same_outcome(content, p, q)
+                    yield content, p, q
+
+
+def test_csv_fast_path_matches_record_parser_on_odd_input():
+    for content, p, q in _odd_inputs():
+        _assert_same_outcome(content, p, q)
+
+
+_ANY_TEXT = st.text(alphabet="0123456789.,-+e_ x#\n\r\t\x0c\x1d\u2028", max_size=40)
 
 
 @settings(max_examples=300)
-@given(
-    st.text(alphabet="0123456789.,-+e_ x#\n\r\t\x0c", max_size=40),
-    st.integers(1, 3),
-    st.integers(1, 3),
-)
+@given(_ANY_TEXT, st.integers(1, 3), st.integers(1, 3))
 def test_csv_fast_path_matches_record_parser_on_any_text(content, p, q):
     _assert_same_outcome(content, p, q)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+def _parse_file(path, p: int, q: int) -> Dataset:
+    with open(path, encoding="utf-8") as handle:
+        return dataset_from_csv(handle, p, q)
+
+
+def _assert_file_matches_its_text(path, content: str, p: int, q: int) -> None:
+    """Parsing the open file gives what parsing its text-mode contents gives."""
+    path.write_text(content, encoding="utf-8", newline="")
+    text = path.read_text(encoding="utf-8")
+    assert _outcome(_parse_file, path, p, q) == _outcome(dataset_from_csv, text, p, q), (
+        repr(content), p, q
+    )
+
+
+def test_csv_file_matches_its_text_on_odd_input(csv_path):
+    for content, p, q in _odd_inputs():
+        _assert_file_matches_its_text(csv_path, content, p, q)
+
+
+@settings(max_examples=300)
+@given(_ANY_TEXT, st.integers(1, 3), st.integers(1, 3))
+def test_csv_file_matches_its_text_on_any_text(csv_path, content, p, q):
+    _assert_file_matches_its_text(csv_path, content, p, q)
+
+
+def test_csv_file_parse_peak_memory_is_about_the_arrays(csv_path):
+    d, _ = synth_dataset(SeedState(5, "memory"), 20_000, 21, 1, noise_sd=1.0)
+    csv_path.write_text("\n" + ",".join(["x"] * 22) + "\n" + dataset_to_csv(d), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(csv_path, encoding="utf-8") as handle:
+            back = dataset_from_csv(handle, 21, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.x, d.x)
+    np.testing.assert_array_equal(back.y, d.y)
+    # holding the text or its lines costs several times the arrays
+    assert peak <= 3 * (back.x.nbytes + back.y.nbytes)
 
 
 def dataset_to_csv(d: Dataset) -> str:

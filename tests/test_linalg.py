@@ -19,10 +19,16 @@ from natreg.linalg import (
     numerical_rank,
     qr_thin,
     rel_distance,
-    sample_gaussian,
     solve_spd,
     solve_spd_stack,
 )
+
+
+def sample_gaussian(rows: int, cols: int, seed: SeedState) -> np.ndarray:
+    """Standard normal matrix; a pure function of (rows, cols, seed)."""
+    if rows < 1 or cols < 1:
+        raise ContractViolation(f"dimensions must be positive, got {rows}x{cols}")
+    return seed.generator().standard_normal((rows, cols))
 
 
 def test_solve_spd_known_system():
