@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -58,25 +59,25 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
 
     Valid input is parsed by one ``np.loadtxt`` call.  A file is first
     scanned in chunks and then parsed from its path, so neither its text nor
-    its list of lines is ever held.  The scan sends a file to the text path
-    (read it, then ``np.loadtxt`` over its lines) when it holds no data
-    record, or a character at which ``str.splitlines`` ends a line and
-    numpy's file reader does not.  Whatever ``np.loadtxt`` rejects or shapes
-    differently (including text that ``float`` accepts and numpy does not,
-    such as ``1_0``) is parsed again by :func:`_parse_records`, which alone
-    raises the parse errors.
+    its list of lines is ever held.  A file is read whole and takes the text
+    path (``np.loadtxt`` over its lines) instead when it cannot be read
+    twice (a pipe), when the scan finds no data record, a character at which
+    ``str.splitlines`` ends a line and numpy's file reader does not, or text
+    that is not UTF-8, or when the file at its path changes during the
+    parse.  Whatever ``np.loadtxt`` rejects or shapes differently (including
+    text that ``float`` accepts and numpy does not, such as ``1_0``) is
+    parsed again by :func:`_parse_records`, which alone raises the parse
+    errors.
     """
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
     if isinstance(content, str):
         values = _loadtxt_text(content)
     else:
-        skiprows = _lines_before_data(content)
-        if skiprows is None:
+        values = _loadtxt_file(content)
+        if values is None:
             content = _read_from_start(content)
             values = _loadtxt_text(content)
-        else:
-            values = _loadtxt(content.name, skiprows=skiprows, encoding="utf-8")
     if values is None or values.shape[1] != p + q:
         if not isinstance(content, str):
             content = _read_from_start(content)
@@ -105,6 +106,38 @@ def _loadtxt_text(content: str) -> np.ndarray | None:
     if first is None:  # loadtxt warns on input without data
         return None
     return _loadtxt(lines)
+
+
+def _loadtxt_file(handle: TextIO) -> np.ndarray | None:
+    """:func:`_loadtxt` over the file at ``handle.name``, after the scan.
+
+    None when the file must be read whole instead: see
+    :func:`dataset_from_csv`.
+    """
+    name = getattr(handle, "name", None)
+    if not isinstance(name, str) or not handle.seekable():
+        return None
+    stamp = _stamp(os.fstat(handle.fileno()))
+    try:
+        skiprows = _lines_before_data(handle)
+    except UnicodeDecodeError:
+        return None  # read whole, the error gives its offset in the file
+    if skiprows is None or not _unchanged(name, stamp):
+        return None
+    values = _loadtxt(name, skiprows=skiprows, encoding="utf-8")
+    # the path must still name the bytes the scan read
+    return values if _unchanged(name, stamp) else None
+
+
+def _stamp(status: os.stat_result) -> tuple[int, int, int, int]:
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _unchanged(name: str, stamp: tuple[int, int, int, int]) -> bool:
+    try:
+        return _stamp(os.stat(name)) == stamp
+    except OSError:
+        return False
 
 
 # str.splitlines ends a line at each of these; numpy's file reader does not
@@ -139,7 +172,8 @@ def _lines_before_data(handle: TextIO) -> int | None:
 
 
 def _read_from_start(handle: TextIO) -> str:
-    handle.seek(0)
+    if handle.seekable():
+        handle.seek(0)
     return handle.read()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -178,6 +179,34 @@ def test_fit_crlf_csv_matches_its_lf_twin(tmp_path, capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert _parse_coefficients(outputs[0].out).shape == (2, 1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_fit_reads_data_from_a_pipe(tmp_path, capsys):
+    args = ["--predictors", "2", "--targets", "1", "--algorithm", "ols"]
+    assert main(["fit", "--data", _write(tmp_path, "d.csv", EXACT_CSV), *args]) == 0
+    expected = capsys.readouterr()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, ("x1,x2,y\n" + EXACT_CSV).encode())
+        os.close(write_end)
+        assert main(["fit", "--data", f"/dev/fd/{read_end}", *args]) == 0
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr() == expected
+
+
+def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys):
+    raw = ("x,y\n" + "1,2\n" * 5000).encode() + b"\xff,3\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        raw.decode("utf-8")
+    assert main(["fit", "--data", str(path), "--predictors", "1", "--targets", "1",
+                 "--algorithm", "ols"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --data {str(path)!r} is not UTF-8 text: {whole.value}\n"
+    assert "position 20004" in err
 
 
 def test_audit_small_run_exits_zero(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import natreg.data
 from natreg.data import Dataset, _parse_records, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, EmptyDataset, NatregError, ParseError
 from natreg.linalg import SeedState, numerical_rank
@@ -207,6 +209,24 @@ def test_csv_file_matches_its_text_on_odd_input(csv_path):
 @given(_ANY_TEXT, st.integers(1, 3), st.integers(1, 3))
 def test_csv_file_matches_its_text_on_any_text(csv_path, content, p, q):
     _assert_file_matches_its_text(csv_path, content, p, q)
+
+
+def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monkeypatch):
+    scan = natreg.data._lines_before_data
+    replacement = csv_path.with_name("replacement.csv")
+
+    def scan_then_replace(handle):
+        skiprows = scan(handle)
+        replacement.write_text("9,9,9\n", encoding="utf-8")
+        os.replace(replacement, csv_path)
+        return skiprows
+
+    monkeypatch.setattr(natreg.data, "_lines_before_data", scan_then_replace)
+    csv_path.write_text("x1,x2,y\n1,0,1\n0,1,2\n", encoding="utf-8")
+    # the handle still reads the file it opened; the path now names another
+    assert _outcome(_parse_file, csv_path, 2, 1) == _outcome(
+        dataset_from_csv, "1,0,1\n0,1,2\n", 2, 1
+    )
 
 
 def test_csv_file_parse_peak_memory_is_about_the_arrays(csv_path):
