@@ -92,19 +92,24 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with a positive diagonal on the triangular factor.
 
     The sign convention makes the factorization unique for full-column-rank
-    input, which keeps sampled orthonormal frames deterministic.
+    input, which keeps sampled orthonormal frames deterministic.  Input of
+    lower numerical rank raises :class:`RankDeficient`.
     """
     a = as_matrix(a, "a")
     rows, cols = a.shape
     if rows < cols:
         raise ContractViolation(f"need rows >= cols for a thin QR, got {a.shape}")
-    rank = numerical_rank(a)
+    q, r = np.linalg.qr(a)
+    diagonal = np.diagonal(r)
+    # numerical_rank's cutoff, applied to |diag(R)| rather than to the
+    # singular values, so the one factorization also tests the rank
+    magnitude = np.abs(diagonal)
+    rank = int(np.count_nonzero(magnitude > rows * EPS * float(magnitude.max())))
     if rank < cols:
         raise RankDeficient(
             f"input has numerical rank {rank} < {cols}", rank=rank, required=cols
         )
-    q, r = np.linalg.qr(a)
-    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    signs = np.where(diagonal < 0.0, -1.0, 1.0)
     return q * signs, signs[:, None] * r
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import natreg.cli
+import natreg.data
 from natreg.cli import main
 
 EXACT_CSV = "1,0,1\n0,1,2\n1,1,3\n"
@@ -207,6 +209,34 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: --data {str(path)!r} is not UTF-8 text: {whole.value}\n"
     assert "position 20004" in err
+
+
+def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, monkeypatch):
+    rng = np.random.default_rng(3)
+    rows = [",".join(format(v, ".17g") for v in row) for row in rng.standard_normal((300, 4))]
+    data = _write(tmp_path, "d.csv", "x1,x2,x3,y\n" + "\n".join(rows) + "\n")
+    args = ["fit", "--data", data, "--predictors", "3", "--targets", "1",
+            "--algorithm", "ridge", "--lambda", "0.5"]
+    assert main(args) == 0
+    one_part = capfd.readouterr()
+    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
+    forked = []
+    real = natreg.data._loadtxt_forked
+    monkeypatch.setattr(
+        natreg.data, "_loadtxt_forked", lambda *a: forked.append(real(*a)) or forked[-1]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    split = capfd.readouterr()
+    assert len(forked) == 1 and forked[0].shape == (300, 4)
+    assert split.out == one_part.out
+    # the forked parsers write nothing, not even to the descriptors they share
+    assert [line.split(" = ")[0] for line in split.err.splitlines()] == [
+        "sse", "ridge objective"
+    ]
+    assert split.err == one_part.err
 
 
 def test_audit_small_run_exits_zero(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natreg.data
-from natreg.data import Dataset, _parse_records, dataset_from_csv, synth_dataset
+from natreg.data import Dataset, _parse_records, _send_part, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, EmptyDataset, NatregError, ParseError
 from natreg.linalg import SeedState, numerical_rank
 
@@ -187,8 +188,12 @@ def csv_path(tmp_path_factory):
 
 
 def _parse_file(path, p: int, q: int) -> Dataset:
-    with open(path, encoding="utf-8") as handle:
-        return dataset_from_csv(handle, p, q)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return dataset_from_csv(handle, p, q)
+    finally:
+        with pytest.raises(ChildProcessError):  # every forked parser was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _assert_file_matches_its_text(path, content: str, p: int, q: int) -> None:
@@ -227,6 +232,179 @@ def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monk
     assert _outcome(_parse_file, csv_path, 2, 1) == _outcome(
         dataset_from_csv, "1,0,1\n0,1,2\n", 2, 1
     )
+
+
+def _split_into(monkeypatch, parts: int) -> None:
+    """Cut any file with a newline into up to ``parts`` ranges."""
+    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: parts)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the arguments and result of each call of ``natreg.data.<name>``."""
+    calls = []
+    real = getattr(natreg.data, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(natreg.data, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("parts", (2, 3))
+def test_csv_split_file_matches_its_text_on_odd_input(csv_path, parts):
+    # the ranges do not depend on (p, q), and a fork costs milliseconds, so
+    # each distinct content is parsed once
+    contents = sorted({content for content, _, _ in _odd_inputs()})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_into(monkeypatch, parts)
+        for content in contents:
+            _assert_file_matches_its_text(csv_path, content, 2, 1)
+
+
+@pytest.mark.parametrize("parts", (2, 3))
+@settings(max_examples=150)
+@given(content=_ANY_TEXT, p=st.integers(1, 3), q=st.integers(1, 3))
+def test_csv_split_file_matches_its_text_on_any_text(csv_path, parts, content, p, q):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_into(monkeypatch, parts)
+        _assert_file_matches_its_text(csv_path, content, p, q)
+
+
+def _assert_split_parse_matches_its_text(csv_path, monkeypatch, content: str, p: int, q: int):
+    """Some file cut into 2 and into 3 ranges parses as its text, with no fallback."""
+    forked = _spy(monkeypatch, "_loadtxt_forked")
+    for parts in (2, 3):
+        _split_into(monkeypatch, parts)
+        _assert_file_matches_its_text(csv_path, content, p, q)
+    assert forked and all(values is not None for _, values in forked)
+    return forked
+
+
+def test_csv_split_inside_a_crlf_file_keeps_each_line_whole(csv_path, monkeypatch):
+    aims = _spy(monkeypatch, "_after_newline")
+    inside = 0
+    for n in range(2, 12):
+        rows = [f"{i},{i * i},-{i}" for i in range(n)]
+        _assert_split_parse_matches_its_text(
+            csv_path, monkeypatch, "a,b,c\r\n" + "\r\n".join(rows) + "\r\n", 2, 1
+        )
+        content = csv_path.read_bytes()
+        inside += sum(content[at - 1 : at + 1] == b"\r\n" for (_, at, _), _ in aims)
+        aims.clear()
+    assert inside  # some cut was aimed between a "\r" and its "\n"
+
+
+def test_csv_split_between_blank_lines(csv_path, monkeypatch):
+    blanks = "\n\n\n"
+    content = "x,y\n" + blanks + blanks.join(f"{i},{-i}" for i in range(9)) + blanks
+    _assert_split_parse_matches_its_text(csv_path, monkeypatch, content, 1, 1)
+
+
+def test_csv_split_keeps_the_header_in_the_first_range(csv_path, monkeypatch):
+    # the middle of the file lies in the blank lines before the header
+    content = "\n" * 60 + "x,y\n" + "".join(f"{i},{-i}\n" for i in range(5))
+    _assert_split_parse_matches_its_text(csv_path, monkeypatch, content, 1, 1)
+
+
+def test_csv_split_part_of_only_blank_lines_warns_nothing(csv_path, monkeypatch):
+    # the middle range of three holds only blank lines; each range is parsed
+    # under warnings.simplefilter("error"), so a warning would fail its part
+    forked = _assert_split_parse_matches_its_text(
+        csv_path, monkeypatch, "1,2\n3,4\n" + "\n" * 40 + "5,6\n", 1, 1
+    )
+    args, _ = forked[-1]
+    assert len(args[1]) == 3
+
+
+def test_csv_header_then_one_long_record_is_one_range(csv_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for parts in (2, 3):
+        _split_into(monkeypatch, parts)
+        for end in ("", "\n", "\r\n"):
+            content = "a,b,c\n" + ",".join(["1.25" * 50] * 3) + end
+            _assert_file_matches_its_text(csv_path, content, 2, 1)
+
+
+def test_csv_malformed_record_in_a_later_part_reports_its_number(csv_path, monkeypatch):
+    rows = [f"{i},{i}" for i in range(40)]
+    rows[33] = "33,oops"
+    for header in ("", "x,y\n"):
+        for parts in (2, 3):
+            _split_into(monkeypatch, parts)
+            with pytest.raises(ParseError) as excinfo:
+                _parse_file(_written(csv_path, header + "\n".join(rows)), 1, 1)
+            assert excinfo.value.record == 34 + bool(header)
+
+
+def _written(path, content: str):
+    path.write_text(content, encoding="utf-8", newline="")
+    return path
+
+
+def _short_payload(fd, start, end, pipe):
+    with open(pipe, "wb") as out:
+        out.write(np.array([5, 2], dtype=np.int64))
+        out.write(np.zeros(3))
+    return 0
+
+
+def _sent_then_failed(fd, start, end, pipe):
+    _send_part(fd, start, end, pipe)
+    return 3
+
+
+def _no_fork():
+    raise OSError("no process to spare")
+
+
+@pytest.mark.parametrize(
+    "send", (_short_payload, _sent_then_failed, lambda fd, start, end, pipe: 3)
+)
+def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
+    content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
+    _split_into(monkeypatch, 3)
+    monkeypatch.setattr(natreg.data, "_send_part", send)
+    forked = _spy(monkeypatch, "_loadtxt_forked")
+    assert _outcome(_parse_file, _written(csv_path, content), 2, 1) == _outcome(
+        dataset_from_csv, content, 2, 1
+    )
+    assert [values for _, values in forked] == [None]
+
+
+def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
+    content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
+    _split_into(monkeypatch, 3)
+    monkeypatch.setattr(natreg.data, "_send_part", lambda fd, start, end, pipe: time.sleep(120))
+    begin = time.monotonic()
+    with pytest.raises(ParseError) as excinfo:
+        _parse_file(_written(csv_path, content), 1, 1)
+    assert excinfo.value.record == 1
+    assert time.monotonic() - begin < 60
+
+
+def test_csv_failed_fork_falls_back_to_one_process(csv_path, monkeypatch):
+    content = "".join(f"{i},{-i}\n" for i in range(30))
+    _split_into(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == _outcome(
+        dataset_from_csv, content, 1, 1
+    )
+
+
+def test_csv_file_below_two_parts_never_forks(csv_path, monkeypatch):
+    d, _ = synth_dataset(SeedState(6, "small"), 2000, 7, 1, noise_sd=1.0)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 64)
+    text = dataset_to_csv(d)
+    assert len(text.encode()) < 2 * natreg.data.MIN_PART_BYTES
+    back = _parse_file(_written(csv_path, text), 7, 1)
+    np.testing.assert_array_equal(back.x, d.x)
 
 
 def test_csv_file_parse_peak_memory_is_about_the_arrays(csv_path):
