@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import signal
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -60,33 +62,53 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     malformed record raises :class:`ParseError` carrying the 1-based record
     number.
 
-    Valid input is parsed by ``np.loadtxt``.  A file is first scanned in
-    chunks, then parsed through its descriptor in byte ranges that each end
-    at a line end: one range per usable CPU, each range after the first in a
-    forked process, once the data fills two ranges of ``MIN_PART_BYTES``.
-    Neither its text nor its list of lines is ever held.  A file is read
-    whole and takes the text path (``np.loadtxt`` over its lines) instead
-    when it cannot be seeked (a pipe) or has no descriptor, or when the scan
-    finds no data record, a character at which ``str.splitlines`` ends a
-    line and numpy's file reader does not, or text that is not UTF-8.
-    Whatever ``np.loadtxt`` rejects or shapes differently (including text
-    that ``float`` accepts and numpy does not, such as ``1_0``) is parsed
-    again by :func:`_parse_records`, which alone raises the parse errors.
+    Every input takes one route, over its UTF-8 bytes: a file that can be
+    seeked is read through its descriptor with ``os.pread``, a pipe is read
+    once as bytes, and text is encoded.  The bytes are scanned in chunks,
+    then parsed by ``np.loadtxt`` in byte ranges that each end at a line
+    end: one range per usable CPU, each range after the first in a forked
+    process, once the data fills two ranges of ``MIN_PART_BYTES``.  This
+    route builds no list of lines and never holds a file's text.  Whatever
+    it does not parse goes once to :func:`_parse_records`, which alone raises
+    the parse errors: input where the scan finds no data record, a character
+    at which ``str.splitlines`` ends a line and numpy's reader does not, or
+    bytes that are not UTF-8; a range numpy rejects (including text that
+    ``float`` accepts and numpy does not, such as ``1_0``); a child, pipe or
+    fork that fails; and columns other than p + q.  It parses the ``str``
+    itself, or a strict decode of all the input's bytes, whose error names
+    its offset from the start of the input.
     """
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
-    if isinstance(content, str):
-        values = _loadtxt_text(content)
-    else:
-        values = _loadtxt_file(content)
-        if values is None:
-            content = _read_from_start(content)
-            values = _loadtxt_text(content)
+    if not isinstance(content, str):
+        try:
+            content.fileno()
+        except io.UnsupportedOperation:
+            content = content.read()  # no descriptor, such as a StringIO
+    pread, size = _input_bytes(content)
+    values = _loadtxt_input(pread, size)
     if values is None or values.shape[1] != p + q:
         if not isinstance(content, str):
-            content = _read_from_start(content)
+            content = _text(pread, 0, size).read()
         values = _parse_records(content, p, q)
+    del pread  # bytes held in memory go before Dataset copies the arrays
     return Dataset(x=values[:, :p], y=values[:, p:])
+
+
+# reads up to n bytes at an offset, as os.pread does on a descriptor
+_Pread = Callable[[int, int], bytes]
+
+
+def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
+    """A ``pread(n, at)`` over the input's UTF-8 bytes, and their count."""
+    if isinstance(content, str):
+        data = content.encode("utf-8", "surrogatepass")
+    elif content.seekable() and hasattr(os, "pread"):
+        fd = content.fileno()
+        return functools.partial(os.pread, fd), os.fstat(fd).st_size
+    else:
+        data = content.buffer.read()  # a pipe: its bytes, never its text
+    return (lambda n, at: data[at : at + n]), len(data)
 
 
 def _loadtxt(source, **options) -> np.ndarray | None:
@@ -99,54 +121,30 @@ def _loadtxt(source, **options) -> np.ndarray | None:
         return None
 
 
-def _loadtxt_text(content: str) -> np.ndarray | None:
-    """:func:`_loadtxt` over the lines of ``content`` after its header."""
-    # a list of lines, not one StringIO: StringIO stores the text as UCS-4
-    lines = content.splitlines()
-    first = _first_record(lines, 0)
-    if first is not None and not _is_number(lines[first].split(",", 1)[0]):
-        del lines[first]  # header
-        first = _first_record(lines, first)
-    if first is None:  # loadtxt warns on input without data
-        return None
-    return _loadtxt(lines)
+def _loadtxt_input(pread: _Pread, size: int) -> np.ndarray | None:
+    """:func:`_loadtxt` over bytes ``[0, size)``, after the scan.
 
-
-def _loadtxt_file(handle: TextIO) -> np.ndarray | None:
-    """:func:`_loadtxt` over the opened file, after the scan.
-
-    Reads through ``handle``'s descriptor, never by reopening its path.  The
-    data after the header is cut into line-aligned byte ranges, one per
+    The data after the header is cut into line-aligned byte ranges, one per
     usable CPU and each at least ``MIN_PART_BYTES`` long; ranges after the
-    first are parsed by forked children.  If any range fails, the whole file
-    is parsed again as one range here.  None when the file must be read whole
-    instead: see :func:`dataset_from_csv`.
+    first are parsed by forked children.  None when the scan or any range
+    fails: see :func:`dataset_from_csv`.
     """
-    if not (handle.seekable() and hasattr(os, "pread")):
-        return None
     try:
-        fd = handle.fileno()
-    except io.UnsupportedOperation:
-        return None  # no descriptor, such as a StringIO
-    try:
-        scanned = _lines_before_data(handle)
+        scanned = _lines_before_data(_text(pread, 0, size, newline=""))
     except UnicodeDecodeError:
-        return None  # read whole, the error gives its offset in the file
+        return None  # the fallback's strict decode names the offset
     if scanned is None:
         return None
     skiprows, data_start = scanned
-    size = os.fstat(fd).st_size
-    ranges = _ranges(fd, data_start, size)
-    if len(ranges) > 1:
-        values = _loadtxt_forked(fd, ranges, skiprows)
-        if values is not None:
-            return values
-    return _loadtxt_range(fd, 0, size, skiprows)
+    ranges = _ranges(pread, data_start, size)
+    if len(ranges) == 1:
+        return _loadtxt_range(pread, 0, size, skiprows)
+    return _loadtxt_forked(pread, ranges, skiprows)
 
 
-# A fork and reap of a natreg process costs about 4 ms on a 2-vCPU host, and
-# numpy parses about 45 MB/s, so a part breaks even near 180 KB; 1 MiB parts
-# save several times what they cost.
+# A fork and reap of a natreg process costs about 4 ms on a 2-vCPU Xeon, and
+# numpy parses one range of a 100k x 22 CSV at about 34 MB/s there, so a part
+# breaks even near 140 KB; 1 MiB parts save several times what they cost.
 MIN_PART_BYTES = 1 << 20
 
 
@@ -156,7 +154,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ranges(fd: int, data_start: int, size: int) -> list[tuple[int, int]]:
+def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, int]]:
     """``[0, size)`` cut into byte ranges that each end just after a newline.
 
     Every cut lies past ``data_start``, so the first range holds the header.
@@ -169,7 +167,7 @@ def _ranges(fd: int, data_start: int, size: int) -> list[tuple[int, int]]:
     cuts = [0]
     for i in range(1, parts):
         aim = max(data_start + (size - data_start) * i // parts, cuts[-1])
-        cut = _after_newline(fd, aim, size)
+        cut = _after_newline(pread, aim, size)
         if cut >= size:
             break
         cuts.append(cut)
@@ -177,10 +175,10 @@ def _ranges(fd: int, data_start: int, size: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _after_newline(fd: int, offset: int, size: int) -> int:
+def _after_newline(pread: _Pread, offset: int, size: int) -> int:
     """The offset just after the first ``b"\\n"`` at or after ``offset``."""
     while offset < size:
-        chunk = os.pread(fd, 1 << 16, offset)
+        chunk = pread(1 << 16, offset)
         if not chunk:
             break
         found = chunk.find(b"\n")
@@ -191,29 +189,34 @@ def _after_newline(fd: int, offset: int, size: int) -> int:
 
 
 class _ByteRange(io.RawIOBase):
-    """The bytes ``[start, end)`` of descriptor ``fd``, read with ``os.pread``."""
+    """The bytes ``[start, end)`` that ``pread`` reads."""
 
-    def __init__(self, fd: int, start: int, end: int) -> None:
+    def __init__(self, pread: _Pread, start: int, end: int) -> None:
         super().__init__()
-        self._fd, self._at, self._end = fd, start, end
+        self._pread, self._at, self._end = pread, start, end
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        data = os.pread(self._fd, min(len(buffer), self._end - self._at), self._at)
+        data = self._pread(min(len(buffer), self._end - self._at), self._at)
         buffer[: len(data)] = data
         self._at += len(data)
         return len(data)
 
 
-def _loadtxt_range(fd: int, start: int, end: int, skiprows: int) -> np.ndarray | None:
-    """:func:`_loadtxt` over the text of bytes ``[start, end)`` of ``fd``."""
-    stream = io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)), encoding="utf-8")
-    return _loadtxt(stream, skiprows=skiprows)
+def _text(pread: _Pread, start: int, end: int, newline: str | None = None) -> TextIO:
+    """The UTF-8 text of bytes ``[start, end)``, decoded strictly as it is read."""
+    raw = io.BufferedReader(_ByteRange(pread, start, end))
+    return io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
 
 
-def _loadtxt_forked(fd: int, ranges: list[tuple[int, int]], skiprows: int) -> np.ndarray | None:
+def _loadtxt_range(pread: _Pread, start: int, end: int, skiprows: int) -> np.ndarray | None:
+    """:func:`_loadtxt` over the text of bytes ``[start, end)``."""
+    return _loadtxt(_text(pread, start, end), skiprows=skiprows)
+
+
+def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], skiprows: int) -> np.ndarray | None:
     """The rows of every range in order, or None if any range fails.
 
     The first range is parsed here; each other one by a forked child, which
@@ -227,10 +230,10 @@ def _loadtxt_forked(fd: int, ranges: list[tuple[int, int]], skiprows: int) -> np
             # a range may hold only blank lines; the scan saw a data record
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             for start, end in ranges[1:]:
-                children.append(_fork_part(fd, start, end))
-            values = _gather(_loadtxt_range(fd, *ranges[0], skiprows), children)
+                children.append(_fork_part(pread, start, end))
+            values = _gather(_loadtxt_range(pread, *ranges[0], skiprows), children)
     except OSError:
-        values = None  # no pipe or process to spare: parse in one process
+        values = None  # no pipe or process to spare
     finally:
         for pid, pipe in children:
             os.close(pipe)
@@ -240,7 +243,7 @@ def _loadtxt_forked(fd: int, ranges: list[tuple[int, int]], skiprows: int) -> np
     return None if any(statuses) else values
 
 
-def _fork_part(fd: int, start: int, end: int) -> tuple[int, int]:
+def _fork_part(pread: _Pread, start: int, end: int) -> tuple[int, int]:
     """Fork a child that sends the rows of ``[start, end)``: (pid, pipe)."""
     read_end, write_end = os.pipe()
     try:
@@ -253,16 +256,16 @@ def _fork_part(fd: int, start: int, end: int) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_end)
-            code = _send_part(fd, start, end, write_end)
+            code = _send_part(pread, start, end, write_end)
         finally:
             os._exit(code)
     os.close(write_end)
     return pid, read_end
 
 
-def _send_part(fd: int, start: int, end: int, pipe: int) -> int:
+def _send_part(pread: _Pread, start: int, end: int, pipe: int) -> int:
     """Write the shape of the range's rows, then their float64 bytes: exit code."""
-    values = _loadtxt_range(fd, start, end, 0)
+    values = _loadtxt_range(pread, start, end, 0)
     if values is None:
         return 1
     with open(pipe, "wb") as out:
@@ -311,44 +314,31 @@ _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SCAN_CHARS = 1 << 20
 
 
-def _lines_before_data(handle: TextIO) -> tuple[int, int] | None:
-    """The lines up to and including the header, and the offset after them.
+def _lines_before_data(stream: TextIO) -> tuple[int, int] | None:
+    """The lines up to and including the header, and the first data record's offset.
 
-    (0, 0) when the first record is data.  None when the file holds no data
-    record or any character of ``_SPLITLINES_ONLY``.  Reads to the end of
-    the file: line by line up to the first data record, then in chunks of
-    ``_SCAN_CHARS`` characters.
+    ``stream`` reads the text with ``newline=""``, so each line keeps its own
+    line end and the offset counts bytes.  The line count is 0 when the first
+    record is data.  None when the text holds no data record or any
+    character of ``_SPLITLINES_ONLY``.  Reads to the end of the text: line
+    by line up to the first data record, then in chunks of ``_SCAN_CHARS``
+    characters.
     """
-    header = data_start = 0
-    seen = 0
+    header = seen = data_start = 0
     while True:
-        line = handle.readline()
+        line = stream.readline()
         if not line or any(c in line for c in _SPLITLINES_ONLY):
             return None
-        seen += 1
-        if not line.strip():
-            continue
-        if header or _is_number(line.split(",", 1)[0]):
+        if line.strip() and (header or _is_number(line.split(",", 1)[0])):
             break  # the first data record
-        header = seen
-        # a byte offset, unless the decoder holds state (a header ending in
-        # a lone "\r"); then it exceeds the size and the file is not cut
-        data_start = handle.tell()
-    while chunk := handle.read(_SCAN_CHARS):
+        seen += 1
+        data_start += len(line.encode())
+        if line.strip():
+            header = seen
+    while chunk := stream.read(_SCAN_CHARS):
         if any(c in chunk for c in _SPLITLINES_ONLY):
             return None
     return header, data_start
-
-
-def _read_from_start(handle: TextIO) -> str:
-    if handle.seekable():
-        handle.seek(0)
-    return handle.read()
-
-
-def _first_record(lines: list[str], start: int) -> int | None:
-    """Index of the first non-blank line at or after ``start``."""
-    return next((i for i in range(start, len(lines)) if lines[i].strip()), None)
 
 
 def _is_number(field: str) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -183,32 +184,56 @@ def test_fit_crlf_csv_matches_its_lf_twin(tmp_path, capsys):
     assert _parse_coefficients(outputs[0].out).shape == (2, 1)
 
 
+@contextlib.contextmanager
+def _piped(raw: bytes):
+    """A ``/dev/fd`` path that reads ``raw`` from a pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, raw)
+        os.close(write_end)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_fit_reads_data_from_a_pipe(tmp_path, capsys):
     args = ["--predictors", "2", "--targets", "1", "--algorithm", "ols"]
     assert main(["fit", "--data", _write(tmp_path, "d.csv", EXACT_CSV), *args]) == 0
     expected = capsys.readouterr()
-    read_end, write_end = os.pipe()
-    try:
-        os.write(write_end, ("x1,x2,y\n" + EXACT_CSV).encode())
-        os.close(write_end)
-        assert main(["fit", "--data", f"/dev/fd/{read_end}", *args]) == 0
-    finally:
-        os.close(read_end)
+    with _piped(("x1,x2,y\n" + EXACT_CSV).encode()) as data:
+        assert main(["fit", "--data", data, *args]) == 0
     assert capsys.readouterr() == expected
 
 
-def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys):
+@pytest.mark.parametrize("source", ("file", "pipe"))
+def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, source):
+    if source == "pipe" and not os.path.isdir("/dev/fd"):
+        pytest.skip("needs /dev/fd")
     raw = ("x,y\n" + "1,2\n" * 5000).encode() + b"\xff,3\n"
     path = tmp_path / "late.csv"
     path.write_bytes(raw)
     with pytest.raises(UnicodeDecodeError) as whole:
         raw.decode("utf-8")
-    assert main(["fit", "--data", str(path), "--predictors", "1", "--targets", "1",
-                 "--algorithm", "ols"]) == 2
+    opened = contextlib.nullcontext(str(path)) if source == "file" else _piped(raw)
+    with opened as data:
+        assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
+                     "--algorithm", "ols"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --data {str(path)!r} is not UTF-8 text: {whole.value}\n"
+    assert err == f"error: --data {data!r} is not UTF-8 text: {whole.value}\n"
     assert "position 20004" in err
+
+
+def _force_three_ranges(monkeypatch) -> list:
+    """Cut any input into three ranges; returns the forked parses' results."""
+    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
+    forked = []
+    real = natreg.data._loadtxt_forked
+    monkeypatch.setattr(
+        natreg.data, "_loadtxt_forked", lambda *a: forked.append(real(*a)) or forked[-1]
+    )
+    return forked
 
 
 def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, monkeypatch):
@@ -219,13 +244,7 @@ def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, 
             "--algorithm", "ridge", "--lambda", "0.5"]
     assert main(args) == 0
     one_part = capfd.readouterr()
-    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
-    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
-    forked = []
-    real = natreg.data._loadtxt_forked
-    monkeypatch.setattr(
-        natreg.data, "_loadtxt_forked", lambda *a: forked.append(real(*a)) or forked[-1]
-    )
+    forked = _force_three_ranges(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(args) == 0
@@ -237,6 +256,22 @@ def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, 
         "sse", "ridge objective"
     ]
     assert split.err == one_part.err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_fit_split_pipe_prints_what_the_file_prints(tmp_path, capfd, monkeypatch):
+    rng = np.random.default_rng(4)
+    rows = [",".join(format(v, ".17g") for v in row) for row in rng.standard_normal((300, 4))]
+    content = "x1,x2,x3,y\n" + "\n".join(rows) + "\n"
+    args = ["--predictors", "3", "--targets", "1", "--algorithm", "ridge", "--lambda", "0.5"]
+    assert main(["fit", "--data", _write(tmp_path, "d.csv", content), *args]) == 0
+    from_file = capfd.readouterr()
+    forked = _force_three_ranges(monkeypatch)
+    with warnings.catch_warnings(), _piped(content.encode()) as data:
+        warnings.simplefilter("error")
+        assert main(["fit", "--data", data, *args]) == 0
+    assert len(forked) == 1 and forked[0].shape == (300, 4)
+    assert capfd.readouterr() == from_file
 
 
 def test_audit_small_run_exits_zero(capsys):

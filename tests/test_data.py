@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import time
@@ -58,6 +59,12 @@ def test_csv_header_is_skipped():
     d = dataset_from_csv("x1,x2,y\n1,0,1\n0,1,2", p=2, q=1)
     assert d.n_examples == 2
     np.testing.assert_array_equal(d.y, [[1.0], [2.0]])
+    d = dataset_from_csv(io.StringIO("x1,x2,y\n1,0,1\n0,1,2"), p=2, q=1)  # no descriptor
+    np.testing.assert_array_equal(d.y, [[1.0], [2.0]])
+    # a lone surrogate is encoded with surrogatepass, which the scan rejects
+    d = dataset_from_csv("x,\ud800\n2,3", p=1, q=1)
+    np.testing.assert_array_equal(d.x, [[2.0]])
+    np.testing.assert_array_equal(d.y, [[3.0]])
 
 
 def test_csv_numeric_first_record_is_data():
@@ -75,6 +82,9 @@ def test_csv_non_numeric_field_reports_record():
     with pytest.raises(ParseError) as excinfo:
         dataset_from_csv("1,2\n3,oops\n5,6", p=1, q=1)
     assert excinfo.value.record == 2
+    with pytest.raises(ParseError) as excinfo:
+        dataset_from_csv("1,\ud800\n2,3", p=1, q=1)
+    assert excinfo.value.record == 1
 
 
 def test_csv_header_only_is_empty():
@@ -197,10 +207,10 @@ def _parse_file(path, p: int, q: int) -> Dataset:
 
 
 def _assert_file_matches_its_text(path, content: str, p: int, q: int) -> None:
-    """Parsing the open file gives what parsing its text-mode contents gives."""
+    """Parsing the open file gives what the record parser gives on its text-mode contents."""
     path.write_text(content, encoding="utf-8", newline="")
     text = path.read_text(encoding="utf-8")
-    assert _outcome(_parse_file, path, p, q) == _outcome(dataset_from_csv, text, p, q), (
+    assert _outcome(_parse_file, path, p, q) == _outcome(_reference, text, p, q), (
         repr(content), p, q
     )
 
@@ -235,7 +245,7 @@ def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monk
 
 
 def _split_into(monkeypatch, parts: int) -> None:
-    """Cut any file with a newline into up to ``parts`` ranges."""
+    """Cut any input with a newline into up to ``parts`` ranges."""
     monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: parts)
 
@@ -245,8 +255,8 @@ def _spy(monkeypatch, name: str) -> list:
     calls = []
     real = getattr(natreg.data, name)
 
-    def spy(*args):
-        calls.append((args, real(*args)))
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(natreg.data, name, spy)
@@ -271,6 +281,15 @@ def test_csv_split_file_matches_its_text_on_any_text(csv_path, parts, content, p
     with pytest.MonkeyPatch.context() as monkeypatch:
         _split_into(monkeypatch, parts)
         _assert_file_matches_its_text(csv_path, content, p, q)
+
+
+@settings(max_examples=150)
+@given(content=_ANY_TEXT, p=st.integers(1, 3), q=st.integers(1, 3))
+def test_csv_split_text_matches_record_parser_on_any_text(content, p, q):
+    # text takes the ranged route too, its ranges read from memory
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_into(monkeypatch, 2)
+        _assert_same_outcome(content, p, q)
 
 
 def _assert_split_parse_matches_its_text(csv_path, monkeypatch, content: str, p: int, q: int):
@@ -342,20 +361,33 @@ def test_csv_malformed_record_in_a_later_part_reports_its_number(csv_path, monke
             assert excinfo.value.record == 34 + bool(header)
 
 
+@pytest.mark.parametrize("parts", (1, 3))
+def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
+    rows = [f"{i},{i}" for i in range(40)]
+    rows[33] = "33,oops"
+    content = "x,y\n" + "\n".join(rows)
+    _split_into(monkeypatch, parts)
+    calls = _spy(monkeypatch, "_loadtxt")  # children's calls are not seen here
+    with pytest.raises(ParseError) as excinfo:
+        _parse_file(_written(csv_path, content), 1, 1)
+    assert excinfo.value.record == 35
+    assert len(calls) == 1
+
+
 def _written(path, content: str):
     path.write_text(content, encoding="utf-8", newline="")
     return path
 
 
-def _short_payload(fd, start, end, pipe):
+def _short_payload(pread, start, end, pipe):
     with open(pipe, "wb") as out:
         out.write(np.array([5, 2], dtype=np.int64))
         out.write(np.zeros(3))
     return 0
 
 
-def _sent_then_failed(fd, start, end, pipe):
-    _send_part(fd, start, end, pipe)
+def _sent_then_failed(pread, start, end, pipe):
+    _send_part(pread, start, end, pipe)
     return 3
 
 
@@ -364,7 +396,7 @@ def _no_fork():
 
 
 @pytest.mark.parametrize(
-    "send", (_short_payload, _sent_then_failed, lambda fd, start, end, pipe: 3)
+    "send", (_short_payload, _sent_then_failed, lambda pread, start, end, pipe: 3)
 )
 def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
     content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
@@ -372,7 +404,7 @@ def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
     monkeypatch.setattr(natreg.data, "_send_part", send)
     forked = _spy(monkeypatch, "_loadtxt_forked")
     assert _outcome(_parse_file, _written(csv_path, content), 2, 1) == _outcome(
-        dataset_from_csv, content, 2, 1
+        _reference, content, 2, 1
     )
     assert [values for _, values in forked] == [None]
 
@@ -380,7 +412,7 @@ def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
 def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
     content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg.data, "_send_part", lambda fd, start, end, pipe: time.sleep(120))
+    monkeypatch.setattr(natreg.data, "_send_part", lambda pread, start, end, pipe: time.sleep(120))
     begin = time.monotonic()
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, content), 1, 1)
@@ -393,7 +425,7 @@ def test_csv_failed_fork_falls_back_to_one_process(csv_path, monkeypatch):
     _split_into(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", _no_fork)
     assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == _outcome(
-        dataset_from_csv, content, 1, 1
+        _reference, content, 1, 1
     )
 
 
