@@ -103,10 +103,16 @@ def _check_writable(out: str | None) -> None:
     if out is None:
         return
     parent = os.path.dirname(out) or "."
-    if os.path.isdir(out):
+    if not out:
+        code = errno.ENOENT
+    elif os.path.isdir(out):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
-        code = errno.ENOENT
+        try:
+            os.stat(parent)  # raises as open would: ENOENT, or ENOTDIR through a file
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
     elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
         code = errno.EACCES
     else:

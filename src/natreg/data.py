@@ -63,18 +63,21 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     number.
 
     Every input takes one route, over its UTF-8 bytes: a file that can be
-    seeked is read through its descriptor with ``os.pread``, a pipe is read
-    once as bytes, and text is encoded.  The bytes are scanned in chunks,
-    then parsed by ``np.loadtxt`` in byte ranges that each end at a line
-    end: one range per usable CPU, each range after the first in a forked
-    process, once the data fills two ranges of ``MIN_PART_BYTES``.  This
-    route builds no list of lines and never holds a file's text.  Whatever
-    it does not parse goes once to :func:`_parse_records`, which alone raises
-    the parse errors: input where the scan finds no data record, a character
-    at which ``str.splitlines`` ends a line and numpy's reader does not, or
-    bytes that are not UTF-8; a range numpy rejects (including text that
-    ``float`` accepts and numpy does not, such as ``1_0``); a child, pipe or
-    fork that fails; and columns other than p + q.  It parses the ``str``
+    seeked is read whole through its descriptor with ``os.pread``, wherever
+    its position stands; a pipe is read once as bytes, from where its buffer
+    stands; and text is encoded.  A scan finds the first data record, and
+    the bytes from there are parsed by ``np.loadtxt`` in byte ranges that
+    each end at a line end: one range per usable CPU, each range after the
+    first in a forked process, once the data fills two ranges of
+    ``MIN_PART_BYTES``.  Each range checks that its rows have p + q columns.
+    This route builds no list of lines and never holds a file's text.
+    Whatever it does not parse goes once to :func:`_parse_records`, which
+    alone raises the parse errors: input where the scan finds no data
+    record, a character at which ``str.splitlines`` ends a line and numpy's
+    reader does not, or bytes that are not UTF-8; a range numpy rejects
+    (including text that ``float`` accepts and numpy does not, such as
+    ``1_0``) or whose rows have other than p + q columns; a child, pipe or
+    fork that fails; and ranges that hold no row.  It parses the ``str``
     itself, or a strict decode of all the input's bytes, whose error names
     its offset from the start of the input.
     """
@@ -86,8 +89,8 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
         except io.UnsupportedOperation:
             content = content.read()  # no descriptor, such as a StringIO
     pread, size = _input_bytes(content)
-    values = _loadtxt_input(pread, size)
-    if values is None or values.shape[1] != p + q:
+    values = _loadtxt_input(pread, size, p + q)
+    if values is None or not len(values):
         if not isinstance(content, str):
             content = _text(pread, 0, size).read()
         values = _parse_records(content, p, q)
@@ -111,35 +114,21 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
     return (lambda n, at: data[at : at + n]), len(data)
 
 
-def _loadtxt(source, **options) -> np.ndarray | None:
-    """One ``np.loadtxt`` call, or None where numpy rejects the input."""
-    try:
-        return np.loadtxt(
-            source, delimiter=",", dtype=np.float64, comments=None, ndmin=2, **options
-        )
-    except ValueError:
-        return None
+def _loadtxt_input(pread: _Pread, size: int, columns: int) -> np.ndarray | None:
+    """The rows of bytes ``[0, size)`` from the first data record on.
 
-
-def _loadtxt_input(pread: _Pread, size: int) -> np.ndarray | None:
-    """:func:`_loadtxt` over bytes ``[0, size)``, after the scan.
-
-    The data after the header is cut into line-aligned byte ranges, one per
-    usable CPU and each at least ``MIN_PART_BYTES`` long; ranges after the
-    first are parsed by forked children.  None when the scan or any range
-    fails: see :func:`dataset_from_csv`.
+    Those bytes are cut into line-aligned ranges, one per usable CPU and each
+    at least ``MIN_PART_BYTES`` long; ranges after the first are parsed by
+    forked children.  None when the scan or any range fails: see
+    :func:`dataset_from_csv`.
     """
     try:
-        scanned = _lines_before_data(_text(pread, 0, size, newline=""))
+        data_start = _data_start(_text(pread, 0, size, newline=""))
     except UnicodeDecodeError:
         return None  # the fallback's strict decode names the offset
-    if scanned is None:
+    if data_start is None:
         return None
-    skiprows, data_start = scanned
-    ranges = _ranges(pread, data_start, size)
-    if len(ranges) == 1:
-        return _loadtxt_range(pread, 0, size, skiprows)
-    return _loadtxt_forked(pread, ranges, skiprows)
+    return _loadtxt_forked(pread, _ranges(pread, data_start, size), columns)
 
 
 # A fork and reap of a natreg process costs about 4 ms on a 2-vCPU Xeon, and
@@ -155,16 +144,16 @@ def _usable_cpus() -> int:
 
 
 def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, int]]:
-    """``[0, size)`` cut into byte ranges that each end just after a newline.
+    """``[data_start, size)`` cut into byte ranges that each end just after a newline.
 
-    Every cut lies past ``data_start``, so the first range holds the header.
-    One range when parts would be under ``MIN_PART_BYTES`` or when
+    The first range starts at the first data record, so no range holds the
+    header.  One range when parts would be under ``MIN_PART_BYTES`` or when
     ``os.fork`` is missing.
     """
     parts = min(_usable_cpus(), (size - data_start) // MIN_PART_BYTES)
     if not hasattr(os, "fork"):
         parts = 1
-    cuts = [0]
+    cuts = [data_start]
     for i in range(1, parts):
         aim = max(data_start + (size - data_start) * i // parts, cuts[-1])
         cut = _after_newline(pread, aim, size)
@@ -211,12 +200,22 @@ def _text(pread: _Pread, start: int, end: int, newline: str | None = None) -> Te
     return io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
 
 
-def _loadtxt_range(pread: _Pread, start: int, end: int, skiprows: int) -> np.ndarray | None:
-    """:func:`_loadtxt` over the text of bytes ``[start, end)``."""
-    return _loadtxt(_text(pread, start, end), skiprows=skiprows)
+def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndarray | None:
+    """The rows of the text of bytes ``[start, end)``, parsed by ``np.loadtxt``.
+
+    None where numpy rejects the text or its rows have other than
+    ``columns`` fields; a range of only blank lines gives no rows.
+    """
+    try:
+        values = np.loadtxt(
+            _text(pread, start, end), delimiter=",", dtype=np.float64, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return None if len(values) and values.shape[1] != columns else values
 
 
-def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], skiprows: int) -> np.ndarray | None:
+def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], columns: int) -> np.ndarray | None:
     """The rows of every range in order, or None if any range fails.
 
     The first range is parsed here; each other one by a forked child, which
@@ -230,8 +229,8 @@ def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], skiprows: int)
             # a range may hold only blank lines; the scan saw a data record
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             for start, end in ranges[1:]:
-                children.append(_fork_part(pread, start, end))
-            values = _gather(_loadtxt_range(pread, *ranges[0], skiprows), children)
+                children.append(_fork_part(pread, start, end, columns))
+            values = _gather(_loadtxt_range(pread, *ranges[0], columns), children, columns)
     except OSError:
         values = None  # no pipe or process to spare
     finally:
@@ -243,7 +242,7 @@ def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], skiprows: int)
     return None if any(statuses) else values
 
 
-def _fork_part(pread: _Pread, start: int, end: int) -> tuple[int, int]:
+def _fork_part(pread: _Pread, start: int, end: int, columns: int) -> tuple[int, int]:
     """Fork a child that sends the rows of ``[start, end)``: (pid, pipe)."""
     read_end, write_end = os.pipe()
     try:
@@ -256,43 +255,39 @@ def _fork_part(pread: _Pread, start: int, end: int) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_end)
-            code = _send_part(pread, start, end, write_end)
+            code = _send_part(pread, start, end, columns, write_end)
         finally:
             os._exit(code)
     os.close(write_end)
     return pid, read_end
 
 
-def _send_part(pread: _Pread, start: int, end: int, pipe: int) -> int:
-    """Write the shape of the range's rows, then their float64 bytes: exit code."""
-    values = _loadtxt_range(pread, start, end, 0)
+def _send_part(pread: _Pread, start: int, end: int, columns: int, pipe: int) -> int:
+    """Write the range's row count as one int64, then its float64 rows: exit code."""
+    values = _loadtxt_range(pread, start, end, columns)
     if values is None:
         return 1
     with open(pipe, "wb") as out:
-        out.write(np.array(values.shape, dtype=np.int64))
+        out.write(np.int64(len(values)))
         out.write(values)
     return 0
 
 
-def _gather(first: np.ndarray | None, children: list[tuple[int, int]]) -> np.ndarray | None:
+def _gather(first: np.ndarray | None, children: list[tuple[int, int]], columns: int) -> np.ndarray | None:
     """``first`` followed by each child's rows, read straight into one array."""
-    if first is None:
-        return None
-    shapes = [first.shape]
+    if first is None or not children:
+        return first
+    counts = [len(first)]
     for _, pipe in children:
-        shape = np.zeros(2, dtype=np.int64)
-        if not _read_into(pipe, shape):
+        count = np.zeros(1, dtype=np.int64)
+        if not _read_into(pipe, count):
             return None
-        shapes.append((int(shape[0]), int(shape[1])))
-    columns = {cols for rows, cols in shapes if rows}
-    if len(columns) != 1:
-        return None
-    values = np.empty((sum(rows for rows, _ in shapes), columns.pop()))
+        counts.append(int(count[0]))
+    values = np.empty((sum(counts), columns))
     at = len(first)
-    if at:
-        values[:at] = first
-    for (rows, _), (_, pipe) in zip(shapes[1:], children):
-        if rows and not _read_into(pipe, values[at : at + rows]):
+    values[:at] = first
+    for rows, (_, pipe) in zip(counts[1:], children):
+        if rows and not _read_into(pipe, values[at : at + rows]):  # cast("B") rejects 0 rows
             return None
         at += rows
     return values
@@ -314,31 +309,28 @@ _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SCAN_CHARS = 1 << 20
 
 
-def _lines_before_data(stream: TextIO) -> tuple[int, int] | None:
-    """The lines up to and including the header, and the first data record's offset.
+def _data_start(stream: TextIO) -> int | None:
+    """The byte offset of the first data record.
 
     ``stream`` reads the text with ``newline=""``, so each line keeps its own
-    line end and the offset counts bytes.  The line count is 0 when the first
-    record is data.  None when the text holds no data record or any
-    character of ``_SPLITLINES_ONLY``.  Reads to the end of the text: line
-    by line up to the first data record, then in chunks of ``_SCAN_CHARS``
-    characters.
+    line end and the offset counts bytes.  None when the text holds no data
+    record or any character of ``_SPLITLINES_ONLY``.  Reads to the end of
+    the text: line by line up to the first data record, then in chunks of
+    ``_SCAN_CHARS`` characters.
     """
-    header = seen = data_start = 0
+    header, data_start = False, 0
     while True:
         line = stream.readline()
         if not line or any(c in line for c in _SPLITLINES_ONLY):
             return None
         if line.strip() and (header or _is_number(line.split(",", 1)[0])):
             break  # the first data record
-        seen += 1
         data_start += len(line.encode())
-        if line.strip():
-            header = seen
+        header = header or bool(line.strip())
     while chunk := stream.read(_SCAN_CHARS):
         if any(c in chunk for c in _SPLITLINES_ONLY):
             return None
-    return header, data_start
+    return data_start
 
 
 def _is_number(field: str) -> bool:

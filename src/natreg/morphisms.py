@@ -107,14 +107,13 @@ def draw_morphism_matrix(
     source_dim: int,
     target_dim: int,
     gen: np.random.Generator,
-    kappa_max: float = DEFAULT_KAPPA_MAX,
 ) -> tuple[np.ndarray, float | None]:
     """The C-contiguous matrix that :func:`sample_morphism` wraps, drawn from
     ``gen``, and the condition number its draw was accepted on.
 
     finvec draws a Gaussian matrix; finvec_iso draws successive Gaussians
-    until one has condition number at most ``kappa_max``; euc and euc_mono
-    take the orthonormal factor of a Gaussian (thin QR with its sign
+    until one has condition number at most ``DEFAULT_KAPPA_MAX``; euc and
+    euc_mono take the orthonormal factor of a Gaussian (thin QR with its sign
     convention, so draws are unique); set_iso permutes; discrete is the
     identity and draws nothing.  Only finvec_iso tests a condition number;
     the other kinds return ``None`` in its place.
@@ -130,15 +129,13 @@ def draw_morphism_matrix(
             return gen.standard_normal((target_dim, source_dim)), None
         return gen.standard_normal((source_dim, target_dim)), None
     if kind is CategoryKind.FINVEC_ISO:
-        if not kappa_max >= 1.0:
-            raise ContractViolation(f"kappa_max must be >= 1, got {kappa_max}")
         for _ in range(_RESAMPLE_CAP):
             m = gen.standard_normal((source_dim, source_dim))
             kappa = condition_estimate(m)
-            if kappa <= kappa_max:
+            if kappa <= DEFAULT_KAPPA_MAX:
                 return m, kappa
         raise SamplingFailed(
-            f"no draw with condition <= {kappa_max:g} in {_RESAMPLE_CAP} attempts"
+            f"no draw with condition <= {DEFAULT_KAPPA_MAX:g} in {_RESAMPLE_CAP} attempts"
         )
     if kind is CategoryKind.EUC:
         return qr_thin(gen.standard_normal((source_dim, source_dim)))[0], None
@@ -154,15 +151,12 @@ def sample_morphism(
     source_dim: int,
     target_dim: int,
     seed: SeedState,
-    kappa_max: float = DEFAULT_KAPPA_MAX,
 ) -> Morphism:
     """Draw a morphism of the requested kind, deterministically from the seed.
 
     The matrix comes from :func:`draw_morphism_matrix` on ``seed.generator()``.
     """
-    matrix, _ = draw_morphism_matrix(
-        kind, axis, source_dim, target_dim, seed.generator(), kappa_max
-    )
+    matrix, _ = draw_morphism_matrix(kind, axis, source_dim, target_dim, seed.generator())
     return Morphism(kind=kind, axis=axis, matrix=matrix)
 
 

@@ -130,13 +130,16 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(natreg.cli, "dataset_from_csv", never)
     data = _write(tmp_path, "d.csv", EXACT_CSV)
     missing = str(tmp_path / "nope" / "out.txt")
-    for out in (missing, str(tmp_path)):
+    through_a_file = str(tmp_path / "d.csv" / "coef.csv")
+    for out in (missing, str(tmp_path), through_a_file, ""):
         assert main(["audit", "--out", out]) == 2
         assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
                      "--algorithm", "ols", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "No such file or directory" in err and missing in err
     assert "Is a directory" in err
+    assert f"Not a directory: {through_a_file!r}" in err
+    assert "No such file or directory: ''" in err
 
 
 def test_fit_leaves_out_untouched_when_it_writes_nothing(tmp_path, capsys):

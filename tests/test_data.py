@@ -227,16 +227,16 @@ def test_csv_file_matches_its_text_on_any_text(csv_path, content, p, q):
 
 
 def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monkeypatch):
-    scan = natreg.data._lines_before_data
+    scan = natreg.data._data_start
     replacement = csv_path.with_name("replacement.csv")
 
     def scan_then_replace(handle):
-        skiprows = scan(handle)
+        data_start = scan(handle)
         replacement.write_text("9,9,9\n", encoding="utf-8")
         os.replace(replacement, csv_path)
-        return skiprows
+        return data_start
 
-    monkeypatch.setattr(natreg.data, "_lines_before_data", scan_then_replace)
+    monkeypatch.setattr(natreg.data, "_data_start", scan_then_replace)
     csv_path.write_text("x1,x2,y\n1,0,1\n0,1,2\n", encoding="utf-8")
     # the handle still reads the file it opened; the path now names another
     assert _outcome(_parse_file, csv_path, 2, 1) == _outcome(
@@ -361,13 +361,25 @@ def test_csv_malformed_record_in_a_later_part_reports_its_number(csv_path, monke
             assert excinfo.value.record == 34 + bool(header)
 
 
+def test_csv_split_where_records_gain_a_field_reports_the_record(csv_path, monkeypatch):
+    # records of equal width, so the cut falls exactly where the second
+    # range's records have one field more
+    rows = [f"{1000 + i},{1000 + i}" for i in range(20)] + [f"{100 + i},10,10" for i in range(20)]
+    _split_into(monkeypatch, 2)
+    aims = _spy(monkeypatch, "_after_newline")
+    with pytest.raises(ParseError) as excinfo:
+        _parse_file(_written(csv_path, "\n".join(rows)), 1, 1)
+    assert excinfo.value.record == 21
+    assert [cut for _, cut in aims] == [200]
+
+
 @pytest.mark.parametrize("parts", (1, 3))
 def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
     rows = [f"{i},{i}" for i in range(40)]
     rows[33] = "33,oops"
     content = "x,y\n" + "\n".join(rows)
     _split_into(monkeypatch, parts)
-    calls = _spy(monkeypatch, "_loadtxt")  # children's calls are not seen here
+    calls = _spy(monkeypatch, "_loadtxt_range")  # children's calls are not seen here
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, content), 1, 1)
     assert excinfo.value.record == 35
@@ -379,15 +391,15 @@ def _written(path, content: str):
     return path
 
 
-def _short_payload(pread, start, end, pipe):
+def _short_payload(pread, start, end, columns, pipe):
     with open(pipe, "wb") as out:
-        out.write(np.array([5, 2], dtype=np.int64))
+        out.write(np.int64(5))
         out.write(np.zeros(3))
     return 0
 
 
-def _sent_then_failed(pread, start, end, pipe):
-    _send_part(pread, start, end, pipe)
+def _sent_then_failed(pread, start, end, columns, pipe):
+    _send_part(pread, start, end, columns, pipe)
     return 3
 
 
@@ -396,7 +408,7 @@ def _no_fork():
 
 
 @pytest.mark.parametrize(
-    "send", (_short_payload, _sent_then_failed, lambda pread, start, end, pipe: 3)
+    "send", (_short_payload, _sent_then_failed, lambda pread, start, end, columns, pipe: 3)
 )
 def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
     content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
@@ -412,7 +424,7 @@ def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
 def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
     content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg.data, "_send_part", lambda pread, start, end, pipe: time.sleep(120))
+    monkeypatch.setattr(natreg.data, "_send_part", lambda pread, start, end, columns, pipe: time.sleep(120))
     begin = time.monotonic()
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, content), 1, 1)

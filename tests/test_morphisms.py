@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import natreg.morphisms
 from natreg.data import Dataset, synth_dataset
 from natreg.errors import ContractViolation, SamplingFailed
 from natreg.linalg import SeedState, condition_estimate
@@ -83,12 +84,10 @@ def test_finvec_iso_samples_are_condition_bounded():
         assert condition_estimate(morphism.matrix) <= 1e4
 
 
-def test_finvec_iso_sampler_gives_up_on_impossible_bound():
+def test_finvec_iso_sampler_gives_up_on_impossible_bound(monkeypatch):
+    monkeypatch.setattr(natreg.morphisms, "DEFAULT_KAPPA_MAX", 1.0 + 1e-9)
     with pytest.raises(SamplingFailed):
-        sample_morphism(
-            CategoryKind.FINVEC_ISO, Axis.PREDICTOR, 3, 3, SeedState(1, "cap"),
-            kappa_max=1.0 + 1e-9,
-        )
+        sample_morphism(CategoryKind.FINVEC_ISO, Axis.PREDICTOR, 3, 3, SeedState(1, "cap"))
 
 
 def test_set_iso_samples_are_exact_permutations():
