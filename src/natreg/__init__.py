@@ -9,11 +9,26 @@ The top level holds only the five names of the README's library example;
 every other name is imported from the module that defines it.
 """
 
+import importlib
+
 __version__ = "0.2.0"
 
-from .data import synth_dataset
-from .linalg import SeedState
-from .naturality import AuditConfig, run_audit
-from .regression import AlgorithmSpec
-
 __all__ = ["AlgorithmSpec", "AuditConfig", "SeedState", "run_audit", "synth_dataset"]
+
+# each name's defining module, imported on first use so that importing the
+# package imports no numpy (the CLI sets up numpy's environment first)
+_HOMES = {
+    "AlgorithmSpec": "regression",
+    "AuditConfig": "naturality",
+    "SeedState": "linalg",
+    "run_audit": "naturality",
+    "synth_dataset": "data",
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -13,6 +13,11 @@ import errno
 import os
 import sys
 
+# One OpenBLAS thread per process: the CLI's solves are small or thin, where
+# more threads mostly spin, and its parallel work runs in forked processes.
+# Set before numpy is first imported; a user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .data import dataset_from_csv
 from .errors import NatregError, RankDeficient
@@ -98,22 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_writable(out: str | None) -> None:
     """Raise the error that opening ``out`` for writing would, before any work.
 
-    The file itself is neither created nor truncated here.
+    The file itself is neither created, truncated nor opened here.
     """
     if out is None:
         return
-    parent = os.path.dirname(out) or "."
+    target = os.path.realpath(out)  # where open would write, through any symlinks
+    parent = os.path.dirname(target)
     if not out:
         code = errno.ENOENT
-    elif os.path.isdir(out):
-        code = errno.EISDIR
     elif not os.path.isdir(parent):
         try:
             os.stat(parent)  # raises as open would: ENOENT, or ENOTDIR through a file
             code = errno.ENOTDIR
         except OSError as exc:
             code = exc.errno
-    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+    elif out.endswith("/") or os.path.isdir(target):
+        code = errno.EISDIR  # open refuses to create a name that ends in a slash
+    elif os.path.islink(target):
+        code = errno.ELOOP  # realpath stops at a link it cannot resolve
+    elif not os.access(target if os.path.exists(target) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import io
 import os
-import signal
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -13,6 +12,8 @@ from typing import TextIO
 
 import numpy as np
 
+from ._forkjoin import fork_map, send_rows
+from ._forkjoin import usable_cpus as _usable_cpus
 from .errors import ContractViolation, EmptyDataset, ParseError
 from .linalg import SeedState, as_matrix
 
@@ -137,12 +138,6 @@ def _loadtxt_input(pread: _Pread, size: int, columns: int) -> np.ndarray | None:
 MIN_PART_BYTES = 1 << 20
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, int]]:
     """``[data_start, size)`` cut into byte ranges that each end just after a newline.
 
@@ -218,90 +213,23 @@ def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndar
 def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], columns: int) -> np.ndarray | None:
     """The rows of every range in order, or None if any range fails.
 
-    The first range is parsed here; each other one by a forked child, which
-    sends its rows back through a pipe.  Every child is reaped before this
-    returns, and killed first when its rows are not needed.
+    :func:`~natreg._forkjoin.fork_map` over the ranges: the first range is
+    parsed here, each other one by a forked child that runs :func:`_send_part`.
     """
-    children: list[tuple[int, int]] = []
-    values = None
-    try:
-        with warnings.catch_warnings():
-            # a range may hold only blank lines; the scan saw a data record
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            for start, end in ranges[1:]:
-                children.append(_fork_part(pread, start, end, columns))
-            values = _gather(_loadtxt_range(pread, *ranges[0], columns), children, columns)
-    except OSError:
-        values = None  # no pipe or process to spare
-    finally:
-        for pid, pipe in children:
-            os.close(pipe)
-            if values is None:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    return None if any(statuses) else values
-
-
-def _fork_part(pread: _Pread, start: int, end: int, columns: int) -> tuple[int, int]:
-    """Fork a child that sends the rows of ``[start, end)``: (pid, pipe)."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:  # the child never returns, nor writes to stdout or stderr
-        code = 1
-        try:
-            os.close(read_end)
-            code = _send_part(pread, start, end, columns, write_end)
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
+    with warnings.catch_warnings():
+        # a range may hold only blank lines; the scan saw a data record
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return fork_map(
+            lambda span: _loadtxt_range(pread, *span, columns),
+            ranges,
+            columns,
+            send=lambda span, pipe: _send_part(pread, *span, columns, pipe),
+        )
 
 
 def _send_part(pread: _Pread, start: int, end: int, columns: int, pipe: int) -> int:
-    """Write the range's row count as one int64, then its float64 rows: exit code."""
-    values = _loadtxt_range(pread, start, end, columns)
-    if values is None:
-        return 1
-    with open(pipe, "wb") as out:
-        out.write(np.int64(len(values)))
-        out.write(values)
-    return 0
-
-
-def _gather(first: np.ndarray | None, children: list[tuple[int, int]], columns: int) -> np.ndarray | None:
-    """``first`` followed by each child's rows, read straight into one array."""
-    if first is None or not children:
-        return first
-    counts = [len(first)]
-    for _, pipe in children:
-        count = np.zeros(1, dtype=np.int64)
-        if not _read_into(pipe, count):
-            return None
-        counts.append(int(count[0]))
-    values = np.empty((sum(counts), columns))
-    at = len(first)
-    values[:at] = first
-    for rows, (_, pipe) in zip(counts[1:], children):
-        if rows and not _read_into(pipe, values[at : at + rows]):  # cast("B") rejects 0 rows
-            return None
-        at += rows
-    return values
-
-
-def _read_into(pipe: int, array: np.ndarray) -> bool:
-    """Fill ``array`` from ``pipe``; False if the pipe ends first."""
-    view = memoryview(array).cast("B")
-    while view:
-        count = os.readv(pipe, [view])
-        if not count:
-            return False
-        view = view[count:]
-    return True
+    """A child's work: send the rows of ``[start, end)`` down ``pipe``; its exit code."""
+    return send_rows(_loadtxt_range(pread, start, end, columns), pipe)
 
 
 # str.splitlines ends a line at each of these; numpy's file reader does not

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._forkjoin import fork_map
+from ._forkjoin import usable_cpus as _usable_cpus
 from .data import Dataset, draw_dataset
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, NatregError
 from .linalg import SeedState, rel_distance
 from .morphisms import (
     Axis,
@@ -295,7 +297,7 @@ def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarra
 
 
 def _run_cell(
-    spec: AlgorithmSpec, axis: Axis, category: CategoryKind, config: AuditConfig, seed: SeedState
+    spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig
 ) -> CellSummary:
     """All trials of one cell: sample them as arrays, then fit and check them.
 
@@ -346,19 +348,74 @@ def run_audit(config: AuditConfig) -> AuditReport:
     """Run every configured cell and summarize agreement with expectations.
 
     The report is a pure function of the config: trial seeds are derived from
-    the master seed and the cell labels, never from execution order.  Cells
-    run one at a time, so at most one cell's trial arrays are held at once.
+    the master seed and the cell labels, never from execution order.  The
+    cells are dealt round-robin to one worker per usable CPU (at most one per
+    cell); this process is the first worker and forked children are the
+    others, each sending its trials back as rows of :data:`_TRIAL_FIELDS`.
+    With one worker, or when any worker fails, every cell is run here one at
+    a time, so an error is raised from the first failing cell in config order.
     """
     from . import __version__
 
     root = SeedState(config.master_seed)
-    cells = tuple(
-        _run_cell(spec, axis, category, config, root.derive(spec.label(), axis.value, category.value))
+    cells = [
+        (spec, axis, category, root.derive(spec.label(), axis.value, category.value))
         for spec in config.algorithms
         for axis in config.axes
         for category in config.categories
+    ]
+    workers = min(_usable_cpus(), len(cells))
+    shares = [range(w, len(cells), workers) for w in range(workers)]  # cell indices
+    rows = None
+    if workers > 1:
+        rows = fork_map(
+            lambda share: _trial_rows([cells[i] for i in share], config), shares, len(_TRIAL_FIELDS)
+        )
+    if rows is None:
+        summaries = [_run_cell(*cell, config) for cell in cells]
+    else:
+        blocks = rows.reshape(len(cells), config.trials_per_cell, len(_TRIAL_FIELDS))
+        in_config_order = blocks[np.argsort([i for share in shares for i in share])]
+        summaries = [_summary_from_rows(*cell, block) for cell, block in zip(cells, in_config_order)]
+    return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
+
+
+# the columns of a worker's rows, one row per trial
+_TRIAL_FIELDS = ("residual", "tolerance", "p", "q", "n_examples", "morphism_dim")
+
+
+def _trial_rows(cells: list[tuple], config: AuditConfig) -> np.ndarray | None:
+    """The trials of ``cells``, in order, as float64 rows of :data:`_TRIAL_FIELDS`.
+
+    None when a cell raises one of this package's errors.
+    """
+    try:
+        summaries = [_run_cell(*cell, config) for cell in cells]
+    except NatregError:
+        return None
+    return np.array(
+        [[getattr(t, field) for field in _TRIAL_FIELDS] for s in summaries for t in s.trials],
+        dtype=np.float64,
     )
-    return AuditReport(tool_version=__version__, config=config, cells=cells)
+
+
+def _summary_from_rows(
+    spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, rows: np.ndarray
+) -> CellSummary:
+    """The cell whose trials :func:`_trial_rows` sent as ``rows``."""
+    trials = tuple(
+        DiagramTrial(
+            p=int(p),
+            q=int(q),
+            n_examples=int(n),
+            morphism_dim=int(dim),
+            seed=seed.derive(i),
+            residual=float(residual),
+            tolerance=float(tolerance),
+        )
+        for i, (residual, tolerance, p, q, n, dim) in enumerate(rows.tolist())
+    )
+    return CellSummary(spec, axis, category, trials)
 
 
 @dataclass(frozen=True)

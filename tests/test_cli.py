@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -131,7 +133,10 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
     data = _write(tmp_path, "d.csv", EXACT_CSV)
     missing = str(tmp_path / "nope" / "out.txt")
     through_a_file = str(tmp_path / "d.csv" / "coef.csv")
-    for out in (missing, str(tmp_path), through_a_file, ""):
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nope" / "target.txt")
+    slashed = [str(tmp_path / "newdir") + "/", data + "/"]
+    for out in (missing, str(tmp_path), through_a_file, "", str(dangling), *slashed):
         assert main(["audit", "--out", out]) == 2
         assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
                      "--algorithm", "ols", "--out", out]) == 2
@@ -140,6 +145,27 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
     assert "Is a directory" in err
     assert f"Not a directory: {through_a_file!r}" in err
     assert "No such file or directory: ''" in err
+    assert f"No such file or directory: {str(dangling)!r}" in err
+    for out in slashed:  # as open says: a name ending in "/" cannot be created
+        assert f"Is a directory: {out!r}" in err
+        with pytest.raises(IsADirectoryError):
+            open(out, "w")
+
+
+def test_writable_out_check_creates_and_opens_nothing(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening the writer would not block
+    try:
+        natreg.cli._check_writable(str(fifo))
+        assert os.read(reader, 1) == b""
+    finally:
+        os.close(reader)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "target.txt")  # dangling, and open would create its target
+    for out in (link, tmp_path / "fresh.txt"):
+        natreg.cli._check_writable(str(out))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link"]
 
 
 def test_fit_leaves_out_untouched_when_it_writes_nothing(tmp_path, capsys):
@@ -352,6 +378,38 @@ def test_counterexamples_bad_arguments_exit_two(capsys):
     assert main(["counterexamples", "--c", "0"]) == 2
     assert main(["counterexamples", "--lambda", "0"]) == 2
     capsys.readouterr()
+
+
+def _python(code: str, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter that finds this natreg, with
+    OPENBLAS_NUM_THREADS unset unless given; returns its stdout."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(natreg.cli.__file__))
+    environ["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [environ.get("PYTHONPATH")])])
+    environ.update(env)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_import_natreg_imports_no_numpy_until_a_name_is_used():
+    out = _python(
+        "import sys, natreg\n"
+        "print('numpy' in sys.modules)\n"
+        "from natreg import data, linalg, naturality, regression\n"
+        "homes = {'AlgorithmSpec': regression, 'AuditConfig': naturality,\n"
+        "         'SeedState': linalg, 'run_audit': naturality, 'synth_dataset': data}\n"
+        "print(sorted(homes) == sorted(natreg.__all__))\n"
+        "print(all(getattr(natreg, n) is getattr(homes[n], n) for n in natreg.__all__))\n"
+        "print(hasattr(natreg, 'Dataset'))\n"
+    )
+    assert out.split() == ["False", "True", "True", "False"]
+
+
+def test_cli_pins_openblas_to_one_thread_unless_already_set():
+    code = "import os, natreg.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code) == "1\n"
+    assert _python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
 def test_unknown_command_exits_two(capsys):

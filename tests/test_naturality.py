@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
+import natreg._forkjoin
+import natreg.naturality
 from natreg.data import Dataset, synth_dataset
 from natreg.errors import (
     ConfigError,
@@ -30,6 +34,7 @@ from natreg.naturality import (
     run_audit,
 )
 from natreg.regression import AlgorithmKind, AlgorithmSpec
+from natreg.report import audit_report_to_json
 
 ALGORITHMS = (
     AlgorithmSpec.ols(),
@@ -285,8 +290,67 @@ def test_run_audit_draws_each_trial_from_one_stream(monkeypatch):
         return generator(self)
 
     monkeypatch.setattr(SeedState, "generator", counted)
+    monkeypatch.setattr(natreg.naturality, "_usable_cpus", lambda: 1)  # the spy sees this process only
     report = run_audit(AuditConfig(trials_per_cell=3))
     assert calls == [trial.seed for trial in report.trials]
+
+
+# six cells, so three workers take two cells each
+_FORKED_CONFIG = AuditConfig(
+    algorithms=(AlgorithmSpec.ridge(0.5),),
+    axes=(Axis.PREDICTOR, Axis.INDEX),
+    categories=(CategoryKind.EUC, CategoryKind.FINVEC_ISO, CategoryKind.FINVEC),
+    trials_per_cell=7,
+    master_seed=19,
+)
+
+
+def _audit_on(monkeypatch, workers: int) -> tuple:
+    """``run_audit(_FORKED_CONFIG)`` on ``workers`` workers: (report, fork_map's results)."""
+    monkeypatch.setattr(natreg.naturality, "_usable_cpus", lambda: workers)
+    results = []
+    real = natreg.naturality.fork_map
+    monkeypatch.setattr(
+        natreg.naturality, "fork_map", lambda *a: results.append(real(*a)) or results[-1]
+    )
+    try:
+        return run_audit(_FORKED_CONFIG), results
+    finally:
+        with pytest.raises(ChildProcessError):  # every forked worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_audit_on_three_workers_matches_one_worker_byte_for_byte(monkeypatch):
+    one, _ = _audit_on(monkeypatch, 1)
+    three, results = _audit_on(monkeypatch, 3)
+    assert [rows.shape for rows in results] == [(6 * 7, 6)]  # no serial fallback
+    assert three.cells == one.cells
+    assert audit_report_to_json(three) == audit_report_to_json(one)
+
+
+def test_run_audit_failed_worker_falls_back_to_one_process(monkeypatch):
+    one, _ = _audit_on(monkeypatch, 1)
+    # the children's sender fails; this process sends nothing
+    monkeypatch.setattr(natreg._forkjoin, "send_rows", lambda values, pipe: 3)
+    three, results = _audit_on(monkeypatch, 3)
+    assert results == [None]
+    assert audit_report_to_json(three) == audit_report_to_json(one)
+
+
+@pytest.mark.parametrize("error", (ContractViolation, RuntimeError))
+def test_run_audit_own_cell_raising_stops_the_other_workers(monkeypatch, error):
+    parent = os.getpid()
+
+    def run_cell(*args):
+        if os.getpid() != parent:
+            time.sleep(120)
+        raise error("this process's cell")
+
+    monkeypatch.setattr(natreg.naturality, "_run_cell", run_cell)
+    begin = time.monotonic()
+    with pytest.raises(error, match="this process's cell"):
+        _audit_on(monkeypatch, 3)
+    assert time.monotonic() - begin < 60
 
 
 def test_shear_counterexample_exact_values():
