@@ -7,7 +7,6 @@ Problem sizes are desk-scale, so plain dense algorithms are used throughout.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -164,6 +163,10 @@ class SeedState:
 
     def generator(self) -> np.random.Generator:
         # blake2b rather than hash(): the latter is salted per process.
+        # hashlib is imported here, its only use, because it loads OpenSSL,
+        # which a fit never needs.
+        import hashlib
+
         key = f"{self.seed}\x1f{self.label}".encode()
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))

@@ -14,6 +14,7 @@ import pytest
 
 import natreg.cli
 import natreg.data
+import natreg.naturality
 from natreg.cli import main
 
 EXACT_CSV = "1,0,1\n0,1,2\n1,1,3\n"
@@ -128,7 +129,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("the work ran before --out was checked")
 
-    monkeypatch.setattr(natreg.cli, "run_audit", never)
+    monkeypatch.setattr(natreg.naturality, "run_audit", never)
     monkeypatch.setattr(natreg.cli, "dataset_from_csv", never)
     data = _write(tmp_path, "d.csv", EXACT_CSV)
     missing = str(tmp_path / "nope" / "out.txt")
@@ -380,16 +381,27 @@ def test_counterexamples_bad_arguments_exit_two(capsys):
     capsys.readouterr()
 
 
-def _python(code: str, **env: str) -> str:
-    """Run ``code`` in a fresh interpreter that finds this natreg, with
-    OPENBLAS_NUM_THREADS unset unless given; returns its stdout."""
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _run_python(args: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that finds this natreg.
+
+    OPENBLAS_NUM_THREADS and PYTHONUNBUFFERED are unset unless given, so
+    the standard streams are buffered as in a shell.
+    """
+    unset = ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")
+    environ = {k: v for k, v in os.environ.items() if k not in unset}
     src = os.path.dirname(os.path.dirname(natreg.cli.__file__))
     environ["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [environ.get("PYTHONPATH")])])
     environ.update(env)
     return subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True
-    ).stdout
+        [sys.executable, *args], env=environ, stdout=stdout, stderr=subprocess.PIPE, text=True
+    )
+
+
+def _python(code: str, **env: str) -> str:
+    """Run ``code`` as :func:`_run_python` does; returns its stdout."""
+    done = _run_python(["-c", code], **env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_import_natreg_imports_no_numpy_until_a_name_is_used():
@@ -410,6 +422,68 @@ def test_cli_pins_openblas_to_one_thread_unless_already_set():
     code = "import os, natreg.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _python(code) == "1\n"
     assert _python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
+_AUDIT_ONLY = ("natreg.naturality", "natreg.morphisms", "natreg.report", "json", "hashlib")
+
+
+def test_fit_loads_no_audit_module(tmp_path):
+    data = _write(tmp_path, "d.csv", EXACT_CSV)
+    out = _python(
+        "import io, sys, contextlib\n"
+        "import natreg.cli\n"
+        f"loaded = lambda: [name for name in {_AUDIT_ONLY!r} if name in sys.modules]\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = natreg.cli.main(['fit', '--data', {data!r}, '--predictors', '2',\n"
+        "                            '--targets', '1', '--algorithm', 'ols'])\n"
+        "print(code, loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = natreg.cli.main(['counterexamples'])\n"
+        "print(code, 'hashlib' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["[]", "0 []", "0 False"]
+
+
+def test_module_exit_codes(tmp_path):
+    fit = ["-m", "natreg.cli", "fit", "--predictors", "2", "--targets", "1", "--algorithm", "ols"]
+    good = _run_python([*fit, "--data", _write(tmp_path, "d.csv", EXACT_CSV)])
+    assert good.returncode == 0
+    np.testing.assert_allclose(_parse_coefficients(good.stdout), [[1.0], [2.0]], rtol=0, atol=1e-12)
+    deficient = _run_python([*fit, "--data", _write(tmp_path, "r.csv", RANK_DEFICIENT_CSV)])
+    assert (deficient.returncode, deficient.stdout) == (1, "")
+    assert "rank 1" in deficient.stderr
+    bad_flag = _run_python(["-m", "natreg.cli", "counterexamples", "--nosuch"])
+    assert (bad_flag.returncode, bad_flag.stdout) == (2, "")
+    assert "unrecognized arguments: --nosuch" in bad_flag.stderr
+
+
+def test_module_audit_output_matches_main(tmp_path, capsys):
+    argv = ["audit", "--axes", "target", "--trials", "3", "--seed", "5", "--format", "json"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    piped = _run_python(["-m", "natreg.cli", *argv])
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, in_process, "")
+    out = tmp_path / "report.json"
+    written = _run_python(["-m", "natreg.cli", *argv, "--out", str(out)])
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == in_process
+
+
+@pytest.mark.parametrize("unbuffered", ("", "1"))
+@pytest.mark.parametrize(
+    "argv",
+    (["counterexamples"], ["audit", "--trials", "2", "--format", "json"]),
+    ids=("small", "large"),
+)
+def test_unwritable_stdout_exits_two(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        done = _run_python(["-m", "natreg.cli", *argv], stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 def test_unknown_command_exits_two(capsys):

@@ -206,9 +206,22 @@ def _parse_file(path, p: int, q: int) -> Dataset:
             os.waitpid(-1, os.WNOHANG)
 
 
+def _written(path, content: str):
+    """``path``, now holding ``content`` in UTF-8 with its line ends as they are.
+
+    The file is overwritten in place and then cut to length.  Emptying it
+    first, as ``write_text`` does, costs about 0.2 ms on an ext4 disk, and
+    the batteries here write thousands of contents.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o644), "wb") as handle:
+        handle.write(content.encode("utf-8"))
+        handle.truncate()
+    return path
+
+
 def _assert_file_matches_its_text(path, content: str, p: int, q: int) -> None:
     """Parsing the open file gives what the record parser gives on its text-mode contents."""
-    path.write_text(content, encoding="utf-8", newline="")
+    _written(path, content)
     text = path.read_text(encoding="utf-8")
     assert _outcome(_parse_file, path, p, q) == _outcome(_reference, text, p, q), (
         repr(content), p, q
@@ -263,15 +276,32 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
+def _fork_map_in_process(fn, items, columns, send=None):
+    """What ``natreg.data.fork_map`` returns, with every item run in this process.
+
+    Each range still goes through ``fn``, the parse's ``_loadtxt_range`` with
+    its p + q check; one failed range fails them all, and a range of only
+    blank lines adds no rows.
+    """
+    parts = [fn(item) for item in items]
+    if any(part is None for part in parts):
+        return None
+    return np.concatenate([part.reshape(-1, columns) for part in parts])
+
+
 @pytest.mark.parametrize("parts", (2, 3))
 def test_csv_split_file_matches_its_text_on_odd_input(csv_path, parts):
-    # the ranges do not depend on (p, q), and a fork costs milliseconds, so
-    # each distinct content is parsed once
+    # this battery tests where the ranges are cut, so its ranges are parsed
+    # in this process; the tests below fork.  The ranges do not depend on
+    # (p, q), so each distinct content is parsed once.
     contents = sorted({content for content, _, _ in _odd_inputs()})
     with pytest.MonkeyPatch.context() as monkeypatch:
         _split_into(monkeypatch, parts)
+        monkeypatch.setattr(natreg.data, "fork_map", _fork_map_in_process)
+        cuts = _spy(monkeypatch, "_ranges")
         for content in contents:
             _assert_file_matches_its_text(csv_path, content, 2, 1)
+    assert max(len(ranges) for _, ranges in cuts) == parts
 
 
 @pytest.mark.parametrize("parts", (2, 3))
@@ -384,11 +414,6 @@ def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
         _parse_file(_written(csv_path, content), 1, 1)
     assert excinfo.value.record == 35
     assert len(calls) == 1
-
-
-def _written(path, content: str):
-    path.write_text(content, encoding="utf-8", newline="")
-    return path
 
 
 def _short_payload(pread, start, end, columns, pipe):
