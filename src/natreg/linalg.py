@@ -29,62 +29,26 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def solve_spd_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``a[i] @ f[i] = b[i]`` for a stack of symmetric matrices ``a[i]``.
-
-    Returns ``(f, definite)``.  ``definite[i]`` is False where a Cholesky
-    factorization of ``a[i]`` meets a non-positive pivot; ``f[i]`` is NaN
-    there.  Every other member is solved by LU on ``a[i]`` itself, so its
-    bits equal those of solving that system alone.  An asymmetric member is
-    rejected.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        raise ContractViolation(f"a must be a stack of square matrices, got shape {a.shape}")
-    if b.ndim != 3 or b.shape[:2] != a.shape[:2] or b.shape[2] < 1:
-        raise ContractViolation(f"b has shape {b.shape}, expected {a.shape[:2]} + (m,)")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ContractViolation("a or b contains non-finite entries")
-    asym = np.linalg.norm(a - a.transpose(0, 2, 1), axis=(1, 2))
-    asymmetric = np.flatnonzero(asym > 1e-12 * np.linalg.norm(a, axis=(1, 2)))
-    if asymmetric.size:
-        i = int(asymmetric[0])
-        raise ContractViolation(f"a[{i}] is not symmetric (asymmetry {asym[i]:.3e})")
-    try:
-        np.linalg.cholesky(a)
-        definite = np.ones(a.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        definite = np.array([_cholesky_succeeds(member) for member in a], dtype=bool)
-    f = np.full(b.shape, np.nan)
-    if definite.any():
-        # LU on ``a`` itself rather than triangular solves with the factor:
-        # the ridge scaling witness then keeps the bits the CLI tests pin.
-        f[definite] = np.linalg.solve(a[definite], b[definite])
-    return f, definite
-
-
-def _cholesky_succeeds(a: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
+# Kept only because benchmarks/trace_child.py binds it by name; it goes when
+# the trace is rewired (ROADMAP item 6).
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ f = b`` for symmetric positive definite ``a``.
 
-    The single-system form of :func:`solve_spd_stack`: asymmetric input is
-    rejected, and a matrix that is not positive definite raises
-    :class:`NotPositiveDefinite` rather than returning garbage.
+    Asymmetric input is rejected, and a matrix that is not positive definite
+    raises :class:`NotPositiveDefinite` rather than returning garbage.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    f, definite = solve_spd_stack(a[None], b[None])
-    if not definite[0]:
-        raise NotPositiveDefinite(f"matrix of size {a.shape[0]} is not positive definite")
-    return f[0]
+    if a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0]:
+        raise ContractViolation(f"a is {a.shape} and b is {b.shape}; need a square a of b's rows")
+    asymmetry = np.linalg.norm(a - a.T)
+    if asymmetry > 1e-12 * np.linalg.norm(a):
+        raise ContractViolation(f"a is not symmetric (asymmetry {asymmetry:.3e})")
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"matrix of size {a.shape[0]} is not positive definite") from None
+    return np.linalg.solve(a, b)
 
 
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

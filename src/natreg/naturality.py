@@ -296,21 +296,25 @@ def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarra
     return rel_distance(refitted, fitted)
 
 
+# the columns of a cell's rows, one row per trial
+_TRIAL_FIELDS = ("residual", "tolerance", "p", "q", "n_examples", "morphism_dim")
+
+
 def _run_cell(
     spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig
-) -> CellSummary:
-    """All trials of one cell: sample them as arrays, then fit and check them.
+) -> np.ndarray:
+    """All trials of one cell, as float64 rows of :data:`_TRIAL_FIELDS`:
+    sample them as arrays, then fit and check them.
 
     The numbers equal those of ``_CHECKERS[axis]`` run on each trial's
-    dataset and morphism; a fit that leaves its domain (a rank-deficient OLS
-    or a ridge system that is not positive definite) makes the diagram
-    undefined, which counts as a residual of ``inf``.
+    dataset and morphism; a fit that leaves its domain (a rank-deficient
+    OLS) makes the diagram undefined, which counts as a residual of ``inf``.
     """
-    seeds = [seed.derive(i) for i in range(config.trials_per_cell)]
-    sampled = []
+    rows = np.empty((config.trials_per_cell, len(_TRIAL_FIELDS)))
+    maps = []
     systems = []
-    for trial_seed in seeds:
-        x, y, m, kappa = draw_trial(axis, category, config, trial_seed)
+    for i, row in enumerate(rows):
+        x, y, m, kappa = draw_trial(axis, category, config, seed.derive(i))
         x2, y2 = _transform(axis, x, y, m)
         if not (np.isfinite(x2).all() and np.isfinite(y2).all()):
             raise ContractViolation("transformed data contains non-finite entries")
@@ -319,29 +323,15 @@ def _run_cell(
             # Ill-conditioned invertible maps amplify roundoff; scale the pass
             # line by the condition number instead of loosening it globally.
             tolerance *= kappa
-        sampled.append((x.shape, y.shape[1], m, tolerance))
+        morphism_dim = m.shape[0 if axis is Axis.INDEX else 1]
+        row[1:] = (tolerance, x.shape[1], y.shape[1], x.shape[0], morphism_dim)
+        maps.append(m)
         systems += [(x, y), (x2, y2)]
     coefs = fit_systems(spec, systems)
-    trials = []
-    for trial_seed, (shape, q, m, tolerance), fitted, refitted in zip(
-        seeds, sampled, coefs[0::2], coefs[1::2]
-    ):
-        if fitted is None or refitted is None:
-            residual = math.inf
-        else:
-            residual = _residual(axis, fitted, refitted, m)
-        trials.append(
-            DiagramTrial(
-                p=shape[1],
-                q=q,
-                n_examples=shape[0],
-                morphism_dim=m.shape[0 if axis is Axis.INDEX else 1],
-                seed=trial_seed,
-                residual=residual,
-                tolerance=tolerance,
-            )
-        )
-    return CellSummary(spec, axis, category, tuple(trials))
+    for row, m, fitted, refitted in zip(rows, maps, coefs[0::2], coefs[1::2]):
+        undefined = fitted is None or refitted is None
+        row[0] = math.inf if undefined else _residual(axis, fitted, refitted, m)
+    return rows
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
@@ -351,9 +341,9 @@ def run_audit(config: AuditConfig) -> AuditReport:
     the master seed and the cell labels, never from execution order.  The
     cells are dealt round-robin to one worker per usable CPU (at most one per
     cell); this process is the first worker and forked children are the
-    others, each sending its trials back as rows of :data:`_TRIAL_FIELDS`.
-    With one worker, or when any worker fails, every cell is run here one at
-    a time, so an error is raised from the first failing cell in config order.
+    others, each sending its cells' rows back.  With one worker, or when any
+    worker fails, every cell is run here one at a time, so an error is raised
+    from the first failing cell in config order.
     """
     from . import __version__
 
@@ -366,43 +356,32 @@ def run_audit(config: AuditConfig) -> AuditReport:
     ]
     workers = min(_usable_cpus(), len(cells))
     shares = [range(w, len(cells), workers) for w in range(workers)]  # cell indices
+    order = [i for share in shares for i in share]  # the cell of each block of rows
     rows = None
     if workers > 1:
         rows = fork_map(
             lambda share: _trial_rows([cells[i] for i in share], config), shares, len(_TRIAL_FIELDS)
         )
     if rows is None:
-        summaries = [_run_cell(*cell, config) for cell in cells]
-    else:
-        blocks = rows.reshape(len(cells), config.trials_per_cell, len(_TRIAL_FIELDS))
-        in_config_order = blocks[np.argsort([i for share in shares for i in share])]
-        summaries = [_summary_from_rows(*cell, block) for cell, block in zip(cells, in_config_order)]
+        order = range(len(cells))
+        rows = np.concatenate([_run_cell(*cell, config) for cell in cells])
+    blocks = rows.reshape(len(cells), config.trials_per_cell, len(_TRIAL_FIELDS))[np.argsort(order)]
+    summaries = [_summary_from_rows(*cell, block) for cell, block in zip(cells, blocks)]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
 
 
-# the columns of a worker's rows, one row per trial
-_TRIAL_FIELDS = ("residual", "tolerance", "p", "q", "n_examples", "morphism_dim")
-
-
 def _trial_rows(cells: list[tuple], config: AuditConfig) -> np.ndarray | None:
-    """The trials of ``cells``, in order, as float64 rows of :data:`_TRIAL_FIELDS`.
-
-    None when a cell raises one of this package's errors.
-    """
+    """The rows of ``cells``, in order; None when a cell raises one of this package's errors."""
     try:
-        summaries = [_run_cell(*cell, config) for cell in cells]
+        return np.concatenate([_run_cell(*cell, config) for cell in cells])
     except NatregError:
         return None
-    return np.array(
-        [[getattr(t, field) for field in _TRIAL_FIELDS] for s in summaries for t in s.trials],
-        dtype=np.float64,
-    )
 
 
 def _summary_from_rows(
     spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, rows: np.ndarray
 ) -> CellSummary:
-    """The cell whose trials :func:`_trial_rows` sent as ``rows``."""
+    """The cell whose trials :func:`_run_cell` returned as ``rows``."""
     trials = tuple(
         DiagramTrial(
             p=int(p),
@@ -492,6 +471,12 @@ class ScalingCounterexample:
         return self.residual > COUNTEREXAMPLE_THRESHOLD
 
 
+def _one_example_ridge(b: float, lam: float) -> float:
+    """b / (b^2 + lam), the penalized fit to the one example (x = b, y = 1),
+    written as 1 / (b + lam / b) so that b^2 cannot overflow."""
+    return 0.0 if b == 0.0 else 1.0 / (b + lam / b)
+
+
 def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCounterexample:
     """Exact witness that the penalized fit is not scaling-equivariant."""
     if not math.isfinite(b):
@@ -509,8 +494,8 @@ def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCount
         lam=lam,
         fit=float(fitted),
         fit_transformed=float(refitted),
-        fit_closed_form=b / (b * b + lam),
-        fit_transformed_closed_form=b * c / (b * b * c * c + lam),
+        fit_closed_form=_one_example_ridge(b, lam),
+        fit_transformed_closed_form=_one_example_ridge(b * c, lam),
         expected_if_natural=float(fitted) / c,
         residual=abs(float(refitted) - float(fitted) / c),
         pulled_back_residual=abs(c * float(refitted) - float(fitted)),

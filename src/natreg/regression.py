@@ -1,9 +1,11 @@
 """Linear regression fits from their closed forms, plus an iterative oracle.
 
 All fits map a dataset to the coefficient matrix of a linear predictor
-``x_new @ coef``.  The gradient-descent oracle exists so the closed forms can
-be cross-checked by an independent route; it must never be replaced by a call
-to the closed forms themselves.
+``x_new @ coef``, each from one factorization of ``x``: OLS and minimum-norm
+OLS from one SVD-based least-squares solve, ridge from one thin SVD, so
+every fit is accurate to about kappa(x) * eps.  The gradient-descent oracle
+exists so the closed forms can be cross-checked by an independent route; it
+must never be replaced by a call to the closed forms themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     OracleDiverged,
     RankDeficient,
 )
-from .linalg import EPS, as_matrix, solve_spd, solve_spd_stack
+from .linalg import EPS, as_matrix
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,18 @@ def _lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     return coef, int(rank)
 
 
-def _ridge_system(x: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The penalized normal equations (x'x + lam I, x'y) of a ridge fit."""
-    return x.T @ x + float(lam) * np.eye(x.shape[1]), x.T @ y
+def _ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Ridge coefficients V diag(s / (s^2 + lam)) U' y from one thin SVD of ``x``.
+
+    The gain is written 1 / (s + lam / s), which neither overflows for huge
+    singular values (s^2 would, above about 1e154) nor divides by zero: where
+    s is 0, or so small that lam / s overflows, it is 0.  So the error grows
+    like kappa(x) * eps, and the gain is finite for every positive ``lam``.
+    """
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = 1.0 / (s + lam / s)
+    return vt.T @ (gain[:, None] * (u.T @ y))
 
 
 def ols_fit(d: Dataset) -> LinearModel:
@@ -167,9 +178,9 @@ def ols_fit(d: Dataset) -> LinearModel:
 
 
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
-    """Penalized fit solving (x'x + lam I) coef = x'y; needs lam > 0 only."""
+    """Penalized fit from one thin SVD of ``x`` (see :func:`_ridge`); needs lam > 0 only."""
     _check_lambda(lam)
-    return LinearModel(solve_spd(*_ridge_system(d.x, d.y, lam)))
+    return LinearModel(_ridge(d.x, d.y, float(lam)))
 
 
 def min_norm_ols_fit(d: Dataset) -> LinearModel:
@@ -184,26 +195,18 @@ def fit_systems(
 
     The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
     without building a :class:`Dataset` or :class:`LinearModel` per pair.
-    An entry is None where the pair leaves the fit's domain: ``x`` is
-    rank-deficient for OLS, or the ridge system is not positive definite.
-    Ridge systems of equal shape are solved as one stack.
+    An entry is None where the pair leaves the fit's domain, which only a
+    rank-deficient ``x`` does, and only for OLS.
     """
-    coefs: list[np.ndarray | None] = [None] * len(systems)
-    if spec.kind is AlgorithmKind.RIDGE:
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, (x, y) in enumerate(systems):
-            groups.setdefault((x.shape[1], y.shape[1]), []).append(i)
-        for members in groups.values():
-            grams, rhs = zip(*(_ridge_system(*systems[i], spec.lam) for i in members))
-            solved, definite = solve_spd_stack(np.stack(grams), np.stack(rhs))
-            for i, coef, ok in zip(members, solved, definite):
-                if ok:
-                    coefs[i] = coef
-    else:
-        for i, (x, y) in enumerate(systems):
+    coefs: list[np.ndarray | None] = []
+    for x, y in systems:
+        if spec.kind is AlgorithmKind.RIDGE:
+            coef = _ridge(x, y, spec.lam)
+        else:
             coef, rank = _lstsq(x, y)
-            if spec.kind is AlgorithmKind.MIN_NORM_OLS or rank == x.shape[1]:
-                coefs[i] = coef
+            if spec.kind is AlgorithmKind.OLS and rank < x.shape[1]:
+                coef = None
+        coefs.append(coef)
     if not all(np.isfinite(coef).all() for coef in coefs if coef is not None):
         raise ContractViolation("coef contains non-finite entries")
     return coefs

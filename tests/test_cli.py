@@ -62,6 +62,19 @@ def test_fit_ridge_output_round_trips_at_full_precision(tmp_path, capsys):
     assert "ridge objective = " in captured.err
 
 
+def test_fit_ridge_at_extreme_scale_prints_the_exact_fit(tmp_path, capsys):
+    # x'x = 1e400 overflows; the fit is 1 / (b + lambda / b) = 1e-200
+    data = _write(tmp_path, "d.csv", "1e200,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
+                     "--algorithm", "ridge", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert _parse_coefficients(captured.out)[0, 0] == 1e-200
+    assert captured.err == "sse = 0\nridge objective = 0\n"
+
+
 def test_fit_writes_to_file_with_out_flag(tmp_path, capsys):
     data = _write(tmp_path, "d.csv", EXACT_CSV)
     out = tmp_path / "coef.csv"
@@ -443,6 +456,27 @@ def test_fit_loads_no_audit_module(tmp_path):
         "print(code, 'hashlib' in sys.modules)\n"
     )
     assert out.splitlines() == ["[]", "0 []", "0 False"]
+
+
+def test_benchmark_trace_installs_and_its_calls_succeed(tmp_path):
+    # benchmarks/trace_child.py rebinds natreg names it looks up by name and
+    # raises on the first one that is gone; its traced main must still work
+    data = _write(tmp_path, "d.csv", "2,1\n1,3\n")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(natreg.cli.__file__)))
+    benchmarks = os.path.join(root, "benchmarks")
+    out = _python(
+        "import io, sys, contextlib\n"
+        f"sys.path.insert(0, {benchmarks!r})\n"
+        "import trace_child, tracer\n"
+        "main = trace_child.install(tracer.Tracer())\n"
+        "for argv in (['counterexamples'], ['audit', '--trials', '2'],\n"
+        f"             ['fit', '--data', {data!r}, '--predictors', '1', '--targets', '1',\n"
+        "              '--algorithm', 'ridge', '--lambda', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code)\n"
+    )
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_module_exit_codes(tmp_path):

@@ -20,7 +20,6 @@ from natreg.linalg import (
     qr_thin,
     rel_distance,
     solve_spd,
-    solve_spd_stack,
 )
 
 
@@ -71,62 +70,6 @@ def test_solve_spd_backward_error_under_conditioned_fixtures():
         b = sample_gaussian(n, int(gen.integers(1, 4)), seed.derive("b"))
         f = solve_spd(a, b)
         assert np.linalg.norm(a @ f - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_solve_spd_stack_flags_only_the_indefinite_member():
-    gen = SeedState(5, "stack").generator()
-    members = []
-    for _ in range(4):
-        r = gen.standard_normal((3, 3))
-        members.append(r @ r.T + np.eye(3))
-    members[2] = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
-    b = gen.standard_normal((4, 3, 2))
-    f, definite = solve_spd_stack(np.stack(members), b)
-    assert definite.tolist() == [True, True, False, True]
-    assert np.isnan(f[2]).all()
-    for i in (0, 1, 3):
-        assert np.array_equal(f[i], np.linalg.solve(members[i], b[i]))
-
-
-def test_solve_spd_stack_equals_single_solves_bit_for_bit():
-    # the audit stacks every ridge system of a shape; each member must get
-    # the bits a solve of that system alone gives, at every audited size
-    gen = SeedState(6, "stack-bits").generator()
-    for n in range(1, 9):
-        for q in range(1, 9):
-            x = gen.standard_normal((5, 12, n))
-            a = x.transpose(0, 2, 1) @ x + np.eye(n)
-            b = gen.standard_normal((5, n, q))
-            f, definite = solve_spd_stack(a, b)
-            assert definite.all()
-            for i in range(5):
-                assert np.array_equal(f[i], np.linalg.solve(a[i], b[i]))
-
-
-def test_solve_spd_stack_rejects_an_asymmetric_member():
-    a = np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
-    with pytest.raises(ContractViolation):
-        solve_spd_stack(a, np.ones((2, 2, 1)))
-    with pytest.raises(ContractViolation):
-        solve_spd_stack(np.eye(2), np.ones((2, 1)))
-
-
-def test_ridge_fit_raises_not_positive_definite_through_the_stack_kernel(monkeypatch):
-    import natreg.linalg as linalg
-    from natreg.data import Dataset
-    from natreg.regression import ridge_fit
-
-    stacks = []
-
-    def spy(a, b):
-        stacks.append(np.shape(a))
-        return solve_spd_stack(a, b)
-
-    monkeypatch.setattr(linalg, "solve_spd_stack", spy)
-    # x'x + lam I = [[1, 1], [1, 1]] + 1e-300 I: the second pivot is exactly 0
-    with pytest.raises(NotPositiveDefinite):
-        ridge_fit(Dataset([[1.0, 1.0]], [[1.0]]), 1e-300)
-    assert stacks == [(1, 2, 2)]
 
 
 def test_qr_thin_known_factorization():

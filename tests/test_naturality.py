@@ -16,7 +16,6 @@ from natreg.errors import (
     ConfigError,
     ContractViolation,
     InvalidHyperparameter,
-    NotPositiveDefinite,
     RankDeficient,
 )
 from natreg.linalg import SeedState, condition_estimate
@@ -265,7 +264,7 @@ def test_engine_matches_the_scalar_checkers_trial_by_trial():
             morphism = Morphism(cell.category, cell.axis, m)
             try:
                 expected = _CHECKERS[cell.axis](cell.spec, d, morphism)
-            except (RankDeficient, NotPositiveDefinite):
+            except RankDeficient:
                 expected = math.inf
                 domain_exits += 1
             assert trial.residual == expected
@@ -400,6 +399,18 @@ def test_scaling_counterexample_matches_closed_forms_generally():
         assert abs(
             result.fit_transformed - b * c / (b * b * c * c + lam)
         ) <= 1e-12
+
+
+def test_scaling_counterexample_closed_forms_hold_at_extreme_scale():
+    # b^2 overflows at b = 1e200; the fit and both closed forms stay exact
+    result = counterexample_ridge_scaling(1e200, 2.0, 1.0)
+    assert result.fit == result.fit_closed_form == 1e-200
+    assert result.fit_transformed == result.fit_transformed_closed_form == 5e-201
+    assert result.residual == 0.0
+    assert not result.violation_exhibited
+    result = counterexample_ridge_scaling(0.0, 2.0, 1.0)
+    assert result.fit == result.fit_closed_form == 0.0
+    assert result.fit_transformed == result.fit_transformed_closed_form == 0.0
 
 
 def test_scaling_counterexample_vanishes_without_penalty():

@@ -117,6 +117,36 @@ def test_ols_and_min_norm_accuracy_tracks_conditioning(kappa):
         assert err <= bound, (fit.__name__, err, bound)
 
 
+def test_ridge_accuracy_tracks_conditioning_on_a_scaled_ladder():
+    # x = U diag(s) V' with s from 1e6 down to 0.1 (kappa = 1e7) and lambda = 1.
+    # Solving x'x + lambda I loses accuracy like s_max^2 * eps / lambda (about
+    # 1e-4 here); the thin SVD stays within a small multiple of kappa * eps.
+    gen = SeedState(7, "ridge-ladder").generator()
+    n, p, kappa, lam = 2000, 6, 1e7, 1.0
+    u, _ = np.linalg.qr(gen.standard_normal((n, p)))
+    v, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    s = 1e6 * np.logspace(0.0, -math.log10(kappa), p)
+    x = (u * s) @ v.T
+    y = gen.standard_normal((n, 2))
+    exact = v @ ((s / (s * s + lam))[:, None] * (u.T @ y))
+    err = np.linalg.norm(ridge_fit(Dataset(x, y), lam).coef - exact) / np.linalg.norm(exact)
+    assert err <= 10.0 * kappa * np.finfo(np.float64).eps
+
+
+def test_ridge_is_finite_where_its_normal_equations_are_singular():
+    # x'x + lambda I rounds to the singular [[1, 1], [1, 1]] (or twice that);
+    # the SVD route still returns the closed form V diag(s / (s^2 + lambda)) U'y
+    lam = 1e-300
+    coef = ridge_fit(Dataset([[1.0, 1.0]], [[1.0]]), lam).coef
+    np.testing.assert_allclose(coef, [[0.5], [0.5]], rtol=1e-15, atol=0)
+    x = np.array([[1.0, 1.0], [1.0, 1.0]])
+    y = np.array([[1.0], [2.0]])
+    coef = ridge_fit(Dataset(x, y), lam).coef
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    assert np.isfinite(coef).all()
+    np.testing.assert_allclose(coef, vt.T @ ((s / (s * s + lam))[:, None] * (u.T @ y)), rtol=1e-12)
+
+
 def test_ridge_known_values():
     np.testing.assert_allclose(
         ridge_fit(Dataset([[1.0]], [[1.0]]), 1.0).coef, [[0.5]], rtol=0, atol=1e-15
