@@ -21,32 +21,24 @@ def usable_cpus() -> int:
 
 
 def fork_map(
-    fn: Callable[[Item], np.ndarray | None],
-    items: Sequence[Item],
-    columns: int,
-    send: Callable[[Item, int], int] | None = None,
+    fn: Callable[[Item], np.ndarray | None], items: Sequence[Item], columns: int
 ) -> np.ndarray | None:
     """The rows of ``fn(item)`` for every item (at least one), in order, or
     None if any item fails.
 
     ``fn`` returns a float64 array with ``columns`` columns, or None when its
     item fails.  This process runs the first item; a forked child runs each
-    other one and sends its rows back through a pipe, and they are read
-    straight into one array.  An item also fails when its child exits
-    nonzero or sends too few rows, and every item fails when a pipe or a
-    process cannot be had, as where ``os.fork`` is missing.  An exception of
-    the first item propagates.  Every child is reaped before this returns or
-    raises, and killed first when its rows are not needed.
-
-    ``send(item, pipe)`` is a child's whole work and returns its exit code;
-    by default it is ``send_rows(fn(item), pipe)``.
+    other one and hands its rows to :func:`send_rows`.  An item also fails
+    when its child exits nonzero or sends too few rows, and every item fails
+    when a pipe or a process cannot be had.  An exception of the first item
+    propagates.  Every child is reaped before this returns or raises, and
+    killed first when its rows are not needed.
     """
-    child = send or (lambda item, pipe: send_rows(fn(item), pipe))
     children: list[tuple[int, int]] = []
     values = None
     try:
         for item in items[1:]:
-            children.append(_fork(child, item))
+            children.append(_fork(fn, item))
         values = _gather(fn(items[0]), children, columns)
     except OSError:
         values = None  # no pipe or process to spare
@@ -72,8 +64,8 @@ def send_rows(values: np.ndarray | None, pipe: int) -> int:
     return 0
 
 
-def _fork(send: Callable[[Item, int], int], item: Item) -> tuple[int, int]:
-    """Fork a child that runs ``send(item, pipe)``: (pid, the pipe's read end)."""
+def _fork(fn: Callable[[Item], np.ndarray | None], item: Item) -> tuple[int, int]:
+    """Fork a child that sends ``fn(item)`` down a pipe: (pid, the pipe's read end)."""
     if not hasattr(os, "fork"):
         raise OSError(errno.ENOSYS, "os.fork is not available")
     read_end, write_end = os.pipe()
@@ -87,7 +79,7 @@ def _fork(send: Callable[[Item, int], int], item: Item) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_end)
-            code = send(item, write_end)
+            code = send_rows(fn(item), write_end)
         finally:
             os._exit(code)
     os.close(write_end)

@@ -12,7 +12,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._forkjoin import fork_map, send_rows
+from ._forkjoin import fork_map
 from ._forkjoin import usable_cpus as _usable_cpus
 from .errors import ContractViolation, EmptyDataset, ParseError
 from .linalg import SeedState, as_matrix
@@ -58,29 +58,23 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     """Parse comma-separated records with p predictor then q target fields.
 
     ``content`` is the text itself, or a file opened for reading as text with
-    ``encoding="utf-8"``.  A single leading header record is skipped when its
-    first field is not numeric.  Blank lines are ignored.  Any other
-    malformed record raises :class:`ParseError` carrying the 1-based record
-    number.
+    ``encoding="utf-8"``.  A record ends at ``\\n``, ``\\r\\n`` or ``\\r``, and
+    only there.  A leading UTF-8 byte order mark is skipped.  A single
+    leading header record is skipped when its first field is not numeric.
+    Blank lines are ignored.  Any other malformed record raises
+    :class:`ParseError` carrying the 1-based record number.
 
-    Every input takes one route, over its UTF-8 bytes: a file that can be
-    seeked is read whole through its descriptor with ``os.pread``, wherever
-    its position stands; a pipe is read once as bytes, from where its buffer
-    stands; and text is encoded.  A scan finds the first data record, and
-    the bytes from there are parsed by ``np.loadtxt`` in byte ranges that
-    each end at a line end: one range per usable CPU, each range after the
-    first in a forked process, once the data fills two ranges of
-    ``MIN_PART_BYTES``.  Each range checks that its rows have p + q columns.
-    This route builds no list of lines and never holds a file's text.
-    Whatever it does not parse goes once to :func:`_parse_records`, which
-    alone raises the parse errors: input where the scan finds no data
-    record, a character at which ``str.splitlines`` ends a line and numpy's
-    reader does not, or bytes that are not UTF-8; a range numpy rejects
-    (including text that ``float`` accepts and numpy does not, such as
-    ``1_0``) or whose rows have other than p + q columns; a child, pipe or
-    fork that fails; and ranges that hold no row.  It parses the ``str``
-    itself, or a strict decode of all the input's bytes, whose error names
-    its offset from the start of the input.
+    Every input is read as UTF-8 bytes: a seekable file whole through its
+    descriptor, a pipe once from where its buffer stands, and text encoded.
+    ``np.loadtxt`` parses the bytes from the first data record on, in
+    line-aligned ranges checked for p + q columns; once the data fills two
+    ranges of ``MIN_PART_BYTES``, there is one range per usable CPU, each
+    after the first in a forked process.  Whatever that does not parse
+    (no data record, a range numpy rejects or whose rows have other than
+    p + q columns, bytes that are not UTF-8, a failed child, pipe or fork, or
+    no rows at all) goes once to :func:`_parse_records`, which alone raises
+    the parse errors.  It parses the ``str`` itself, or a strict decode of
+    the input's bytes, whose error names its offset in the input.
     """
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
@@ -120,8 +114,8 @@ def _loadtxt_input(pread: _Pread, size: int, columns: int) -> np.ndarray | None:
 
     Those bytes are cut into line-aligned ranges, one per usable CPU and each
     at least ``MIN_PART_BYTES`` long; ranges after the first are parsed by
-    forked children.  None when the scan or any range fails: see
-    :func:`dataset_from_csv`.
+    forked children by :func:`~natreg._forkjoin.fork_map`.  None when the
+    scan or any range fails: see :func:`dataset_from_csv`.
     """
     try:
         data_start = _data_start(_text(pread, 0, size, newline=""))
@@ -129,7 +123,14 @@ def _loadtxt_input(pread: _Pread, size: int, columns: int) -> np.ndarray | None:
         return None  # the fallback's strict decode names the offset
     if data_start is None:
         return None
-    return _loadtxt_forked(pread, _ranges(pread, data_start, size), columns)
+    with warnings.catch_warnings():
+        # a range may hold only blank lines; the scan saw a data record
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return fork_map(
+            lambda span: _loadtxt_range(pread, *span, columns),
+            _ranges(pread, data_start, size),
+            columns,
+        )
 
 
 # A fork and reap of a natreg process costs about 4 ms on a 2-vCPU Xeon, and
@@ -210,55 +211,26 @@ def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndar
     return None if len(values) and values.shape[1] != columns else values
 
 
-def _loadtxt_forked(pread: _Pread, ranges: list[tuple[int, int]], columns: int) -> np.ndarray | None:
-    """The rows of every range in order, or None if any range fails.
-
-    :func:`~natreg._forkjoin.fork_map` over the ranges: the first range is
-    parsed here, each other one by a forked child that runs :func:`_send_part`.
-    """
-    with warnings.catch_warnings():
-        # a range may hold only blank lines; the scan saw a data record
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return fork_map(
-            lambda span: _loadtxt_range(pread, *span, columns),
-            ranges,
-            columns,
-            send=lambda span, pipe: _send_part(pread, *span, columns, pipe),
-        )
-
-
-def _send_part(pread: _Pread, start: int, end: int, columns: int, pipe: int) -> int:
-    """A child's work: send the rows of ``[start, end)`` down ``pipe``; its exit code."""
-    return send_rows(_loadtxt_range(pread, start, end, columns), pipe)
-
-
-# str.splitlines ends a line at each of these; numpy's file reader does not
-_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_SCAN_CHARS = 1 << 20
+# the byte order mark some editors write first, as U+FEFF
+_BOM = "\ufeff"
 
 
 def _data_start(stream: TextIO) -> int | None:
-    """The byte offset of the first data record.
+    """The byte offset of the first data record, past a leading UTF-8 BOM.
 
     ``stream`` reads the text with ``newline=""``, so each line keeps its own
     line end and the offset counts bytes.  None when the text holds no data
-    record or any character of ``_SPLITLINES_ONLY``.  Reads to the end of
-    the text: line by line up to the first data record, then in chunks of
-    ``_SCAN_CHARS`` characters.
+    record.  Reads line by line and stops at the first data record.
     """
     header, data_start = False, 0
-    while True:
-        line = stream.readline()
-        if not line or any(c in line for c in _SPLITLINES_ONLY):
-            return None
+    for line in stream:
+        if not data_start and line.startswith(_BOM):  # the first line alone
+            line, data_start = line[1:], len(_BOM.encode())
         if line.strip() and (header or _is_number(line.split(",", 1)[0])):
-            break  # the first data record
+            return data_start
         data_start += len(line.encode())
         header = header or bool(line.strip())
-    while chunk := stream.read(_SCAN_CHARS):
-        if any(c in chunk for c in _SPLITLINES_ONLY):
-            return None
-    return data_start
+    return None
 
 
 def _is_number(field: str) -> bool:
@@ -271,7 +243,8 @@ def _is_number(field: str) -> bool:
 
 def _parse_records(content: str, p: int, q: int) -> np.ndarray:
     """The values of :func:`dataset_from_csv`, parsed one record at a time."""
-    records = [line for line in content.splitlines() if line.strip()]
+    lines = content.removeprefix(_BOM).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    records = [line for line in lines if line.strip()]
     rows: list[list[float]] = []
     for number, line in enumerate(records, start=1):
         fields = line.split(",")

@@ -201,11 +201,19 @@ def test_fit_malformed_csv_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "record 2" in captured.err
-    # str.splitlines ends a record at the form feed; numpy's file reader would not
+    # a record ends only at "\n", "\r\n" or "\r": the form feed is inside one
+    # field, which float reads as 1
+    args = ["--predictors", "2", "--targets", "1", "--algorithm", "ols"]
+    assert main(["fit", "--data", _write(tmp_path, "d.csv", "x1,x2,y\n" + EXACT_CSV), *args]) == 0
+    expected = capsys.readouterr()
     data = _write(tmp_path, "ff.csv", "x1,x2,y\n1,0,1\n0,1\x0c,2\n1,1,3\n")
-    assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
+    assert main(["fit", "--data", data, *args]) == 0
+    assert capsys.readouterr() == expected
+    path = tmp_path / "ls.csv"
+    path.write_text("x,y\n1,2\u20283,4\n", encoding="utf-8")
+    assert main(["fit", "--data", str(path), "--predictors", "1", "--targets", "1",
                  "--algorithm", "ols"]) == 2
-    assert capsys.readouterr().err == "error: record 3: expected 3 fields, got 2\n"
+    assert capsys.readouterr().err == "error: record 2: expected 2 fields, got 3\n"
 
 
 def test_fit_empty_csv_exits_two(tmp_path, capsys):
@@ -250,7 +258,7 @@ def test_fit_reads_data_from_a_pipe(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source", ("file", "pipe"))
-def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, source):
+def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch, source):
     if source == "pipe" and not os.path.isdir("/dev/fd"):
         pytest.skip("needs /dev/fd")
     raw = ("x,y\n" + "1,2\n" * 5000).encode() + b"\xff,3\n"
@@ -258,13 +266,28 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, source):
     path.write_bytes(raw)
     with pytest.raises(UnicodeDecodeError) as whole:
         raw.decode("utf-8")
-    opened = contextlib.nullcontext(str(path)) if source == "file" else _piped(raw)
-    with opened as data:
-        assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
-                     "--algorithm", "ols"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: --data {data!r} is not UTF-8 text: {whole.value}\n"
-    assert "position 20004" in err
+
+    def fit_fails_at_the_byte():
+        opened = contextlib.nullcontext(str(path)) if source == "file" else _piped(raw)
+        with opened as data:
+            assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
+                         "--algorithm", "ols"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --data {data!r} is not UTF-8 text: {whole.value}\n"
+        assert "position 20004" in err
+
+    fit_fails_at_the_byte()
+    # the scan stops at the first data record; the byte lies in the last,
+    # forked range, whose failed decode sends the parse to the fallback
+    forked = _force_three_ranges(monkeypatch)
+    cuts = []
+    real_ranges = natreg.data._ranges
+    monkeypatch.setattr(
+        natreg.data, "_ranges", lambda *a: cuts.append(real_ranges(*a)) or cuts[-1]
+    )
+    fit_fails_at_the_byte()
+    assert forked == [None]
+    assert len(cuts[0]) == 3 and cuts[0][-1][0] <= raw.index(b"\xff")
 
 
 def _force_three_ranges(monkeypatch) -> list:
@@ -272,9 +295,9 @@ def _force_three_ranges(monkeypatch) -> list:
     monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
     forked = []
-    real = natreg.data._loadtxt_forked
+    real = natreg.data.fork_map
     monkeypatch.setattr(
-        natreg.data, "_loadtxt_forked", lambda *a: forked.append(real(*a)) or forked[-1]
+        natreg.data, "fork_map", lambda *a: forked.append(real(*a)) or forked[-1]
     )
     return forked
 

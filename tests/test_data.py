@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import natreg._forkjoin
 import natreg.data
-from natreg.data import Dataset, _parse_records, _send_part, dataset_from_csv, synth_dataset
+from natreg.data import Dataset, _parse_records, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, EmptyDataset, NatregError, ParseError
 from natreg.linalg import SeedState, numerical_rank
 
@@ -276,7 +277,7 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
-def _fork_map_in_process(fn, items, columns, send=None):
+def _fork_map_in_process(fn, items, columns):
     """What ``natreg.data.fork_map`` returns, with every item run in this process.
 
     Each range still goes through ``fn``, the parse's ``_loadtxt_range`` with
@@ -322,9 +323,45 @@ def test_csv_split_text_matches_record_parser_on_any_text(content, p, q):
         _assert_same_outcome(content, p, q)
 
 
+def test_csv_lone_surrogate_after_the_first_record_gives_the_record_parser_outcome(monkeypatch):
+    # the scan stops at the first data record and decodes no further than
+    # its next chunk, so the range that holds a surrogate this far on fails
+    # its strict decode, in this process or a forked one
+    rows = "3,4\n" * 5000
+    for parts in (1, 2):
+        _split_into(monkeypatch, parts)
+        for content in ("1,2\n" + rows + "3,\ud800\n5,6\n", "x,y\n1,2\n" + rows + "\ud800\n",
+                        "1,2\n" + rows + "5,6\ud800"):
+            _assert_same_outcome(content, 1, 1)
+
+
+def _parse_pipe(raw: bytes, p: int, q: int) -> Dataset:
+    read_end, write_end = os.pipe()
+    os.write(write_end, raw)
+    os.close(write_end)
+    with open(read_end, encoding="utf-8") as handle:
+        return dataset_from_csv(handle, p, q)
+
+
+@pytest.mark.parametrize("header", ("", "x,y\n"))
+def test_csv_leading_bom_is_skipped(csv_path, monkeypatch, header):
+    content = header + "1,2\n3,4\n5,7\n"
+    expected = _outcome(dataset_from_csv, content, 1, 1)
+    assert expected[:2] == ((3, 1), (3, 1))
+    with_bom = "\ufeff" + content
+    fallbacks = _spy(monkeypatch, "_parse_records")
+    for parts in (1, 2):
+        _split_into(monkeypatch, parts)
+        assert _outcome(dataset_from_csv, with_bom, 1, 1) == expected
+        assert _outcome(_parse_file, _written(csv_path, with_bom), 1, 1) == expected
+        assert _outcome(_parse_pipe, with_bom.encode(), 1, 1) == expected
+    assert not fallbacks  # numpy parsed every one
+    assert _outcome(_reference, with_bom, 1, 1) == expected
+
+
 def _assert_split_parse_matches_its_text(csv_path, monkeypatch, content: str, p: int, q: int):
     """Some file cut into 2 and into 3 ranges parses as its text, with no fallback."""
-    forked = _spy(monkeypatch, "_loadtxt_forked")
+    forked = _spy(monkeypatch, "fork_map")
     for parts in (2, 3):
         _split_into(monkeypatch, parts)
         _assert_file_matches_its_text(csv_path, content, p, q)
@@ -416,15 +453,18 @@ def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
     assert len(calls) == 1
 
 
-def _short_payload(pread, start, end, columns, pipe):
+_send_rows = natreg._forkjoin.send_rows
+
+
+def _short_payload(values, pipe):
     with open(pipe, "wb") as out:
         out.write(np.int64(5))
         out.write(np.zeros(3))
     return 0
 
 
-def _sent_then_failed(pread, start, end, columns, pipe):
-    _send_part(pread, start, end, columns, pipe)
+def _sent_then_failed(values, pipe):
+    _send_rows(values, pipe)
     return 3
 
 
@@ -433,13 +473,13 @@ def _no_fork():
 
 
 @pytest.mark.parametrize(
-    "send", (_short_payload, _sent_then_failed, lambda pread, start, end, columns, pipe: 3)
+    "send", (_short_payload, _sent_then_failed, lambda values, pipe: 3)
 )
 def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
     content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg.data, "_send_part", send)
-    forked = _spy(monkeypatch, "_loadtxt_forked")
+    monkeypatch.setattr(natreg._forkjoin, "send_rows", send)  # only children send
+    forked = _spy(monkeypatch, "fork_map")
     assert _outcome(_parse_file, _written(csv_path, content), 2, 1) == _outcome(
         _reference, content, 2, 1
     )
@@ -449,7 +489,7 @@ def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
 def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
     content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg.data, "_send_part", lambda pread, start, end, columns, pipe: time.sleep(120))
+    monkeypatch.setattr(natreg._forkjoin, "send_rows", lambda values, pipe: time.sleep(120))
     begin = time.monotonic()
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, content), 1, 1)
