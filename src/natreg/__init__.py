@@ -1,8 +1,8 @@
 """Closed-form linear and ridge regression with randomized naturality audits.
 
-The package fits OLS and minimum-norm OLS from one SVD least-squares solve
-and ridge from one thin SVD.  Through seeded commutative-diagram trials and
-two exact counterexamples, it certifies which kinds of structured data
+The package fits OLS, minimum-norm OLS and ridge from one thin SVD of the
+predictors.  Through seeded commutative-diagram trials and two exact
+counterexamples, it certifies which kinds of structured data
 transformations each fit rule commutes with.
 
 The top level holds only the five names of the README's library example;
@@ -11,7 +11,7 @@ every other name is imported from the module that defines it.
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = ["AlgorithmSpec", "AuditConfig", "SeedState", "run_audit", "synth_dataset"]
 

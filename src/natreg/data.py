@@ -233,9 +233,15 @@ def _data_start(stream: TextIO) -> int | None:
     return None
 
 
+def _to_float(field: str) -> float:
+    """``float`` of ``field`` stripped as ``np.loadtxt`` strips it: of every
+    Unicode space, which ``float`` alone does not do for ``\x1c``-``\x1f``."""
+    return float(field.strip())
+
+
 def _is_number(field: str) -> bool:
     try:
-        float(field)
+        _to_float(field)
     except ValueError:
         return False
     return True
@@ -256,7 +262,7 @@ def _parse_records(content: str, p: int, q: int) -> np.ndarray:
                 record=number,
             )
         try:
-            rows.append([float(field) for field in fields])
+            rows.append([_to_float(field) for field in fields])
         except ValueError as exc:
             raise ParseError(
                 f"record {number}: non-numeric field", record=number

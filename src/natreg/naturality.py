@@ -217,8 +217,13 @@ class CellSummary:
         return sum(t.violation for t in self.trials)
 
     @property
+    def undefined(self) -> int:
+        """Trials whose fit left its domain (a residual of ``inf``); each is also a violation."""
+        return sum(math.isinf(t.residual) for t in self.trials)
+
+    @property
     def max_residual(self) -> float:
-        """Largest finite residual; undefined refits (inf) count only as violations."""
+        """Largest finite residual; undefined refits (inf) are left out."""
         finite = [t.residual for t in self.trials if math.isfinite(t.residual)]
         return max(finite, default=0.0)
 
@@ -300,11 +305,9 @@ def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarra
 _TRIAL_FIELDS = ("residual", "tolerance", "p", "q", "n_examples", "morphism_dim")
 
 
-def _run_cell(
-    spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig
-) -> np.ndarray:
-    """All trials of one cell, as float64 rows of :data:`_TRIAL_FIELDS`:
-    sample them as arrays, then fit and check them.
+def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig) -> np.ndarray:
+    """All trials of one (axis, kind) group, each drawn and factored once: float64
+    rows of :data:`_TRIAL_FIELDS`, one block per configured algorithm, in order.
 
     The numbers equal those of ``_CHECKERS[axis]`` run on each trial's
     dataset and morphism; a fit that leaves its domain (a rank-deficient
@@ -327,53 +330,56 @@ def _run_cell(
         row[1:] = (tolerance, x.shape[1], y.shape[1], x.shape[0], morphism_dim)
         maps.append(m)
         systems += [(x, y), (x2, y2)]
-    coefs = fit_systems(spec, systems)
-    for row, m, fitted, refitted in zip(rows, maps, coefs[0::2], coefs[1::2]):
-        undefined = fitted is None or refitted is None
-        row[0] = math.inf if undefined else _residual(axis, fitted, refitted, m)
-    return rows
+    blocks = np.repeat(rows[None], len(config.algorithms), axis=0)
+    for block, coefs in zip(blocks, fit_systems(config.algorithms, systems)):
+        for row, m, fitted, refitted in zip(block, maps, coefs[0::2], coefs[1::2]):
+            undefined = fitted is None or refitted is None
+            row[0] = math.inf if undefined else _residual(axis, fitted, refitted, m)
+    return blocks.reshape(-1, len(_TRIAL_FIELDS))
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
     """Run every configured cell and summarize agreement with expectations.
 
     The report is a pure function of the config: trial seeds are derived from
-    the master seed and the cell labels, never from execution order.  The
-    cells are dealt round-robin to one worker per usable CPU (at most one per
-    cell); this process is the first worker and forked children are the
-    others, each sending its cells' rows back.  With one worker, or when any
-    worker fails, every cell is run here one at a time, so an error is raised
-    from the first failing cell in config order.
+    the master seed and the (axis, kind) labels, never from execution order
+    or algorithm, so the cells of one (axis, kind) group share their trials.
+    The groups are dealt round-robin to one worker per usable CPU (at most one
+    per group); this process is the first worker and forked children are the
+    others, each sending its groups' rows back.  With one worker, or when any
+    worker fails, every group is run here one at a time, so an error is
+    raised from the first failing group in config order.
     """
     from . import __version__
 
     root = SeedState(config.master_seed)
-    cells = [
-        (spec, axis, category, root.derive(spec.label(), axis.value, category.value))
-        for spec in config.algorithms
+    groups = [
+        (axis, category, root.derive(axis.value, category.value))
         for axis in config.axes
         for category in config.categories
     ]
-    workers = min(_usable_cpus(), len(cells))
-    shares = [range(w, len(cells), workers) for w in range(workers)]  # cell indices
-    order = [i for share in shares for i in share]  # the cell of each block of rows
+    workers = min(_usable_cpus(), len(groups))
+    shares = [range(w, len(groups), workers) for w in range(workers)]  # group indices
+    order = [i for share in shares for i in share]  # the group of each block of rows
     rows = None
     if workers > 1:
         rows = fork_map(
-            lambda share: _trial_rows([cells[i] for i in share], config), shares, len(_TRIAL_FIELDS)
+            lambda share: _trial_rows([groups[i] for i in share], config), shares, len(_TRIAL_FIELDS)
         )
     if rows is None:
-        order = range(len(cells))
-        rows = np.concatenate([_run_cell(*cell, config) for cell in cells])
-    blocks = rows.reshape(len(cells), config.trials_per_cell, len(_TRIAL_FIELDS))[np.argsort(order)]
+        order = range(len(groups))
+        rows = np.concatenate([_run_group(*group, config) for group in groups])
+    shape = (len(groups), len(config.algorithms), config.trials_per_cell, len(_TRIAL_FIELDS))
+    blocks = rows.reshape(shape)[np.argsort(order)].swapaxes(0, 1).reshape(-1, *shape[2:])
+    cells = [(spec, *group) for spec in config.algorithms for group in groups]  # config order
     summaries = [_summary_from_rows(*cell, block) for cell, block in zip(cells, blocks)]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
 
 
-def _trial_rows(cells: list[tuple], config: AuditConfig) -> np.ndarray | None:
-    """The rows of ``cells``, in order; None when a cell raises one of this package's errors."""
+def _trial_rows(groups: list[tuple], config: AuditConfig) -> np.ndarray | None:
+    """The rows of ``groups``, in order; None when a group raises one of this package's errors."""
     try:
-        return np.concatenate([_run_cell(*cell, config) for cell in cells])
+        return np.concatenate([_run_group(*group, config) for group in groups])
     except NatregError:
         return None
 
@@ -381,17 +387,10 @@ def _trial_rows(cells: list[tuple], config: AuditConfig) -> np.ndarray | None:
 def _summary_from_rows(
     spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, rows: np.ndarray
 ) -> CellSummary:
-    """The cell whose trials :func:`_run_cell` returned as ``rows``."""
+    """The cell whose trials :func:`_run_group` returned as ``rows``."""
     trials = tuple(
-        DiagramTrial(
-            p=int(p),
-            q=int(q),
-            n_examples=int(n),
-            morphism_dim=int(dim),
-            seed=seed.derive(i),
-            residual=float(residual),
-            tolerance=float(tolerance),
-        )
+        DiagramTrial(p=int(p), q=int(q), n_examples=int(n), morphism_dim=int(dim),
+                     seed=seed.derive(i), residual=residual, tolerance=tolerance)
         for i, (residual, tolerance, p, q, n, dim) in enumerate(rows.tolist())
     )
     return CellSummary(spec, axis, category, trials)

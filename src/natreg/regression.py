@@ -1,9 +1,9 @@
 """Linear regression fits from their closed forms, plus an iterative oracle.
 
 All fits map a dataset to the coefficient matrix of a linear predictor
-``x_new @ coef``, each from one factorization of ``x``: OLS and minimum-norm
-OLS from one SVD-based least-squares solve, ridge from one thin SVD, so
-every fit is accurate to about kappa(x) * eps.  The gradient-descent oracle
+``x_new @ coef``, read off one thin SVD of ``x`` through its own gain on the
+singular values, so every fit is accurate to about kappa(x) * eps, and the
+audit factors each system once for all of them.  The gradient-descent oracle
 exists so the closed forms can be cross-checked by an independent route; it
 must never be replaced by a call to the closed forms themselves.
 """
@@ -136,78 +136,77 @@ def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.n
     return sse_gradient(d, model) + 2.0 * float(lam) * model.coef
 
 
-def _lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimum-norm least-squares solution and numerical rank of ``x``.
-
-    One SVD-based solve; singular values at or below
-    :func:`numerical_rank`'s cutoff, ``max(dims) * eps * s_max``, are
-    treated as zero, so the rank agrees with that function.
-    """
-    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=max(x.shape) * EPS)
-    return coef, int(rank)
-
-
-def _ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge coefficients V diag(s / (s^2 + lam)) U' y from one thin SVD of ``x``.
-
-    The gain is written 1 / (s + lam / s), which neither overflows for huge
-    singular values (s^2 would, above about 1e154) nor divides by zero: where
-    s is 0, or so small that lam / s overflows, it is 0.  So the error grows
-    like kappa(x) * eps, and the gain is finite for every positive ``lam``.
-    """
+def _factor(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``s``, ``vt``, ``u' y`` and the numerical rank, from one thin SVD
+    ``x = u diag(s) vt``; the rank counts the ``s`` above
+    :func:`~natreg.linalg.numerical_rank`'s cutoff, ``max(dims) * eps * s_max``."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    with np.errstate(divide="ignore", over="ignore"):
-        gain = 1.0 / (s + lam / s)
-    return vt.T @ (gain[:, None] * (u.T @ y))
+    return s, vt, u.T @ y, int(np.count_nonzero(s > max(x.shape) * EPS * s[0]))
+
+
+def _coef(
+    spec: AlgorithmSpec, s: np.ndarray, vt: np.ndarray, uty: np.ndarray, rank: int
+) -> np.ndarray | None:
+    """``spec``'s coefficients vt' diag(gain) u' y from :func:`_factor`'s
+    factors; None for OLS when the rank is below the column count.
+
+    Ridge's gain is s / (s^2 + lam), written 1 / (s + lam / s), which neither
+    overflows for huge singular values (s^2 would, above about 1e154) nor
+    divides by zero: where s is 0, or so small that lam / s overflows, it is
+    0.  OLS and minimum-norm OLS take 1 / s above the rank cutoff and 0 at or
+    below it.  Either way the error grows like kappa(x) * eps.
+    """
+    if spec.kind is AlgorithmKind.RIDGE:
+        with np.errstate(divide="ignore", over="ignore"):
+            gain = 1.0 / (s + spec.lam / s)
+    elif spec.kind is AlgorithmKind.OLS and rank < vt.shape[1]:
+        return None
+    else:
+        gain = np.zeros_like(s)
+        gain[:rank] = 1.0 / s[:rank]
+    return vt.T @ (gain[:, None] * uty)
 
 
 def ols_fit(d: Dataset) -> LinearModel:
-    """Least-squares fit from one SVD of ``x``, accurate to about kappa(x) * eps.
+    """Least-squares fit from one thin SVD of ``x``, accurate to about kappa(x) * eps.
 
     Requires full column rank; otherwise the minimizer is not unique and a
     :class:`RankDeficient` error reports the detected rank.
     """
-    coef, rank = _lstsq(d.x, d.y)
+    s, vt, uty, rank = _factor(d.x, d.y)
     if rank < d.p:
         raise RankDeficient(
             f"predictor matrix has numerical rank {rank} < {d.p}",
             rank=rank,
             required=d.p,
         )
-    return LinearModel(coef)
+    return LinearModel(_coef(AlgorithmSpec.ols(), s, vt, uty, rank))
 
 
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
-    """Penalized fit from one thin SVD of ``x`` (see :func:`_ridge`); needs lam > 0 only."""
-    _check_lambda(lam)
-    return LinearModel(_ridge(d.x, d.y, float(lam)))
+    """Penalized fit from one thin SVD of ``x`` (see :func:`_coef`); needs lam > 0 only."""
+    return LinearModel(_coef(AlgorithmSpec.ridge(lam), *_factor(d.x, d.y)))
 
 
 def min_norm_ols_fit(d: Dataset) -> LinearModel:
-    """Minimum-Frobenius-norm least-squares fit from the same SVD solve as OLS."""
-    return LinearModel(_lstsq(d.x, d.y)[0])
+    """Minimum-Frobenius-norm least-squares fit from one thin SVD of ``x``."""
+    return LinearModel(_coef(AlgorithmSpec.min_norm_ols(), *_factor(d.x, d.y)))
 
 
 def fit_systems(
-    spec: AlgorithmSpec, systems: list[tuple[np.ndarray, np.ndarray]]
-) -> list[np.ndarray | None]:
-    """Coefficients of ``spec``'s fit to each (x, y) pair, from raw arrays.
+    specs: tuple[AlgorithmSpec, ...], systems: list[tuple[np.ndarray, np.ndarray]]
+) -> list[list[np.ndarray | None]]:
+    """Coefficients of each spec's fit (one list per spec) to each (x, y) pair.
 
     The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
-    without building a :class:`Dataset` or :class:`LinearModel` per pair.
-    An entry is None where the pair leaves the fit's domain, which only a
-    rank-deficient ``x`` does, and only for OLS.
+    from one factorization of each pair for every spec, and without building
+    a :class:`Dataset` or :class:`LinearModel` per pair.  An entry is None
+    where the pair leaves the fit's domain, which only a rank-deficient ``x``
+    does, and only for OLS.
     """
-    coefs: list[np.ndarray | None] = []
-    for x, y in systems:
-        if spec.kind is AlgorithmKind.RIDGE:
-            coef = _ridge(x, y, spec.lam)
-        else:
-            coef, rank = _lstsq(x, y)
-            if spec.kind is AlgorithmKind.OLS and rank < x.shape[1]:
-                coef = None
-        coefs.append(coef)
-    if not all(np.isfinite(coef).all() for coef in coefs if coef is not None):
+    factors = [_factor(x, y) for x, y in systems]
+    coefs = [[_coef(spec, *f) for f in factors] for spec in specs]
+    if not all(np.isfinite(c).all() for column in coefs for c in column if c is not None):
         raise ContractViolation("coef contains non-finite entries")
     return coefs
 

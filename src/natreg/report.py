@@ -30,6 +30,7 @@ def _cell_payload(cell: CellSummary) -> dict:
         "expected": _expected_label(cell.expected_natural),
         "trials": len(cell.trials),
         "max_residual": cell.max_residual,
+        "undefined": cell.undefined,
         "violations": cell.violations,
         "agrees_with_paper": cell.agrees,
     }

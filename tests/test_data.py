@@ -184,6 +184,14 @@ def test_csv_fast_path_matches_record_parser_on_odd_input():
         _assert_same_outcome(content, p, q)
 
 
+def test_csv_fast_path_and_record_parser_strip_information_separators():
+    # np.loadtxt strips every Unicode space around a field, \x1c-\x1f too,
+    # which float() alone rejects; both routes must read 0 here
+    for content, rows in (("0,\x1d0", 1), ("0,\x1c0\x1f\n1,2\n", 2), ("a,b\n\x1e1,2\n", 1)):
+        assert _outcome(_reference, content, 1, 1)[0] == (rows, 1)
+        _assert_same_outcome(content, 1, 1)
+
+
 _ANY_TEXT = st.text(alphabet="0123456789.,-+e_ x#\n\r\t\x0c\x1d\u2028", max_size=40)
 
 

@@ -291,10 +291,28 @@ def test_run_audit_draws_each_trial_from_one_stream(monkeypatch):
     monkeypatch.setattr(SeedState, "generator", counted)
     monkeypatch.setattr(natreg.naturality, "_usable_cpus", lambda: 1)  # the spy sees this process only
     report = run_audit(AuditConfig(trials_per_cell=3))
-    assert calls == [trial.seed for trial in report.trials]
+    # one draw per (axis, category, i), shared by the OLS and the ridge cells
+    ols_cells = report.cells[: len(report.cells) // 2]
+    assert calls == [trial.seed for cell in ols_cells for trial in cell.trials]
 
 
-# six cells, so three workers take two cells each
+def test_run_audit_gives_every_algorithm_the_same_trials():
+    config = AuditConfig(trials_per_cell=5)
+    report = run_audit(config)
+    groups = len(config.axes) * len(config.categories)
+    ols_cells, ridge_cells = report.cells[:groups], report.cells[groups:]
+    assert {cell.spec for cell in ols_cells} == {AlgorithmSpec.ols()}
+    assert {cell.spec for cell in ridge_cells} == {AlgorithmSpec.ridge(1.0)}
+
+    def drawn(cell):
+        return [(t.seed, t.p, t.q, t.n_examples, t.morphism_dim, t.tolerance) for t in cell.trials]
+
+    for ols, ridge in zip(ols_cells, ridge_cells):
+        assert (ols.axis, ols.category) == (ridge.axis, ridge.category)
+        assert drawn(ols) == drawn(ridge)
+
+
+# six cells of one algorithm, hence six groups: three workers take two each
 _FORKED_CONFIG = AuditConfig(
     algorithms=(AlgorithmSpec.ridge(0.5),),
     axes=(Axis.PREDICTOR, Axis.INDEX),
@@ -340,12 +358,12 @@ def test_run_audit_failed_worker_falls_back_to_one_process(monkeypatch):
 def test_run_audit_own_cell_raising_stops_the_other_workers(monkeypatch, error):
     parent = os.getpid()
 
-    def run_cell(*args):
+    def run_group(*args):
         if os.getpid() != parent:
             time.sleep(120)
         raise error("this process's cell")
 
-    monkeypatch.setattr(natreg.naturality, "_run_cell", run_cell)
+    monkeypatch.setattr(natreg.naturality, "_run_group", run_group)
     begin = time.monotonic()
     with pytest.raises(error, match="this process's cell"):
         _audit_on(monkeypatch, 3)

@@ -9,7 +9,7 @@ import pytest
 
 from natreg.data import Dataset, synth_dataset
 from natreg.errors import ContractViolation, InvalidHyperparameter, OracleDiverged, RankDeficient
-from natreg.linalg import SeedState, rel_distance
+from natreg.linalg import SeedState, numerical_rank, rel_distance
 from natreg.regression import (
     AlgorithmKind,
     AlgorithmSpec,
@@ -342,3 +342,45 @@ def test_linear_model_is_frozen():
     model = LinearModel([[1.0]])
     with pytest.raises(ValueError):
         model.coef[0, 0] = 2.0
+
+
+def _rank_edge_cases():
+    """(name, x): rank-deficient, underdetermined, zero and extreme-scale x."""
+    gen = SeedState(3, "rank-edges").generator()
+    a = gen.standard_normal((10, 3))
+    wide = gen.standard_normal((3, 5))
+    full = gen.standard_normal((10, 4))
+    return [
+        ("duplicated column", np.column_stack([a, a[:, 1]])),
+        ("N < p", wide),
+        ("all zero", np.zeros((4, 3))),
+        ("full rank", full),
+        ("full rank x 1e200", full * 1e200),
+        ("full rank x 1e-200", full * 1e-200),
+        ("duplicated column x 1e200", np.column_stack([a, a[:, 1]]) * 1e200),
+        ("N < p x 1e-200", wide * 1e-200),
+    ]
+
+
+@pytest.mark.parametrize("name, x", _rank_edge_cases(), ids=[c[0] for c in _rank_edge_cases()])
+def test_rank_cutoff_matches_numerical_rank_and_lstsq_at_the_edges(name, x):
+    y = SeedState(4, name).generator().standard_normal((x.shape[0], 2))
+    d = Dataset(x, y)
+    rank = numerical_rank(x)
+    if rank < d.p:
+        with pytest.raises(RankDeficient) as excinfo:
+            ols_fit(d)
+        assert (excinfo.value.rank, excinfo.value.required) == (rank, d.p)
+    else:
+        assert ols_fit(d).coef.tobytes() == min_norm_ols_fit(d).coef.tobytes()
+    coef = min_norm_ols_fit(d).coef
+    if rank == 0:
+        assert (coef == 0.0).all()
+        return
+    eps = np.finfo(np.float64).eps
+    expected = np.linalg.lstsq(x, y, rcond=max(x.shape) * eps)[0]
+    s = np.linalg.svd(x, compute_uv=False)
+    kappa = s[0] / s[rank - 1]
+    scale = np.abs(expected).max()  # so that norms neither overflow nor underflow
+    err = np.linalg.norm(coef / scale - expected / scale)
+    assert err <= 10.0 * kappa * eps * np.linalg.norm(expected / scale), err

@@ -51,6 +51,7 @@ def test_json_top_level_schema():
             "lambda",
             "max_residual",
             "trials",
+            "undefined",
             "violations",
         ]
         assert cell["expected"] in ("natural", "not_natural")
