@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,18 +192,46 @@ class DiagramTrial:
         return self.residual > VIOLATION_MARGIN * self.tolerance
 
 
-@dataclass(frozen=True)
+# the columns of a cell's rows, one row per trial
+_TRIAL_FIELDS = ("residual", "tolerance", "p", "q", "n_examples", "morphism_dim")
+
+
+@dataclass(frozen=True, eq=False)
 class CellSummary:
     """All trials of one (algorithm, axis, kind) cell.
 
-    Only the cell's coordinates and its trials are stored; the expected
-    classification and every count are derived from them.
+    Only the cell's coordinates, its seed and its trials are stored, the
+    trials as one read-only float64 array of :data:`_TRIAL_FIELDS` rows (the
+    ``i``-th drawn from ``seed.derive(i)``); the expected classification and
+    every count are derived from them.  Two cells are equal when their
+    coordinates, seeds and row values are.
     """
 
     spec: AlgorithmSpec
     axis: Axis
     category: CategoryKind
-    trials: tuple[DiagramTrial, ...]
+    seed: SeedState
+    rows: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, CellSummary):
+            return NotImplemented
+        return (self.spec, self.axis, self.category, self.seed) == (
+            other.spec, other.axis, other.category, other.seed
+        ) and np.array_equal(self.rows, other.rows)
+
+    @cached_property
+    def trials(self) -> tuple[DiagramTrial, ...]:
+        """The rows as :class:`DiagramTrial` objects, built on first use."""
+        return tuple(
+            DiagramTrial(p=int(p), q=int(q), n_examples=int(n), morphism_dim=int(dim),
+                         seed=self.seed.derive(i), residual=residual, tolerance=tolerance)
+            for i, (residual, tolerance, p, q, n, dim) in enumerate(self.rows.tolist())
+        )
+
+    @property
+    def trial_count(self) -> int:
+        return len(self.rows)
 
     @property
     def expected_natural(self) -> bool:
@@ -210,22 +239,25 @@ class CellSummary:
 
     @property
     def pass_count(self) -> int:
-        return sum(t.passed for t in self.trials)
+        """Trials with ``residual <= tolerance``, as :attr:`DiagramTrial.passed`."""
+        return int(np.count_nonzero(self.rows[:, 0] <= self.rows[:, 1]))
 
     @property
     def violations(self) -> int:
-        return sum(t.violation for t in self.trials)
+        """Trials with ``residual > VIOLATION_MARGIN * tolerance``, as :attr:`DiagramTrial.violation`."""
+        return int(np.count_nonzero(self.rows[:, 0] > VIOLATION_MARGIN * self.rows[:, 1]))
 
     @property
     def undefined(self) -> int:
         """Trials whose fit left its domain (a residual of ``inf``); each is also a violation."""
-        return sum(math.isinf(t.residual) for t in self.trials)
+        return int(np.count_nonzero(np.isinf(self.rows[:, 0])))
 
     @property
     def max_residual(self) -> float:
-        """Largest finite residual; undefined refits (inf) are left out."""
-        finite = [t.residual for t in self.trials if math.isfinite(t.residual)]
-        return max(finite, default=0.0)
+        """Largest finite residual, 0.0 if there is none; undefined refits (inf) are left out."""
+        residuals = self.rows[:, 0]
+        finite = residuals[np.isfinite(residuals)]
+        return float(finite.max()) if finite.size else 0.0
 
     @property
     def agrees(self) -> bool:
@@ -235,7 +267,7 @@ class CellSummary:
         natural must exhibit at least one clear violation.
         """
         if self.expected_natural:
-            return self.pass_count == len(self.trials)
+            return self.pass_count == self.trial_count
         return self.violations >= 1
 
 
@@ -283,8 +315,14 @@ def draw_trial(
     return x, y, m, kappa
 
 
-def _transform(axis: Axis, x: np.ndarray, y: np.ndarray, m: np.ndarray):
-    """The data a trial refits: the arrays of ``act_on_*``."""
+def _transform(axis: Axis, category: CategoryKind, x: np.ndarray, y: np.ndarray, m: np.ndarray):
+    """The data a trial refits: the arrays of ``act_on_*``.
+
+    A discrete map is the identity, whose products are exact, so its trials
+    refit the drawn arrays themselves and their fits share one factorization.
+    """
+    if category is CategoryKind.DISCRETE:
+        return x, y
     if axis is Axis.PREDICTOR:
         return x @ m, y
     if axis is Axis.TARGET:
@@ -293,21 +331,21 @@ def _transform(axis: Axis, x: np.ndarray, y: np.ndarray, m: np.ndarray):
 
 
 def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarray) -> float:
-    """The residual of the axis's ``check_*`` diagram, from raw coefficients."""
+    """The residual of the axis's ``check_*`` diagram, from raw coefficients:
+    :func:`~natreg.linalg.rel_distance`'s arithmetic, without its checks."""
     if axis is Axis.PREDICTOR:
-        return rel_distance(m @ refitted, fitted)
-    if axis is Axis.TARGET:
-        return rel_distance(refitted, fitted @ m)
-    return rel_distance(refitted, fitted)
-
-
-# the columns of a cell's rows, one row per trial
-_TRIAL_FIELDS = ("residual", "tolerance", "p", "q", "n_examples", "morphism_dim")
+        a, b = m @ refitted, fitted
+    elif axis is Axis.TARGET:
+        a, b = refitted, fitted @ m
+    else:
+        a, b = refitted, fitted
+    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
 
 
 def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig) -> np.ndarray:
-    """All trials of one (axis, kind) group, each drawn and factored once: float64
-    rows of :data:`_TRIAL_FIELDS`, one block per configured algorithm, in order.
+    """All trials of one (axis, kind) group, each drawn once and each distinct
+    ``x`` factored once: float64 rows of :data:`_TRIAL_FIELDS`, one block per
+    configured algorithm, in order.
 
     The numbers equal those of ``_CHECKERS[axis]`` run on each trial's
     dataset and morphism; a fit that leaves its domain (a rank-deficient
@@ -318,7 +356,7 @@ def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: Audi
     systems = []
     for i, row in enumerate(rows):
         x, y, m, kappa = draw_trial(axis, category, config, seed.derive(i))
-        x2, y2 = _transform(axis, x, y, m)
+        x2, y2 = _transform(axis, category, x, y, m)
         if not (np.isfinite(x2).all() and np.isfinite(y2).all()):
             raise ContractViolation("transformed data contains non-finite entries")
         tolerance = config.base_tolerance
@@ -331,10 +369,10 @@ def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: Audi
         maps.append(m)
         systems += [(x, y), (x2, y2)]
     blocks = np.repeat(rows[None], len(config.algorithms), axis=0)
-    for block, coefs in zip(blocks, fit_systems(config.algorithms, systems)):
-        for row, m, fitted, refitted in zip(block, maps, coefs[0::2], coefs[1::2]):
-            undefined = fitted is None or refitted is None
-            row[0] = math.inf if undefined else _residual(axis, fitted, refitted, m)
+    fits = fit_systems(config.algorithms, systems)
+    for i, (m, fitted, refitted) in enumerate(zip(maps, fits[0::2], fits[1::2])):
+        for block, f, r in zip(blocks, fitted, refitted):
+            block[i, 0] = math.inf if f is None or r is None else _residual(axis, f, r, m)
     return blocks.reshape(-1, len(_TRIAL_FIELDS))
 
 
@@ -350,6 +388,10 @@ def run_audit(config: AuditConfig) -> AuditReport:
     worker fails, every group is run here one at a time, so an error is
     raised from the first failing group in config order.
     """
+    # the trial streams' modules, loaded here once rather than in every forked worker
+    import hashlib  # noqa: F401
+    import numpy.random  # noqa: F401
+
     from . import __version__
 
     root = SeedState(config.master_seed)
@@ -371,8 +413,9 @@ def run_audit(config: AuditConfig) -> AuditReport:
         rows = np.concatenate([_run_group(*group, config) for group in groups])
     shape = (len(groups), len(config.algorithms), config.trials_per_cell, len(_TRIAL_FIELDS))
     blocks = rows.reshape(shape)[np.argsort(order)].swapaxes(0, 1).reshape(-1, *shape[2:])
+    blocks.setflags(write=False)
     cells = [(spec, *group) for spec in config.algorithms for group in groups]  # config order
-    summaries = [_summary_from_rows(*cell, block) for cell, block in zip(cells, blocks)]
+    summaries = [CellSummary(*cell, block) for cell, block in zip(cells, blocks)]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
 
 
@@ -382,18 +425,6 @@ def _trial_rows(groups: list[tuple], config: AuditConfig) -> np.ndarray | None:
         return np.concatenate([_run_group(*group, config) for group in groups])
     except NatregError:
         return None
-
-
-def _summary_from_rows(
-    spec: AlgorithmSpec, axis: Axis, category: CategoryKind, seed: SeedState, rows: np.ndarray
-) -> CellSummary:
-    """The cell whose trials :func:`_run_group` returned as ``rows``."""
-    trials = tuple(
-        DiagramTrial(p=int(p), q=int(q), n_examples=int(n), morphism_dim=int(dim),
-                     seed=seed.derive(i), residual=residual, tolerance=tolerance)
-        for i, (residual, tolerance, p, q, n, dim) in enumerate(rows.tolist())
-    )
-    return CellSummary(spec, axis, category, trials)
 
 
 @dataclass(frozen=True)

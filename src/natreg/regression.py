@@ -3,7 +3,7 @@
 All fits map a dataset to the coefficient matrix of a linear predictor
 ``x_new @ coef``, read off one thin SVD of ``x`` through its own gain on the
 singular values, so every fit is accurate to about kappa(x) * eps, and the
-audit factors each system once for all of them.  The gradient-descent oracle
+audit factors each distinct ``x`` once for all of them.  The gradient-descent oracle
 exists so the closed forms can be cross-checked by an independent route; it
 must never be replaced by a call to the closed forms themselves.
 """
@@ -136,35 +136,48 @@ def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.n
     return sse_gradient(d, model) + 2.0 * float(lam) * model.coef
 
 
-def _factor(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``s``, ``vt``, ``u' y`` and the numerical rank, from one thin SVD
+def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``u``, ``s``, ``vt`` and the numerical rank of one thin SVD
     ``x = u diag(s) vt``; the rank counts the ``s`` above
     :func:`~natreg.linalg.numerical_rank`'s cutoff, ``max(dims) * eps * s_max``."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return s, vt, u.T @ y, int(np.count_nonzero(s > max(x.shape) * EPS * s[0]))
+    return u, s, vt, int(np.count_nonzero(s > max(x.shape) * EPS * s[0]))
 
 
-def _coef(
-    spec: AlgorithmSpec, s: np.ndarray, vt: np.ndarray, uty: np.ndarray, rank: int
-) -> np.ndarray | None:
-    """``spec``'s coefficients vt' diag(gain) u' y from :func:`_factor`'s
-    factors; None for OLS when the rank is below the column count.
+def _gains(specs: tuple[AlgorithmSpec, ...], s: np.ndarray, rank: int, p: int) -> np.ndarray:
+    """One row per spec: the gain on the singular values ``s`` that turns
+    ``u' y`` into that spec's ``vt (coef)``, so coef = vt' diag(gain) u' y.
 
     Ridge's gain is s / (s^2 + lam), written 1 / (s + lam / s), which neither
     overflows for huge singular values (s^2 would, above about 1e154) nor
     divides by zero: where s is 0, or so small that lam / s overflows, it is
-    0.  OLS and minimum-norm OLS take 1 / s above the rank cutoff and 0 at or
-    below it.  Either way the error grows like kappa(x) * eps.
+    0 (the caller ignores numpy's divide and overflow warnings).  OLS and
+    minimum-norm OLS take 1 / s above the rank cutoff and 0 at or below it;
+    either way the error grows like kappa(x) * eps.  OLS's row is all 0
+    below full column rank ``p``, where it has no fit.
     """
-    if spec.kind is AlgorithmKind.RIDGE:
-        with np.errstate(divide="ignore", over="ignore"):
-            gain = 1.0 / (s + spec.lam / s)
-    elif spec.kind is AlgorithmKind.OLS and rank < vt.shape[1]:
-        return None
-    else:
-        gain = np.zeros_like(s)
-        gain[:rank] = 1.0 / s[:rank]
-    return vt.T @ (gain[:, None] * uty)
+    gains = np.zeros((len(specs), len(s)))
+    for gain, spec in zip(gains, specs):
+        if spec.kind is AlgorithmKind.RIDGE:
+            gain[:] = 1.0 / (s + spec.lam / s)
+        elif spec.kind is AlgorithmKind.MIN_NORM_OLS or rank == p:
+            gain[:rank] = 1.0 / s[:rank]
+    return gains
+
+
+def _fit_coef(spec: AlgorithmSpec, d: Dataset) -> np.ndarray:
+    """``spec``'s coefficients vt' diag(gain) u' y (see :func:`_gains`) on
+    ``d``; OLS raises :class:`RankDeficient` below full column rank."""
+    u, s, vt, rank = _factor(d.x)
+    if spec.kind is AlgorithmKind.OLS and rank < d.p:
+        raise RankDeficient(
+            f"predictor matrix has numerical rank {rank} < {d.p}",
+            rank=rank,
+            required=d.p,
+        )
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = _gains((spec,), s, rank, d.p)[0]
+    return vt.T @ (gain[:, None] * (u.T @ d.y))
 
 
 def ols_fit(d: Dataset) -> LinearModel:
@@ -173,42 +186,46 @@ def ols_fit(d: Dataset) -> LinearModel:
     Requires full column rank; otherwise the minimizer is not unique and a
     :class:`RankDeficient` error reports the detected rank.
     """
-    s, vt, uty, rank = _factor(d.x, d.y)
-    if rank < d.p:
-        raise RankDeficient(
-            f"predictor matrix has numerical rank {rank} < {d.p}",
-            rank=rank,
-            required=d.p,
-        )
-    return LinearModel(_coef(AlgorithmSpec.ols(), s, vt, uty, rank))
+    return LinearModel(_fit_coef(AlgorithmSpec.ols(), d))
 
 
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
-    """Penalized fit from one thin SVD of ``x`` (see :func:`_coef`); needs lam > 0 only."""
-    return LinearModel(_coef(AlgorithmSpec.ridge(lam), *_factor(d.x, d.y)))
+    """Penalized fit from one thin SVD of ``x`` (see :func:`_gains`); needs lam > 0 only."""
+    return LinearModel(_fit_coef(AlgorithmSpec.ridge(lam), d))
 
 
 def min_norm_ols_fit(d: Dataset) -> LinearModel:
     """Minimum-Frobenius-norm least-squares fit from one thin SVD of ``x``."""
-    return LinearModel(_coef(AlgorithmSpec.min_norm_ols(), *_factor(d.x, d.y)))
+    return LinearModel(_fit_coef(AlgorithmSpec.min_norm_ols(), d))
 
 
 def fit_systems(
     specs: tuple[AlgorithmSpec, ...], systems: list[tuple[np.ndarray, np.ndarray]]
 ) -> list[list[np.ndarray | None]]:
-    """Coefficients of each spec's fit (one list per spec) to each (x, y) pair.
+    """Coefficients of every spec's fit to each (x, y) pair: one list per
+    pair, with one entry per spec.
 
     The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
-    from one factorization of each pair for every spec, and without building
-    a :class:`Dataset` or :class:`LinearModel` per pair.  An entry is None
-    where the pair leaves the fit's domain, which only a rank-deficient ``x``
+    without building a :class:`Dataset` or :class:`LinearModel` per pair.
+    Pairs whose ``x`` is the same object share its one thin SVD and gains,
+    and each pair's specs are solved in one stacked product (its slices are
+    the products one spec at a time, bit for bit).  An entry is None where
+    the pair leaves the fit's domain, which only a rank-deficient ``x``
     does, and only for OLS.
     """
-    factors = [_factor(x, y) for x, y in systems]
-    coefs = [[_coef(spec, *f) for f in factors] for spec in specs]
-    if not all(np.isfinite(c).all() for column in coefs for c in column if c is not None):
+    factored = {}  # id(x) -> factors; systems keeps every x alive, so ids stay unique
+    stacks = []  # (each spec's coefficients, whether each is defined), pair by pair
+    with np.errstate(divide="ignore", over="ignore"):
+        for x, y in systems:
+            if id(x) not in factored:
+                u, s, vt, rank = _factor(x)
+                defined = [spec.kind is not AlgorithmKind.OLS or rank == x.shape[1] for spec in specs]
+                factored[id(x)] = (u.T, vt.T, _gains(specs, s, rank, x.shape[1])[:, :, None], defined)
+            ut, v, gains, defined = factored[id(x)]
+            stacks.append((v @ (gains * (ut @ y)), defined))
+    if stacks and not np.isfinite(np.concatenate([coefs.ravel() for coefs, _ in stacks])).all():
         raise ContractViolation("coef contains non-finite entries")
-    return coefs
+    return [[c if ok else None for c, ok in zip(coefs, defined)] for coefs, defined in stacks]
 
 
 def ols_oracle_fit(

@@ -28,7 +28,7 @@ def _cell_payload(cell: CellSummary) -> dict:
         "axis": cell.axis.value,
         "category": cell.category.value,
         "expected": _expected_label(cell.expected_natural),
-        "trials": len(cell.trials),
+        "trials": cell.trial_count,
         "max_residual": cell.max_residual,
         "undefined": cell.undefined,
         "violations": cell.violations,
@@ -135,7 +135,7 @@ def audit_report_to_text(report: AuditReport) -> str:
             cell.axis.value,
             cell.category.value,
             _expected_label(cell.expected_natural),
-            str(len(cell.trials)),
+            str(cell.trial_count),
             str(cell.violations),
             f"{cell.max_residual:.6e}",
             "PASS" if cell.agrees else "FAIL",

@@ -22,7 +22,9 @@ from natreg.linalg import SeedState, condition_estimate
 from natreg.morphisms import Axis, CategoryKind, Morphism, sample_morphism
 from natreg.naturality import (
     _CHECKERS,
+    VIOLATION_MARGIN,
     AuditConfig,
+    CellSummary,
     check_index_invariance,
     check_predictor_dinaturality,
     check_target_naturality,
@@ -310,6 +312,53 @@ def test_run_audit_gives_every_algorithm_the_same_trials():
     for ols, ridge in zip(ols_cells, ridge_cells):
         assert (ols.axis, ols.category) == (ridge.axis, ridge.category)
         assert drawn(ols) == drawn(ridge)
+
+
+def _recount(cell: CellSummary) -> tuple:
+    """(trials, passed, violations, undefined, max finite residual), counted over ``cell.trials``."""
+    trials = cell.trials
+    finite = [t.residual for t in trials if math.isfinite(t.residual)]
+    return (
+        len(trials),
+        sum(t.passed for t in trials),
+        sum(t.violation for t in trials),
+        sum(math.isinf(t.residual) for t in trials),
+        max(finite, default=0.0),
+    )
+
+
+def _counts(cell: CellSummary) -> tuple:
+    return (cell.trial_count, cell.pass_count, cell.violations, cell.undefined, cell.max_residual)
+
+
+def test_cell_counts_read_from_the_rows_match_a_recount_over_the_trials():
+    report = run_audit(AuditConfig(trials_per_cell=20, master_seed=5))
+    assert any(cell.undefined for cell in report.cells)
+    for cell in report.cells:
+        assert not cell.rows.flags.writeable
+        assert _counts(cell) == _recount(cell)
+    # residuals exactly on the pass line and on the violation line, and an
+    # undefined one; then a cell with no finite residual at all
+    tolerance = 1e-8
+    rows = np.array([
+        [tolerance, tolerance, 2, 1, 5, 2],
+        [VIOLATION_MARGIN * tolerance, tolerance, 2, 1, 5, 2],
+        [math.inf, tolerance, 2, 1, 5, 3],
+        [0.5, 2 * tolerance, 3, 2, 9, 3],
+        [0.0, tolerance, 3, 2, 9, 3],
+    ])
+    seed = SeedState(1, "hand-built")
+    cell = CellSummary(AlgorithmSpec.ols(), Axis.PREDICTOR, CategoryKind.EUC_MONO, seed, rows)
+    assert _counts(cell) == _recount(cell) == (5, 2, 2, 1, 0.5)
+    assert [t.seed for t in cell.trials] == [seed.derive(i) for i in range(5)]
+    undefined = CellSummary(AlgorithmSpec.ols(), Axis.PREDICTOR, CategoryKind.EUC_MONO, seed,
+                            rows[[2, 2]])
+    assert _counts(undefined) == _recount(undefined) == (2, 0, 2, 2, 0.0)
+    # equality compares the rows' values
+    assert cell == CellSummary(cell.spec, cell.axis, cell.category, seed, rows.copy())
+    changed = rows.copy()
+    changed[4, 0] = 1e-300
+    assert cell != CellSummary(cell.spec, cell.axis, cell.category, seed, changed)
 
 
 # six cells of one algorithm, hence six groups: three workers take two each

@@ -14,6 +14,7 @@ from natreg.regression import (
     AlgorithmKind,
     AlgorithmSpec,
     LinearModel,
+    fit_systems,
     min_norm_ols_fit,
     ols_fit,
     ols_oracle_fit,
@@ -384,3 +385,44 @@ def test_rank_cutoff_matches_numerical_rank_and_lstsq_at_the_edges(name, x):
     scale = np.abs(expected).max()  # so that norms neither overflow nor underflow
     err = np.linalg.norm(coef / scale - expected / scale)
     assert err <= 10.0 * kappa * eps * np.linalg.norm(expected / scale), err
+
+
+def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit():
+    # pairs share their x object two at a time, and each shape repeats with a
+    # new x, so a factorization reused for the wrong x shows in the numbers
+    specs = (
+        AlgorithmSpec.ols(),
+        AlgorithmSpec.ridge(1.0),
+        AlgorithmSpec.min_norm_ols(),
+        AlgorithmSpec.ridge(1e-3),
+    )
+    gen = SeedState(31, "fit-systems").generator()
+    xs = []
+    for n, p in ((12, 3), (12, 3), (5, 5), (5, 5), (3, 6), (3, 6), (40, 8), (9, 1)):
+        xs += [gen.standard_normal((n, p)) for _ in range(3)]
+    xs += [x for _, x in _rank_edge_cases()]  # rank-deficient, zero and extreme-scale x
+    systems = [
+        (x, gen.standard_normal((x.shape[0], q))) for i, x in enumerate(xs) for q in (1 + i % 3, 2)
+    ]
+    fits = fit_systems(specs, systems)
+    assert len(fits) == len(systems)
+    deficient = 0
+    for (x, y), fit in zip(systems, fits):
+        assert len(fit) == len(specs)
+        for spec, coef in zip(specs, fit):
+            try:
+                expected = spec.fit(Dataset(x, y)).coef
+            except RankDeficient:
+                assert spec.kind is AlgorithmKind.OLS
+                assert coef is None
+                deficient += 1
+                continue
+            assert coef.shape == expected.shape
+            assert coef.tobytes() == expected.tobytes(), (spec, x.shape)
+    assert deficient >= 8  # both pairs of each rank-deficient x; the other specs fit them
+    # an OLS fit that overflows is an error; one outside its domain is only None
+    tiny, huge = np.array([[1e-300]]), np.array([[1e300]])
+    with pytest.raises(ContractViolation):
+        fit_systems(specs, [(tiny, huge)])
+    [(ols, ridge)] = fit_systems(specs[:2], [(np.array([[1e-300, 0.0]]), huge)])
+    assert ols is None and np.isfinite(ridge).all()
