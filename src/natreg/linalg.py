@@ -106,6 +106,11 @@ def rel_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ContractViolation(f"shape mismatch {a.shape} vs {b.shape}")
+    return _rel_distance(a, b)
+
+
+def _rel_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`rel_distance` of two float64 arrays of one shape, unchecked."""
     return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
 
 
@@ -127,11 +132,18 @@ class SeedState:
 
     def generator(self) -> np.random.Generator:
         # blake2b rather than hash(): the latter is salted per process.
-        # hashlib is imported here, its only use, because it loads OpenSSL,
-        # which a fit never needs.
-        import hashlib
-
+        hashlib, random = _stream_modules()
         key = f"{self.seed}\x1f{self.label}".encode()
         digest = hashlib.blake2b(key, digest_size=8).digest()
-        return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
+        return random.Generator(random.PCG64(int.from_bytes(digest, "big")))
+
+
+def _stream_modules():
+    """``hashlib`` and ``numpy.random``, which only :meth:`SeedState.generator`
+    uses.  They are imported on first call, not with this module, because a
+    fit needs neither and hashlib loads OpenSSL."""
+    import hashlib
+    import numpy.random
+
+    return hashlib, numpy.random
 

@@ -26,7 +26,7 @@ from ._forkjoin import fork_map
 from ._forkjoin import usable_cpus as _usable_cpus
 from .data import Dataset, draw_dataset
 from .errors import ConfigError, ContractViolation, NatregError
-from .linalg import SeedState, rel_distance
+from .linalg import SeedState, _rel_distance, _stream_modules, rel_distance
 from .morphisms import (
     Axis,
     CategoryKind,
@@ -202,9 +202,10 @@ class CellSummary:
 
     Only the cell's coordinates, its seed and its trials are stored, the
     trials as one read-only float64 array of :data:`_TRIAL_FIELDS` rows (the
-    ``i``-th drawn from ``seed.derive(i)``); the expected classification and
-    every count are derived from them.  Two cells are equal when their
-    coordinates, seeds and row values are.
+    ``i``-th drawn from ``seed.derive(i)``), copied from the rows the cell is
+    built with; the expected classification and every count are derived
+    from them.  Two cells are equal when their coordinates, seeds and row
+    values are.
     """
 
     spec: AlgorithmSpec
@@ -212,6 +213,11 @@ class CellSummary:
     category: CategoryKind
     seed: SeedState
     rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.float64)  # a copy, so no other array writes it
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     def __eq__(self, other):
         if not isinstance(other, CellSummary):
@@ -331,15 +337,12 @@ def _transform(axis: Axis, category: CategoryKind, x: np.ndarray, y: np.ndarray,
 
 
 def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarray) -> float:
-    """The residual of the axis's ``check_*`` diagram, from raw coefficients:
-    :func:`~natreg.linalg.rel_distance`'s arithmetic, without its checks."""
+    """The residual of the axis's ``check_*`` diagram, from raw coefficients."""
     if axis is Axis.PREDICTOR:
-        a, b = m @ refitted, fitted
-    elif axis is Axis.TARGET:
-        a, b = refitted, fitted @ m
-    else:
-        a, b = refitted, fitted
-    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
+        return _rel_distance(m @ refitted, fitted)
+    if axis is Axis.TARGET:
+        return _rel_distance(refitted, fitted @ m)
+    return _rel_distance(refitted, fitted)
 
 
 def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig) -> np.ndarray:
@@ -388,10 +391,7 @@ def run_audit(config: AuditConfig) -> AuditReport:
     worker fails, every group is run here one at a time, so an error is
     raised from the first failing group in config order.
     """
-    # the trial streams' modules, loaded here once rather than in every forked worker
-    import hashlib  # noqa: F401
-    import numpy.random  # noqa: F401
-
+    _stream_modules()  # loaded once here, not again in every forked worker
     from . import __version__
 
     root = SeedState(config.master_seed)
@@ -413,7 +413,6 @@ def run_audit(config: AuditConfig) -> AuditReport:
         rows = np.concatenate([_run_group(*group, config) for group in groups])
     shape = (len(groups), len(config.algorithms), config.trials_per_cell, len(_TRIAL_FIELDS))
     blocks = rows.reshape(shape)[np.argsort(order)].swapaxes(0, 1).reshape(-1, *shape[2:])
-    blocks.setflags(write=False)
     cells = [(spec, *group) for spec in config.algorithms for group in groups]  # config order
     summaries = [CellSummary(*cell, block) for cell, block in zip(cells, blocks)]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))

@@ -144,40 +144,46 @@ def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return u, s, vt, int(np.count_nonzero(s > max(x.shape) * EPS * s[0]))
 
 
-def _gains(specs: tuple[AlgorithmSpec, ...], s: np.ndarray, rank: int, p: int) -> np.ndarray:
-    """One row per spec: the gain on the singular values ``s`` that turns
-    ``u' y`` into that spec's ``vt (coef)``, so coef = vt' diag(gain) u' y.
+def _gain(spec: AlgorithmSpec, s: np.ndarray, rank: int, p: int) -> np.ndarray | None:
+    """The gain on the singular values ``s`` that turns ``u' y`` into
+    ``spec``'s ``vt (coef)`` (see :func:`_coef`); None for OLS below full
+    column rank ``p``, where it has no fit.
 
     Ridge's gain is s / (s^2 + lam), written 1 / (s + lam / s), which neither
     overflows for huge singular values (s^2 would, above about 1e154) nor
     divides by zero: where s is 0, or so small that lam / s overflows, it is
     0 (the caller ignores numpy's divide and overflow warnings).  OLS and
-    minimum-norm OLS take 1 / s above the rank cutoff and 0 at or below it;
-    either way the error grows like kappa(x) * eps.  OLS's row is all 0
-    below full column rank ``p``, where it has no fit.
+    minimum-norm OLS take 1 / s above the rank cutoff and 0 at or below it.
+    Either way the error grows like kappa(x) * eps.
     """
-    gains = np.zeros((len(specs), len(s)))
-    for gain, spec in zip(gains, specs):
-        if spec.kind is AlgorithmKind.RIDGE:
-            gain[:] = 1.0 / (s + spec.lam / s)
-        elif spec.kind is AlgorithmKind.MIN_NORM_OLS or rank == p:
-            gain[:rank] = 1.0 / s[:rank]
-    return gains
+    if spec.kind is AlgorithmKind.RIDGE:
+        return 1.0 / (s + spec.lam / s)
+    if spec.kind is AlgorithmKind.OLS and rank < p:
+        return None
+    gain = np.zeros_like(s)
+    gain[:rank] = 1.0 / s[:rank]
+    return gain
+
+
+def _coef(vt: np.ndarray, gain: np.ndarray, uty: np.ndarray) -> np.ndarray:
+    """The coefficients vt' diag(gain) u' y, from :func:`_factor`'s ``vt``,
+    :func:`_gain`'s gain and ``u' y``."""
+    return vt.T @ (gain[:, None] * uty)
 
 
 def _fit_coef(spec: AlgorithmSpec, d: Dataset) -> np.ndarray:
-    """``spec``'s coefficients vt' diag(gain) u' y (see :func:`_gains`) on
-    ``d``; OLS raises :class:`RankDeficient` below full column rank."""
+    """``spec``'s coefficients on ``d``; OLS raises :class:`RankDeficient`
+    below full column rank."""
     u, s, vt, rank = _factor(d.x)
-    if spec.kind is AlgorithmKind.OLS and rank < d.p:
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = _gain(spec, s, rank, d.p)
+    if gain is None:
         raise RankDeficient(
             f"predictor matrix has numerical rank {rank} < {d.p}",
             rank=rank,
             required=d.p,
         )
-    with np.errstate(divide="ignore", over="ignore"):
-        gain = _gains((spec,), s, rank, d.p)[0]
-    return vt.T @ (gain[:, None] * (u.T @ d.y))
+    return _coef(vt, gain, u.T @ d.y)
 
 
 def ols_fit(d: Dataset) -> LinearModel:
@@ -190,7 +196,7 @@ def ols_fit(d: Dataset) -> LinearModel:
 
 
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
-    """Penalized fit from one thin SVD of ``x`` (see :func:`_gains`); needs lam > 0 only."""
+    """Penalized fit from one thin SVD of ``x`` (see :func:`_gain`); needs lam > 0 only."""
     return LinearModel(_fit_coef(AlgorithmSpec.ridge(lam), d))
 
 
@@ -207,25 +213,24 @@ def fit_systems(
 
     The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
     without building a :class:`Dataset` or :class:`LinearModel` per pair.
-    Pairs whose ``x`` is the same object share its one thin SVD and gains,
-    and each pair's specs are solved in one stacked product (its slices are
-    the products one spec at a time, bit for bit).  An entry is None where
-    the pair leaves the fit's domain, which only a rank-deficient ``x``
-    does, and only for OLS.
+    Pairs whose ``x`` is the same object share its one thin SVD and gains.
+    An entry is None where the pair leaves the fit's domain, which only a
+    rank-deficient ``x`` does, and only for OLS.
     """
-    factored = {}  # id(x) -> factors; systems keeps every x alive, so ids stay unique
-    stacks = []  # (each spec's coefficients, whether each is defined), pair by pair
+    factored = {}  # id(x) -> (u', vt, gains); systems keeps every x alive, so ids stay unique
+    fits = []
     with np.errstate(divide="ignore", over="ignore"):
         for x, y in systems:
             if id(x) not in factored:
                 u, s, vt, rank = _factor(x)
-                defined = [spec.kind is not AlgorithmKind.OLS or rank == x.shape[1] for spec in specs]
-                factored[id(x)] = (u.T, vt.T, _gains(specs, s, rank, x.shape[1])[:, :, None], defined)
-            ut, v, gains, defined = factored[id(x)]
-            stacks.append((v @ (gains * (ut @ y)), defined))
-    if stacks and not np.isfinite(np.concatenate([coefs.ravel() for coefs, _ in stacks])).all():
+                factored[id(x)] = (u.T, vt, [_gain(spec, s, rank, x.shape[1]) for spec in specs])
+            ut, vt, gains = factored[id(x)]
+            uty = ut @ y
+            fits.append([None if gain is None else _coef(vt, gain, uty) for gain in gains])
+    coefs = [c.ravel() for fit in fits for c in fit if c is not None]
+    if coefs and not np.isfinite(np.concatenate(coefs)).all():
         raise ContractViolation("coef contains non-finite entries")
-    return [[c if ok else None for c, ok in zip(coefs, defined)] for coefs, defined in stacks]
+    return fits
 
 
 def ols_oracle_fit(

@@ -359,6 +359,11 @@ def test_cell_counts_read_from_the_rows_match_a_recount_over_the_trials():
     changed = rows.copy()
     changed[4, 0] = 1e-300
     assert cell != CellSummary(cell.spec, cell.axis, cell.category, seed, changed)
+    # a cell keeps a read-only copy of its rows: writing the array it was built
+    # from changes neither its counts nor its trials
+    assert not cell.rows.flags.writeable
+    rows[0, 0] = math.inf
+    assert _counts(cell) == _recount(cell) == (5, 2, 2, 1, 0.5)
 
 
 # six cells of one algorithm, hence six groups: three workers take two each
