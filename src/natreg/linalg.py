@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NotPositiveDefinite, RankDeficient
+from .errors import ContractViolation, NotPositiveDefinite
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -51,37 +51,16 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization with a positive diagonal on the triangular factor.
-
-    The sign convention makes the factorization unique for full-column-rank
-    input, which keeps sampled orthonormal frames deterministic.  Input of
-    lower numerical rank raises :class:`RankDeficient`.
-    """
-    a = as_matrix(a, "a")
-    rows, cols = a.shape
-    if rows < cols:
-        raise ContractViolation(f"need rows >= cols for a thin QR, got {a.shape}")
-    q, r = np.linalg.qr(a)
-    diagonal = np.diagonal(r)
-    # numerical_rank's cutoff, applied to |diag(R)| rather than to the
-    # singular values, so the one factorization also tests the rank
-    magnitude = np.abs(diagonal)
-    rank = int(np.count_nonzero(magnitude > rows * EPS * float(magnitude.max())))
-    if rank < cols:
-        raise RankDeficient(
-            f"input has numerical rank {rank} < {cols}", rank=rank, required=cols
-        )
-    signs = np.where(diagonal < 0.0, -1.0, 1.0)
-    return q * signs, signs[:, None] * r
+def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Number of the singular values ``s`` (largest first) of a matrix of
+    ``shape`` above the numerical-rank cutoff ``max(dims) * eps * s_max``."""
+    return int(np.count_nonzero(s > max(shape) * EPS * s[0]))
 
 
 def numerical_rank(a: np.ndarray) -> int:
-    """Number of singular values above ``max(dims) * eps * s_max``."""
+    """Number of singular values of ``a`` above :func:`_rank`'s cutoff."""
     a = as_matrix(a, "a")
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(a.shape) * EPS * float(s[0])
-    return int(np.count_nonzero(s > cutoff))
+    return _rank(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def condition_estimate(a: np.ndarray) -> float:
@@ -91,8 +70,7 @@ def condition_estimate(a: np.ndarray) -> float:
     if a.shape[1] != n:
         raise ContractViolation(f"a must be square, got {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = n * EPS * float(s[0])
-    if float(s[-1]) <= cutoff:
+    if _rank(s, a.shape) < n:
         return math.inf
     return float(s[0] / s[-1])
 

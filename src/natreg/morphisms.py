@@ -1,8 +1,9 @@
-"""Structured linear maps acting on datasets and models.
+"""Structured linear maps on one dataset axis, and how to draw them.
 
 A morphism is a matrix tagged with the kind of structure it preserves and the
 dataset axis it acts on.  Predictor and target morphisms multiply rows from
-the right; index morphisms recombine examples from the left.  The kinds form
+the right; index morphisms recombine examples from the left.  Those products
+are written where they are used, in :mod:`natreg.naturality`.  The kinds form
 a small fixed vocabulary:
 
   finvec      any linear map
@@ -21,16 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ContractViolation, SamplingFailed
-from .linalg import (
-    SeedState,
-    as_matrix,
-    condition_estimate,
-    numerical_rank,
-    qr_thin,
-)
-from .regression import LinearModel
+from .linalg import SeedState, as_matrix, condition_estimate, numerical_rank
 
 
 class Axis(enum.Enum):
@@ -75,11 +68,14 @@ class Morphism:
     """A structured map between the dimensions given by its matrix's shape.
 
     Predictor and target morphisms store a source x target matrix applied by
-    right multiplication; index morphisms store a target x source matrix
-    applied by left multiplication.  ``source_dim`` and ``target_dim`` are
-    read from the shape by that convention, and construction checks the
-    kind's dimension rules; the structural constraint itself is checked by
-    :func:`verify_morphism` and guaranteed by :func:`sample_morphism`.
+    right multiplication (``x @ matrix``); index morphisms store a target x
+    source matrix applied by left multiplication (``matrix @ x``, ``matrix @
+    y``).  ``source_dim`` and ``target_dim`` are read from the shape by that
+    convention.  Construction copies the matrix into a read-only C-contiguous
+    array and checks the kind's dimension rules; the structural constraint is
+    checked by :func:`verify_morphism` and guaranteed by
+    :func:`sample_morphism`.  Only the ``check_*`` oracle of
+    :mod:`natreg.naturality` takes one; the audit uses bare matrices.
     """
 
     kind: CategoryKind
@@ -112,11 +108,14 @@ def draw_morphism_matrix(
     ``gen``, and the condition number its draw was accepted on.
 
     finvec draws a Gaussian matrix; finvec_iso draws successive Gaussians
-    until one has condition number at most ``DEFAULT_KAPPA_MAX``; euc and
-    euc_mono take the orthonormal factor of a Gaussian (thin QR with its sign
-    convention, so draws are unique); set_iso permutes; discrete is the
-    identity and draws nothing.  Only finvec_iso tests a condition number;
-    the other kinds return ``None`` in its place.
+    until one has condition number at most ``DEFAULT_KAPPA_MAX``; set_iso
+    permutes; discrete is the identity and draws nothing.  euc and euc_mono
+    take ``Q`` of ``np.linalg.qr`` of a target x source Gaussian ``G``, its
+    column signs flipped to make the diagonal of ``Q' G`` positive, so a
+    draw is unique; euc returns the square ``Q``, euc_mono ``Q`` on the index
+    axis and a C-contiguous copy of ``Q'`` on the others.  Only finvec_iso
+    tests its draw (a Gaussian has full rank with probability one), and
+    only it returns a condition number; the others return ``None``.
     """
     _check_dims(kind, source_dim, target_dim)
     if kind is CategoryKind.DISCRETE:
@@ -137,12 +136,13 @@ def draw_morphism_matrix(
         raise SamplingFailed(
             f"no draw with condition <= {DEFAULT_KAPPA_MAX:g} in {_RESAMPLE_CAP} attempts"
         )
-    if kind is CategoryKind.EUC:
-        return qr_thin(gen.standard_normal((source_dim, source_dim)))[0], None
-    # euc_mono: an orthonormal frame, transposed into a row-major copy off the
-    # index axis (products of a transposed view round differently)
-    frame, _ = qr_thin(gen.standard_normal((target_dim, source_dim)))
-    return (frame if axis is Axis.INDEX else np.ascontiguousarray(frame.T)), None
+    q, r = np.linalg.qr(gen.standard_normal((target_dim, source_dim)))
+    frame = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    if kind is CategoryKind.EUC or axis is Axis.INDEX:
+        return frame, None
+    # euc_mono off the index axis: the frame transposed into a row-major copy
+    # (products of a transposed view round differently)
+    return np.ascontiguousarray(frame.T), None
 
 
 def sample_morphism(
@@ -183,51 +183,3 @@ def verify_morphism(morphism: Morphism) -> float:
     else:
         gram = m @ m.T
     return float(np.linalg.norm(gram - np.eye(morphism.source_dim)))
-
-
-def _check_action(morphism: Morphism, axis: Axis, end_dim: int, dim: int, what: str) -> None:
-    """Raise unless ``morphism`` acts on ``axis`` and ``end_dim``, the dimension
-    of its end that meets the data or model, equals ``what``'s dimension ``dim``."""
-    if morphism.axis is not axis:
-        raise ContractViolation(
-            f"expected a morphism on the {axis.value} axis, got one on {morphism.axis.value}"
-        )
-    if end_dim != dim:
-        raise ContractViolation(
-            f"{axis.value} morphism {morphism.source_dim}->{morphism.target_dim} "
-            f"does not fit {what} {dim}"
-        )
-
-
-def act_on_predictors(d: Dataset, morphism: Morphism) -> Dataset:
-    """Transform predictor rows: x -> x @ m, targets untouched."""
-    _check_action(morphism, Axis.PREDICTOR, morphism.source_dim, d.p, "dataset p")
-    return Dataset(x=d.x @ morphism.matrix, y=d.y)
-
-
-def act_on_targets(d: Dataset, morphism: Morphism) -> Dataset:
-    """Transform target rows: y -> y @ m, predictors untouched."""
-    _check_action(morphism, Axis.TARGET, morphism.source_dim, d.q, "dataset q")
-    return Dataset(x=d.x, y=d.y @ morphism.matrix)
-
-
-def act_on_index(d: Dataset, morphism: Morphism) -> Dataset:
-    """Recombine examples: x -> m @ x and y -> m @ y together."""
-    _check_action(morphism, Axis.INDEX, morphism.source_dim, d.n_examples, "dataset N")
-    return Dataset(x=morphism.matrix @ d.x, y=morphism.matrix @ d.y)
-
-
-def model_action_target(model: LinearModel, morphism: Morphism) -> LinearModel:
-    """Push a model forward along a target morphism: coef -> coef @ m."""
-    _check_action(morphism, Axis.TARGET, morphism.source_dim, model.q, "model q")
-    return LinearModel(model.coef @ morphism.matrix)
-
-
-def model_precompose_predictor(morphism: Morphism, model: LinearModel) -> LinearModel:
-    """Pull a model back along a predictor morphism: coef -> m @ coef.
-
-    The result predicts on the morphism's source coordinates, so the model
-    must live on its target coordinates.
-    """
-    _check_action(morphism, Axis.PREDICTOR, morphism.target_dim, model.p, "model p")
-    return LinearModel(morphism.matrix @ model.coef)

@@ -8,10 +8,14 @@ with fitting and transforming the model:
   predictor axis  xi @ fit(x @ xi)    == fit(x)          (pulling back)
   index axis      fit(m @ x, m @ y)   == fit(x, y)
 
-Each checker returns the relative residual of its diagram; the audit runs
-many seeded trials per (algorithm, axis, kind) cell and compares the outcome
-with the expected classification.  Two tiny exact counterexamples pin down
-why the negative cells are negative.
+These products are written out where they are used.  Each ``check_*``
+function returns one diagram's relative residual for a ``Dataset`` and a
+``Morphism``, fitting through :meth:`AlgorithmSpec.fit`; it is the reference
+for the audit engine (:func:`_transform`, :func:`_residual`), which computes
+the same numbers from raw arrays for many seeded trials per (algorithm,
+axis, kind) cell and compares the outcome with the expected classification.
+Two tiny exact counterexamples on plain arrays pin down why the negative
+cells are negative.
 """
 
 from __future__ import annotations
@@ -27,18 +31,7 @@ from ._forkjoin import usable_cpus as _usable_cpus
 from .data import Dataset, draw_dataset
 from .errors import ConfigError, ContractViolation, NatregError
 from .linalg import SeedState, _rel_distance, _stream_modules, rel_distance
-from .morphisms import (
-    Axis,
-    CategoryKind,
-    Morphism,
-    SQUARE_KINDS,
-    act_on_index,
-    act_on_predictors,
-    act_on_targets,
-    draw_morphism_matrix,
-    model_action_target,
-    model_precompose_predictor,
-)
+from .morphisms import Axis, CategoryKind, Morphism, SQUARE_KINDS, draw_morphism_matrix
 from .regression import (
     AlgorithmKind,
     AlgorithmSpec,
@@ -67,8 +60,8 @@ AUDITED_KINDS = (AlgorithmKind.OLS, AlgorithmKind.RIDGE)
 def check_target_naturality(spec: AlgorithmSpec, d: Dataset, eta: Morphism) -> float:
     """Residual between fit-then-transform and transform-then-fit on targets."""
     fitted = spec.fit(d)
-    refitted = spec.fit(act_on_targets(d, eta))
-    return rel_distance(refitted.coef, model_action_target(fitted, eta).coef)
+    refitted = spec.fit(Dataset(x=d.x, y=d.y @ eta.matrix))
+    return rel_distance(refitted.coef, fitted.coef @ eta.matrix)
 
 
 def check_predictor_dinaturality(spec: AlgorithmSpec, d: Dataset, xi: Morphism) -> float:
@@ -78,15 +71,14 @@ def check_predictor_dinaturality(spec: AlgorithmSpec, d: Dataset, xi: Morphism) 
     original fit when the diagram commutes.
     """
     fitted = spec.fit(d)
-    refitted = spec.fit(act_on_predictors(d, xi))
-    pulled_back = model_precompose_predictor(xi, refitted)
-    return rel_distance(pulled_back.coef, fitted.coef)
+    refitted = spec.fit(Dataset(x=d.x @ xi.matrix, y=d.y))
+    return rel_distance(xi.matrix @ refitted.coef, fitted.coef)
 
 
 def check_index_invariance(spec: AlgorithmSpec, d: Dataset, m: Morphism) -> float:
     """Residual between fits before and after recombining examples."""
     fitted = spec.fit(d)
-    refitted = spec.fit(act_on_index(d, m))
+    refitted = spec.fit(Dataset(x=m.matrix @ d.x, y=m.matrix @ d.y))
     return rel_distance(refitted.coef, fitted.coef)
 
 
@@ -167,8 +159,8 @@ class AuditConfig:
             raise ConfigError("codomain_offset", f"must be >= 0, got {self.codomain_offset}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
-        if not self.base_tolerance > 0.0:
-            raise ConfigError("base_tolerance", f"must be positive, got {self.base_tolerance}")
+        if not 0.0 < self.base_tolerance < math.inf:
+            raise ConfigError("base_tolerance", f"must be positive and finite, got {self.base_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -322,7 +314,7 @@ def draw_trial(
 
 
 def _transform(axis: Axis, category: CategoryKind, x: np.ndarray, y: np.ndarray, m: np.ndarray):
-    """The data a trial refits: the arrays of ``act_on_*``.
+    """The data a trial refits: ``x @ m``, ``y @ m`` or ``(m @ x, m @ y)``.
 
     A discrete map is the identity, whose products are exact, so its trials
     refit the drawn arrays themselves and their fits share one factorization.
@@ -454,21 +446,17 @@ def counterexample_ols_shear(k: float) -> ShearCounterexample:
     if not math.isfinite(k):
         raise ContractViolation(f"k must be finite, got {k}")
     d = Dataset(x=[[1.0, 0.0]], y=[[1.0]])
-    xi = Morphism(
-        kind=CategoryKind.FINVEC_ISO,
-        axis=Axis.PREDICTOR,
-        matrix=[[1.0, float(k)], [0.0, 1.0]],
-    )
+    xi = np.array([[1.0, float(k)], [0.0, 1.0]])
     fitted = min_norm_ols_fit(d)
-    transformed = act_on_predictors(d, xi)
+    transformed = Dataset(x=d.x @ xi, y=d.y)
     refitted = min_norm_ols_fit(transformed)
-    pulled_back = model_precompose_predictor(xi, refitted)
+    pulled_back = xi @ refitted.coef
     return ShearCounterexample(
         k=float(k),
         fit=fitted.coef,
         fit_transformed=refitted.coef,
-        pulled_back=pulled_back.coef,
-        residual=float(np.linalg.norm(pulled_back.coef - fitted.coef)),
+        pulled_back=pulled_back,
+        residual=float(np.linalg.norm(pulled_back - fitted.coef)),
         sse_original=sse(d, fitted),
         sse_transformed=sse(transformed, refitted),
     )
@@ -513,19 +501,24 @@ def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCount
     if not (math.isfinite(c) and c != 0.0):
         raise ContractViolation(f"c must be finite and nonzero, got {c}")
     b, c, lam = float(b), float(c), float(lam)
+    if not math.isfinite(b * c):
+        raise ContractViolation(f"b * c overflows float64 (b = {b:g}, c = {c:g})")
     d = Dataset(x=[[b]], y=[[1.0]])
-    xi = Morphism(kind=CategoryKind.FINVEC_ISO, axis=Axis.PREDICTOR, matrix=[[c]])
-    fitted = ridge_fit(d, lam).coef[0, 0]
-    refitted = ridge_fit(act_on_predictors(d, xi), lam).coef[0, 0]
+    xi = np.array([[c]])
+    fitted = float(ridge_fit(d, lam).coef[0, 0])
+    refitted = float(ridge_fit(Dataset(x=d.x @ xi, y=d.y), lam).coef[0, 0])
+    for name, value in (("fit / c", fitted / c), ("c * fit'", c * refitted)):
+        if not math.isfinite(value):
+            raise ContractViolation(f"{name} overflows float64 (b = {b:g}, c = {c:g}, lambda = {lam:g})")
     return ScalingCounterexample(
         b=b,
         c=c,
         lam=lam,
-        fit=float(fitted),
-        fit_transformed=float(refitted),
+        fit=fitted,
+        fit_transformed=refitted,
         fit_closed_form=_one_example_ridge(b, lam),
         fit_transformed_closed_form=_one_example_ridge(b * c, lam),
-        expected_if_natural=float(fitted) / c,
-        residual=abs(float(refitted) - float(fitted) / c),
-        pulled_back_residual=abs(c * float(refitted) - float(fitted)),
+        expected_if_natural=fitted / c,
+        residual=abs(refitted - fitted / c),
+        pulled_back_residual=abs(c * refitted - fitted),
     )

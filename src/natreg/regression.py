@@ -24,7 +24,7 @@ from .errors import (
     OracleDiverged,
     RankDeficient,
 )
-from .linalg import EPS, as_matrix
+from .linalg import _rank, as_matrix
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,18 @@ def _check_shapes(d: Dataset, model: LinearModel) -> None:
 def sse(d: Dataset, model: LinearModel) -> float:
     """Sum of squared residuals over all examples and target coordinates."""
     _check_shapes(d, model)
-    r = d.y - d.x @ model.coef
-    return float(np.sum(r * r))
+    # an sse past the float64 range is inf, and says so without a warning
+    with np.errstate(over="ignore"):
+        r = d.y - d.x @ model.coef
+        return float(np.sum(r * r))
 
 
 def ridge_objective(d: Dataset, model: LinearModel, lam: float) -> float:
     """Sum of squared residuals plus lam times the squared coefficient norm."""
     if not lam >= 0.0:
         raise ContractViolation(f"lambda must be non-negative, got {lam}")
-    return sse(d, model) + float(lam) * float(np.sum(model.coef * model.coef))
+    with np.errstate(over="ignore"):
+        return sse(d, model) + float(lam) * float(np.sum(model.coef * model.coef))
 
 
 def sse_gradient(d: Dataset, model: LinearModel) -> np.ndarray:
@@ -138,10 +141,10 @@ def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.n
 
 def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``u``, ``s``, ``vt`` and the numerical rank of one thin SVD
-    ``x = u diag(s) vt``; the rank counts the ``s`` above
-    :func:`~natreg.linalg.numerical_rank`'s cutoff, ``max(dims) * eps * s_max``."""
+    ``x = u diag(s) vt``; the rank is :func:`~natreg.linalg.numerical_rank`'s,
+    counted on these ``s``."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return u, s, vt, int(np.count_nonzero(s > max(x.shape) * EPS * s[0]))
+    return u, s, vt, _rank(s, x.shape)
 
 
 def _gain(spec: AlgorithmSpec, s: np.ndarray, rank: int, p: int) -> np.ndarray | None:

@@ -84,7 +84,8 @@ def _scaling_payload(scaling: ScalingCounterexample) -> dict:
 
 
 def _serialize(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # a non-finite float would come out as Infinity or NaN, which is not JSON
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def audit_report_to_json(report: AuditReport) -> str:

@@ -417,6 +417,32 @@ def test_counterexamples_bad_arguments_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--tolerance", "inf", "--format", "json"],
+    ["counterexamples", "--c", "1e-320", "--format", "json"],
+])
+def test_reports_that_would_hold_infinity_exit_two(argv, capsys):
+    # an infinite tolerance, and a fit / c past float64, have no JSON form
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_overflows_print_no_numpy_warning(tmp_path):
+    # a fresh interpreter shows RuntimeWarnings on stderr, as a user's shell would
+    data = _write(tmp_path, "big.csv", "1e200,2e200\n2e200,3.5e200\n3e200,6.1e200\n")
+    fit = _run_python(["-m", "natreg.cli", "fit", "--data", data, "--predictors", "1",
+                       "--targets", "1", "--algorithm", "ridge", "--lambda", "1"])
+    # the residuals are about 1e199, so their squares overflow to inf
+    assert (fit.returncode, fit.stderr) == (0, "sse = inf\nridge objective = inf\n")
+    assert abs(_parse_coefficients(fit.stdout)[0, 0] - 1.95) <= 1e-12
+    ce = _run_python(["-m", "natreg.cli", "counterexamples", "--b", "1e200", "--c", "1e200"])
+    assert (ce.returncode, ce.stdout, ce.stderr) == (
+        2, "", "error: b * c overflows float64 (b = 1e+200, c = 1e+200)\n"
+    )
+
+
 def _run_python(args: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on ``args`` that finds this natreg.
 

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import natreg
-from natreg.errors import ContractViolation, NotPositiveDefinite, RankDeficient
+from natreg.errors import ContractViolation, NotPositiveDefinite
 from natreg.linalg import (
     SeedState,
     condition_estimate,
     numerical_rank,
-    qr_thin,
     rel_distance,
     solve_spd,
 )
@@ -63,50 +62,13 @@ def test_solve_spd_backward_error_under_conditioned_fixtures():
         gen = seed.generator()
         n = int(gen.integers(1, 9))
         kappa = 10.0 ** gen.uniform(0.0, 4.0)
-        q, _ = qr_thin(sample_gaussian(n, n, seed.derive("q")))
+        q, _ = np.linalg.qr(sample_gaussian(n, n, seed.derive("q")))
         spectrum = np.geomspace(1.0, kappa, n)
         a = q @ np.diag(spectrum) @ q.T
         a = (a + a.T) / 2.0
         b = sample_gaussian(n, int(gen.integers(1, 4)), seed.derive("b"))
         f = solve_spd(a, b)
         assert np.linalg.norm(a @ f - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_qr_thin_known_factorization():
-    q, r = qr_thin([[3.0], [4.0]])
-    np.testing.assert_allclose(q, [[0.6], [0.8]], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(r, [[5.0]], rtol=0, atol=1e-15)
-
-
-def test_qr_thin_sign_convention_gives_unique_factor():
-    a = np.array([[-3.0], [-4.0]])
-    q, r = qr_thin(a)
-    assert r[0, 0] > 0
-    np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-15)
-
-
-def test_qr_thin_orthonormality_and_reconstruction():
-    for i in range(1000):
-        seed = SeedState(2000 + i, "qr")
-        gen = seed.generator()
-        rows = int(gen.integers(1, 21))
-        cols = int(gen.integers(1, rows + 1))
-        a = sample_gaussian(rows, cols, seed.derive("a"))
-        q, r = qr_thin(a)
-        assert np.linalg.norm(q.T @ q - np.eye(cols)) <= 1e-12
-        assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
-        assert np.all(np.diagonal(r) > 0)
-
-
-def test_qr_thin_rejects_rank_deficient():
-    with pytest.raises(RankDeficient) as excinfo:
-        qr_thin([[1.0, 2.0], [2.0, 4.0]])
-    assert excinfo.value.rank == 1
-
-
-def test_qr_thin_rejects_wide_input():
-    with pytest.raises(ContractViolation):
-        qr_thin(np.ones((1, 2)))
 
 
 def test_numerical_rank_known_values():

@@ -1,4 +1,4 @@
-"""Morphism sampling, structural constraints, and actions on data and models."""
+"""Morphism sampling, the draws' conventions, and structural constraints."""
 
 from __future__ import annotations
 
@@ -8,22 +8,17 @@ import numpy as np
 import pytest
 
 import natreg.morphisms
-from natreg.data import Dataset, synth_dataset
+from natreg.data import synth_dataset
 from natreg.errors import ContractViolation, SamplingFailed
 from natreg.linalg import SeedState, condition_estimate
 from natreg.morphisms import (
     Axis,
     CategoryKind,
     Morphism,
-    act_on_index,
-    act_on_predictors,
-    act_on_targets,
-    model_action_target,
-    model_precompose_predictor,
+    draw_morphism_matrix,
     sample_morphism,
     verify_morphism,
 )
-from natreg.regression import LinearModel
 
 ALL_KINDS = list(CategoryKind)
 
@@ -105,9 +100,8 @@ def test_set_iso_samples_are_exact_permutations():
 def test_set_iso_index_action_permutes_row_multiset_exactly():
     d, _ = synth_dataset(SeedState(51, "rows"), 7, 3, 2, noise_sd=1.0)
     morphism = sample_morphism(CategoryKind.SET_ISO, Axis.INDEX, 7, 7, SeedState(52, "p"))
-    moved = act_on_index(d, morphism)
     stacked = np.hstack([d.x, d.y])
-    moved_stacked = np.hstack([moved.x, moved.y])
+    moved_stacked = np.hstack([morphism.matrix @ d.x, morphism.matrix @ d.y])
     order = np.lexsort(stacked.T)
     moved_order = np.lexsort(moved_stacked.T)
     np.testing.assert_array_equal(stacked[order], moved_stacked[moved_order])
@@ -117,7 +111,7 @@ def test_discrete_samples_are_identity():
     morphism = sample_morphism(CategoryKind.DISCRETE, Axis.TARGET, 4, 4, SeedState(6, "id"))
     np.testing.assert_array_equal(morphism.matrix, np.eye(4))
     d, _ = synth_dataset(SeedState(61, "id"), 5, 3, 4, noise_sd=1.0)
-    np.testing.assert_array_equal(act_on_targets(d, morphism).y, d.y)
+    np.testing.assert_array_equal(d.y @ morphism.matrix, d.y)
 
 
 def test_euc_mono_frames_preserve_inner_products():
@@ -133,6 +127,25 @@ def test_euc_mono_frames_preserve_inner_products():
         np.testing.assert_allclose(
             index.matrix.T @ index.matrix, np.eye(source), rtol=0, atol=1e-12
         )
+
+
+def test_orthonormal_draws_are_the_qr_factor_with_a_positive_r_diagonal():
+    # The draw is Q of the QR of the Gaussian G that opens its stream, with
+    # its column signs chosen so that R = Q' G has a positive diagonal.  Q is
+    # target x source: euc_mono off the index axis draws its transpose.
+    for i in range(60):
+        seed = SeedState(7500 + i, "qr-sign")
+        source = 1 + i % 6
+        for kind in (CategoryKind.EUC, CategoryKind.EUC_MONO):
+            target = source + (i % 4 if kind is CategoryKind.EUC_MONO else 0)
+            for axis in Axis:
+                m, kappa = draw_morphism_matrix(kind, axis, source, target, seed.generator())
+                g = seed.generator().standard_normal((target, source))
+                q = m.T if kind is CategoryKind.EUC_MONO and axis is not Axis.INDEX else m
+                r = q.T @ g
+                assert kappa is None and q.shape == (target, source)
+                np.testing.assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-12)
+                assert np.all(np.diagonal(r) > 0.0)
 
 
 def test_sample_morphism_rejects_bad_dims():
@@ -151,130 +164,3 @@ def test_verify_morphism_flags_broken_constraints():
     assert verify_morphism(singular) == math.inf
     anything = Morphism(CategoryKind.FINVEC, Axis.PREDICTOR, [[5.0, -3.0]])
     assert verify_morphism(anything) == 0.0
-
-
-def test_act_on_predictors_applies_right_multiplication():
-    d = Dataset([[1.0, 0.0]], [[1.0]])
-    shear = Morphism(CategoryKind.FINVEC_ISO, Axis.PREDICTOR, [[1.0, 2.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(act_on_predictors(d, shear).x, [[1.0, 2.0]])
-    np.testing.assert_array_equal(act_on_predictors(d, shear).y, d.y)
-
-
-def test_act_on_targets_applies_right_multiplication():
-    d = Dataset([[1.0]], [[2.0, 3.0]])
-    eta = Morphism(CategoryKind.FINVEC, Axis.TARGET, [[1.0], [1.0]])
-    np.testing.assert_array_equal(act_on_targets(d, eta).y, [[5.0]])
-
-
-def test_act_on_index_applies_left_multiplication():
-    d = Dataset([[1.0]], [[2.0]])
-    # duplicate the single example with weight 1/sqrt(2): an isometry
-    w = 1.0 / math.sqrt(2.0)
-    dup = Morphism(CategoryKind.EUC_MONO, Axis.INDEX, [[w], [w]])
-    moved = act_on_index(d, dup)
-    np.testing.assert_allclose(moved.x, [[w], [w]], rtol=0, atol=1e-16)
-    np.testing.assert_allclose(moved.y, [[2.0 * w], [2.0 * w]], rtol=0, atol=1e-16)
-
-
-def test_actions_check_axis_and_dims():
-    d = Dataset([[1.0, 0.0]], [[1.0]])
-    eta = Morphism(CategoryKind.FINVEC, Axis.TARGET, [[1.0]])
-    with pytest.raises(ContractViolation):
-        act_on_predictors(d, eta)
-    wrong_dim = Morphism(CategoryKind.FINVEC, Axis.PREDICTOR, [[1.0]])
-    with pytest.raises(ContractViolation):
-        act_on_predictors(d, wrong_dim)
-    with pytest.raises(ContractViolation):
-        act_on_index(d, eta)
-
-
-def test_model_action_target_known_value():
-    model = LinearModel([[1.0], [2.0]])
-    eta = Morphism(CategoryKind.FINVEC, Axis.TARGET, [[1.0, 0.0]])
-    np.testing.assert_array_equal(
-        model_action_target(model, eta).coef, [[1.0, 0.0], [2.0, 0.0]]
-    )
-
-
-def test_model_precompose_predictor_known_value():
-    model = LinearModel([[1.0], [2.0]])
-    xi = Morphism(CategoryKind.FINVEC, Axis.PREDICTOR, [[1.0, 1.0]])
-    np.testing.assert_array_equal(model_precompose_predictor(xi, model).coef, [[3.0]])
-    with pytest.raises(ContractViolation):
-        model_precompose_predictor(
-            Morphism(CategoryKind.FINVEC, Axis.PREDICTOR, [[1.0]]), model
-        )
-
-
-def test_identity_morphisms_act_exactly():
-    d, _ = synth_dataset(SeedState(62, "exact"), 6, 3, 2, noise_sd=1.0)
-    for axis, dim in ((Axis.PREDICTOR, 3), (Axis.TARGET, 2), (Axis.INDEX, 6)):
-        identity = sample_morphism(CategoryKind.DISCRETE, axis, dim, dim, SeedState(1))
-        acted = {
-            Axis.PREDICTOR: act_on_predictors,
-            Axis.TARGET: act_on_targets,
-            Axis.INDEX: act_on_index,
-        }[axis](d, identity)
-        np.testing.assert_array_equal(acted.x, d.x)
-        np.testing.assert_array_equal(acted.y, d.y)
-
-
-def test_dataset_actions_are_functorial():
-    # Acting twice equals acting once with the composite, to roundoff.
-    for i in range(50):
-        seed = SeedState(8000 + i, "functor")
-        gen = seed.derive("dims").generator()
-        p, q, n = (int(gen.integers(1, 7)) for _ in range(3))
-        d, _ = synth_dataset(seed.derive("data"), n + 7, p, q, noise_sd=1.0)
-
-        # predictor axis: right multiplication composes left-to-right
-        f1 = sample_morphism(CategoryKind.FINVEC, Axis.PREDICTOR, p, 4, seed.derive("p1"))
-        f2 = sample_morphism(CategoryKind.FINVEC, Axis.PREDICTOR, 4, 3, seed.derive("p2"))
-        composite = Morphism(CategoryKind.FINVEC, Axis.PREDICTOR, f1.matrix @ f2.matrix)
-        twice = act_on_predictors(act_on_predictors(d, f1), f2)
-        once = act_on_predictors(d, composite)
-        assert np.linalg.norm(twice.x - once.x) <= 1e-12 * (1.0 + np.linalg.norm(once.x))
-
-        # target axis
-        t1 = sample_morphism(CategoryKind.FINVEC, Axis.TARGET, q, 5, seed.derive("t1"))
-        t2 = sample_morphism(CategoryKind.FINVEC, Axis.TARGET, 5, 2, seed.derive("t2"))
-        t_composite = Morphism(CategoryKind.FINVEC, Axis.TARGET, t1.matrix @ t2.matrix)
-        twice = act_on_targets(act_on_targets(d, t1), t2)
-        once = act_on_targets(d, t_composite)
-        assert np.linalg.norm(twice.y - once.y) <= 1e-12 * (1.0 + np.linalg.norm(once.y))
-
-        # index axis: left multiplication composes right-to-left
-        i1 = sample_morphism(CategoryKind.FINVEC, Axis.INDEX, n + 7, 6, seed.derive("i1"))
-        i2 = sample_morphism(CategoryKind.FINVEC, Axis.INDEX, 6, 4, seed.derive("i2"))
-        i_composite = Morphism(CategoryKind.FINVEC, Axis.INDEX, i2.matrix @ i1.matrix)
-        twice = act_on_index(act_on_index(d, i1), i2)
-        once = act_on_index(d, i_composite)
-        assert np.linalg.norm(twice.x - once.x) <= 1e-12 * (1.0 + np.linalg.norm(once.x))
-        assert np.linalg.norm(twice.y - once.y) <= 1e-12 * (1.0 + np.linalg.norm(once.y))
-
-
-def test_model_actions_are_functorial():
-    for i in range(50):
-        seed = SeedState(9000 + i, "model-functor")
-        gen = seed.derive("dims").generator()
-        p, q = int(gen.integers(1, 7)), int(gen.integers(1, 7))
-        coef = seed.derive("coef").generator().standard_normal((p, q))
-        model = LinearModel(coef)
-
-        t1 = sample_morphism(CategoryKind.FINVEC, Axis.TARGET, q, 5, seed.derive("t1"))
-        t2 = sample_morphism(CategoryKind.FINVEC, Axis.TARGET, 5, 3, seed.derive("t2"))
-        composite = Morphism(CategoryKind.FINVEC, Axis.TARGET, t1.matrix @ t2.matrix)
-        twice = model_action_target(model_action_target(model, t1), t2)
-        once = model_action_target(model, composite)
-        assert np.linalg.norm(twice.coef - once.coef) <= 1e-12 * (
-            1.0 + np.linalg.norm(once.coef)
-        )
-
-        x1 = sample_morphism(CategoryKind.FINVEC, Axis.PREDICTOR, 6, 4, seed.derive("x1"))
-        x2 = sample_morphism(CategoryKind.FINVEC, Axis.PREDICTOR, 4, p, seed.derive("x2"))
-        pre_composite = Morphism(CategoryKind.FINVEC, Axis.PREDICTOR, x1.matrix @ x2.matrix)
-        twice = model_precompose_predictor(x1, model_precompose_predictor(x2, model))
-        once = model_precompose_predictor(pre_composite, model)
-        assert np.linalg.norm(twice.coef - once.coef) <= 1e-12 * (
-            1.0 + np.linalg.norm(once.coef)
-        )

@@ -174,8 +174,10 @@ def test_audit_config_validation():
         AuditConfig(algorithms=())
     with pytest.raises(ConfigError):
         AuditConfig(axes=())
-    with pytest.raises(ConfigError):
-        AuditConfig(base_tolerance=0.0)
+    for tolerance in (0.0, math.inf, math.nan):
+        # an infinite pass line could count no trial as a violation
+        with pytest.raises(ConfigError):
+            AuditConfig(base_tolerance=tolerance)
     with pytest.raises(ConfigError):
         AuditConfig(p_range=(3, 2))
     with pytest.raises(ConfigError):
@@ -504,3 +506,11 @@ def test_counterexample_argument_validation():
         counterexample_ridge_scaling(1.0, 2.0, 0.0)
     with pytest.raises(ContractViolation):
         counterexample_ols_shear(math.inf)
+    # witnesses that float64 cannot hold: each would report an inf, or warn
+    # of an overflowing product
+    with pytest.raises(ContractViolation, match=r"^b \* c overflows"):
+        counterexample_ridge_scaling(1e200, 1e200, 1.0)
+    with pytest.raises(ContractViolation, match=r"^fit / c overflows"):
+        counterexample_ridge_scaling(1.0, 1e-320, 1.0)
+    with pytest.raises(ContractViolation, match=r"^c \* fit' overflows"):
+        counterexample_ridge_scaling(1e-320, 1e300, 1e-300)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+
+import pytest
 
 from natreg.morphisms import Axis, CategoryKind
 from natreg.naturality import (
@@ -118,3 +122,13 @@ def test_counterexamples_text_contains_key_numbers():
     assert format(shear.residual, ".17g") in rendered
     assert format(scaling.residual, ".17g") in rendered
     assert rendered.count("VIOLATION") == 2
+
+
+def test_json_refuses_non_finite_numbers():
+    # Infinity and NaN are not JSON; the library never builds such a witness
+    shear = counterexample_ols_shear(1.0)
+    scaling = counterexample_ridge_scaling(1.0, 2.0, 1.0)
+    for value in (math.inf, math.nan):
+        broken = dataclasses.replace(scaling, residual=value)
+        with pytest.raises(ValueError):
+            counterexamples_to_json("0.1.0", shear, broken)
