@@ -9,8 +9,9 @@ violation), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import errno
+import contextlib
 import os
+import stat
 import sys
 
 # One OpenBLAS thread per process: the CLI's solves are small or thin, where
@@ -19,9 +20,9 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .data import dataset_from_csv
+from .data import csv_block_factors
 from .errors import NatregError, RankDeficient
-from .regression import AlgorithmKind, AlgorithmSpec, ridge_objective, sse
+from .regression import AlgorithmKind, AlgorithmSpec, fit_block_factors
 
 # natreg.naturality and natreg.report are imported inside the subcommands
 # that use them, so `natreg fit` never loads them.  Such an import reads the
@@ -77,67 +78,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(out: str | None) -> None:
-    """Raise the error that opening ``out`` for writing would, before any work.
+@contextlib.contextmanager
+def _output(out: str | None):
+    """A ``write(text)`` to stdout, or to ``out``, opened here, before any work.
 
-    The file itself is neither created, truncated nor opened here.
+    ``out`` is opened without truncation, so a path that cannot be written
+    fails here with the error ``open`` gives, and a file keeps its contents
+    until ``write`` truncates it.  A file this creates is left empty when
+    the work fails.
     """
     if out is None:
+        yield sys.stdout.write
         return
-    target = os.path.realpath(out)  # where open would write, through any symlinks
-    parent = os.path.dirname(target)
-    if not out:
-        code = errno.ENOENT
-    elif not os.path.isdir(parent):
-        try:
-            os.stat(parent)  # raises as open would: ENOENT, or ENOTDIR through a file
-            code = errno.ENOTDIR
-        except OSError as exc:
-            code = exc.errno
-    elif out.endswith("/") or os.path.isdir(target):
-        code = errno.EISDIR  # open refuses to create a name that ends in a slash
-    elif os.path.islink(target):
-        code = errno.ELOOP  # realpath stops at a link it cannot resolve
-    elif not os.access(target if os.path.exists(target) else parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), out)
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
 
-
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
+        def write(text: str) -> None:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # not a pipe or a device
+                os.ftruncate(handle.fileno(), 0)
             handle.write(text)
+
+        yield write
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     spec = AlgorithmSpec(AlgorithmKind(args.algorithm), args.lam)  # usage errors before I/O
-    _check_writable(args.out)
-    try:
-        with open(args.data, "r", encoding="utf-8") as handle:
-            d = dataset_from_csv(handle, args.predictors, args.targets)
-    except UnicodeDecodeError as exc:
-        raise NatregError(f"--data {args.data!r} is not UTF-8 text: {exc}") from exc
-    try:
-        model = spec.fit(d)
-    except RankDeficient as exc:
-        print(
-            f"error: rank-deficient predictors (rank {exc.rank} < {exc.required}); "
-            "no unique least-squares fit, consider minnorm-ols or ridge",
-            file=sys.stderr,
-        )
-        return 1
-    rows = [",".join(format(v, ".17g") for v in row) for row in model.coef]
-    _write_output("\n".join(rows) + "\n", args.out)
-    print(f"sse = {sse(d, model):.17g}", file=sys.stderr)
+    with _output(args.out) as write:
+        try:
+            with open(args.data, "r", encoding="utf-8") as handle:
+                factors, n_examples = csv_block_factors(handle, args.predictors, args.targets)
+        except UnicodeDecodeError as exc:
+            raise NatregError(f"--data {args.data!r} is not UTF-8 text: {exc}") from exc
+        try:
+            model, sse, objective = fit_block_factors(spec, factors, n_examples, args.predictors)
+        except RankDeficient as exc:
+            print(
+                f"error: rank-deficient predictors (rank {exc.rank} < {exc.required}); "
+                "no unique least-squares fit, consider minnorm-ols or ridge",
+                file=sys.stderr,
+            )
+            return 1
+        rows = [",".join(format(v, ".17g") for v in row) for row in model.coef]
+        write("\n".join(rows) + "\n")
+    print(f"sse = {sse:.17g}", file=sys.stderr)
     if spec.kind is AlgorithmKind.RIDGE:
-        print(
-            f"ridge objective = {ridge_objective(d, model, spec.lam):.17g}",
-            file=sys.stderr,
-        )
+        print(f"ridge objective = {objective:.17g}", file=sys.stderr)
     return 0
 
 
@@ -174,13 +158,12 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     numbers = {"trials_per_cell": args.trials, "master_seed": args.seed, "base_tolerance": args.tolerance}
     given.update((field, value) for field, value in numbers.items() if value is not None)
     config = AuditConfig(**given)
-    _check_writable(args.out)
-    report = run_audit(config)
-    if args.format == "json":
-        rendered = audit_report_to_json(report)
-    else:
-        rendered = audit_report_to_text(report)
-    _write_output(rendered, args.out)
+    with _output(args.out) as write:
+        report = run_audit(config)
+        if args.format == "json":
+            write(audit_report_to_json(report))
+        else:
+            write(audit_report_to_text(report))
     return 0 if report.all_agree else 1
 
 

@@ -66,16 +66,75 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
 
     Every input is read as UTF-8 bytes: a seekable file whole through its
     descriptor, a pipe once from where its buffer stands, and text encoded.
-    ``np.loadtxt`` parses the bytes from the first data record on, in
-    line-aligned ranges checked for p + q columns; once the data fills two
-    ranges of ``MIN_PART_BYTES``, there is one range per usable CPU, each
-    after the first in a forked process.  Whatever that does not parse
-    (no data record, a range numpy rejects or whose rows have other than
+    ``np.loadtxt`` parses the bytes from the first data record on, in the
+    line-aligned blocks of :func:`_ranges`, checked for p + q columns; the
+    blocks are dealt in contiguous runs to one process per usable CPU, each
+    run after the first in a forked process.  Whatever that does not parse
+    (no data record, a block numpy rejects or whose rows have other than
     p + q columns, bytes that are not UTF-8, a failed child, pipe or fork, or
     no rows at all) goes once to :func:`_parse_records`, which alone raises
     the parse errors.  It parses the ``str`` itself, or a strict decode of
     the input's bytes, whose error names its offset in the input.
     """
+    values = _read_csv(content, p, q, None)
+    return Dataset(x=values[:, :p], y=values[:, p:])
+
+
+def csv_block_factors(content: str | TextIO, p: int, q: int) -> tuple[np.ndarray, int]:
+    """The R factors of the CSV's row blocks of ``[x | y]``, stacked in
+    block order, and the number of records N.
+
+    The input is read and parsed as by :func:`dataset_from_csv`, with the
+    same errors, but each process reduces every block it parses to
+    ``np.linalg.qr(block, mode="r")`` (at most p + q rows) and sends that, not
+    its rows.  The blocks lie on a byte grid that the number of CPUs never
+    moves, so the result depends only on the input's bytes; when the record
+    parser takes over, it reduces its records on the same blocks.  Raises
+    :class:`ContractViolation` as :class:`Dataset` does when x, then y,
+    holds a value that is not finite.
+    """
+    payload = _read_csv(content, p, q, functools.partial(_block_factor, p=p, q=q))
+    factors, n_examples, codes, at = [], 0, set(), 0
+    while at < len(payload):  # each block's header row, then its R
+        rows, code = int(payload[at, 0]), int(payload[at, 1])
+        end = at + 1 + min(rows, p + q)
+        factors.append(payload[at + 1 : end])
+        n_examples, at = n_examples + rows, end
+        codes.add(code)
+    for code, name in ((_X_NOT_FINITE, "x"), (_Y_NOT_FINITE, "y")):
+        if code in codes:
+            raise ContractViolation(f"{name} contains non-finite entries")
+    return np.concatenate(factors), n_examples
+
+
+# a block header's second field: the first of x and y that holds a value
+# that is not finite, as Dataset checks them
+_X_NOT_FINITE, _Y_NOT_FINITE = 1, 2
+
+
+def _block_factor(rows: np.ndarray, p: int, q: int) -> np.ndarray:
+    """What a block of ``rows`` sends: a header row, then the R factor of
+    ``rows``.  The header holds the row count and which of x and y first
+    holds a value that is not finite (0 when neither); a block of no rows
+    sends nothing."""
+    if not len(rows):
+        return np.zeros((0, p + q))
+    header = np.zeros((1, p + q))
+    header[0, 0] = len(rows)
+    if not np.isfinite(rows[:, :p]).all():
+        header[0, 1] = _X_NOT_FINITE
+    elif not np.isfinite(rows[:, p:]).all():
+        header[0, 1] = _Y_NOT_FINITE
+    return np.concatenate([header, np.linalg.qr(rows, mode="r")])
+
+
+# maps the rows of one block to what its process sends for them
+_Reduce = Callable[[np.ndarray], np.ndarray]
+
+
+def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce | None) -> np.ndarray:
+    """The rows of the CSV, or with ``reduce``, what it makes of each
+    block's rows, in block order: see :func:`dataset_from_csv`."""
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
     if not isinstance(content, str):
@@ -84,13 +143,22 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
         except io.UnsupportedOperation:
             content = content.read()  # no descriptor, such as a StringIO
     pread, size = _input_bytes(content)
-    values = _loadtxt_input(pread, size, p + q)
+    runs, values = _runs(pread, size), None
+    if runs:
+        with warnings.catch_warnings():
+            # a block may hold only blank lines; the scan saw a data record
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = fork_map(lambda run: _loadtxt_run(pread, run, p + q, reduce), runs, p + q)
     if values is None or not len(values):
         if not isinstance(content, str):
             content = _text(pread, 0, size).read()
         values = _parse_records(content, p, q)
+        if reduce is not None:
+            counts = [_record_count(pread, a, b) for run in runs for a, b in zip(run, run[1:])]
+            blocks = np.split(values, np.cumsum(counts)[:-1]) if runs else [values]
+            values = np.concatenate([reduce(block) for block in blocks])
     del pread  # bytes held in memory go before Dataset copies the arrays
-    return Dataset(x=values[:, :p], y=values[:, p:])
+    return values
 
 
 # reads up to n bytes at an offset, as os.pread does on a descriptor
@@ -109,55 +177,69 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
     return (lambda n, at: data[at : at + n]), len(data)
 
 
-def _loadtxt_input(pread: _Pread, size: int, columns: int) -> np.ndarray | None:
-    """The rows of bytes ``[0, size)`` from the first data record on.
-
-    Those bytes are cut into line-aligned ranges, one per usable CPU and each
-    at least ``MIN_PART_BYTES`` long; ranges after the first are parsed by
-    forked children by :func:`~natreg._forkjoin.fork_map`.  None when the
-    scan or any range fails: see :func:`dataset_from_csv`.
-    """
+def _runs(pread: _Pread, size: int) -> list[tuple[int, ...]]:
+    """:func:`_ranges` of bytes ``[0, size)`` from the first data record on;
+    none when there is no data record or the scan meets bytes that are not
+    UTF-8 (the fallback's strict decode names their offset)."""
     try:
         data_start = _data_start(_text(pread, 0, size, newline=""))
     except UnicodeDecodeError:
-        return None  # the fallback's strict decode names the offset
-    if data_start is None:
-        return None
-    with warnings.catch_warnings():
-        # a range may hold only blank lines; the scan saw a data record
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return fork_map(
-            lambda span: _loadtxt_range(pread, *span, columns),
-            _ranges(pread, data_start, size),
-            columns,
-        )
+        return []
+    return [] if data_start is None else _ranges(pread, data_start, size)
+
+
+def _loadtxt_run(
+    pread: _Pread, run: tuple[int, ...], columns: int, reduce: _Reduce | None
+) -> np.ndarray | None:
+    """The rows of the blocks ``zip(run, run[1:])``, parsed as one range, or
+    with ``reduce``, what it makes of each block's rows; None when a block
+    fails (see :func:`_loadtxt_range`).  :func:`~natreg._forkjoin.fork_map`
+    runs the first run in this process and each other in a forked child."""
+    if reduce is None:
+        return _loadtxt_range(pread, run[0], run[-1], columns)
+    sent = []
+    for start, end in zip(run, run[1:]):
+        rows = _loadtxt_range(pread, start, end, columns)
+        if rows is None:
+            return None
+        sent.append(reduce(rows))
+    return np.concatenate(sent)
 
 
 # A fork and reap of a natreg process costs about 4 ms on a 2-vCPU Xeon, and
-# numpy parses one range of a 100k x 22 CSV at about 34 MB/s there, so a part
-# breaks even near 140 KB; 1 MiB parts save several times what they cost.
+# numpy parses a 100k x 22 CSV at about 34 MB/s there, so a process's share
+# breaks even near 140 KB; blocks of 1 MiB save several times what they
+# cost, and their R factors are a small share of their rows.
 MIN_PART_BYTES = 1 << 20
 
 
-def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, int]]:
-    """``[data_start, size)`` cut into byte ranges that each end just after a newline.
+def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, ...]]:
+    """``[data_start, size)`` cut into blocks, dealt in contiguous runs to
+    one process per usable CPU.
 
-    The first range starts at the first data record, so no range holds the
-    header.  One range when parts would be under ``MIN_PART_BYTES`` or when
-    ``os.fork`` is missing.
+    A block ends just after the first newline at or past each multiple of
+    ``MIN_PART_BYTES`` from ``data_start``, or at ``size``: the grid
+    depends only on the bytes.  The first block starts at the first data
+    record, so no block holds the header.  Each run is its blocks' cuts,
+    first to last.  There are no more runs than whole ``MIN_PART_BYTES``
+    in the data, so a short tail block is never a process's whole share,
+    and one run when ``os.fork`` is missing.
     """
-    parts = min(_usable_cpus(), (size - data_start) // MIN_PART_BYTES)
-    if not hasattr(os, "fork"):
-        parts = 1
     cuts = [data_start]
-    for i in range(1, parts):
-        aim = max(data_start + (size - data_start) * i // parts, cuts[-1])
+    aim = data_start + MIN_PART_BYTES
+    while aim < size:
         cut = _after_newline(pread, aim, size)
         if cut >= size:
             break
         cuts.append(cut)
+        aim = cut + (data_start - cut) % MIN_PART_BYTES  # the next grid step
     cuts.append(size)
-    return list(zip(cuts, cuts[1:]))
+    blocks = len(cuts) - 1
+    runs = min(_usable_cpus(), blocks, max(1, (size - data_start) // MIN_PART_BYTES))
+    if not hasattr(os, "fork"):
+        runs = 1
+    bounds = [blocks * i // runs for i in range(runs + 1)]
+    return [tuple(cuts[a : b + 1]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _after_newline(pread: _Pread, offset: int, size: int) -> int:
@@ -247,12 +329,21 @@ def _is_number(field: str) -> bool:
     return True
 
 
+def _records(text: str) -> list[str]:
+    """The non-blank lines of ``text``, each ended by ``\\n``, ``\\r\\n`` or ``\\r``."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [line for line in lines if line.strip()]
+
+
+def _record_count(pread: _Pread, start: int, end: int) -> int:
+    """The number of records in bytes ``[start, end)``, which start a line."""
+    return len(_records(_text(pread, start, end).read()))
+
+
 def _parse_records(content: str, p: int, q: int) -> np.ndarray:
     """The values of :func:`dataset_from_csv`, parsed one record at a time."""
-    lines = content.removeprefix(_BOM).replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    records = [line for line in lines if line.strip()]
     rows: list[list[float]] = []
-    for number, line in enumerate(records, start=1):
+    for number, line in enumerate(_records(content.removeprefix(_BOM)), start=1):
         fields = line.split(",")
         if number == 1 and not _is_number(fields[0]):
             continue  # header

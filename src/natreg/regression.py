@@ -3,7 +3,9 @@
 All fits map a dataset to the coefficient matrix of a linear predictor
 ``x_new @ coef``, read off one thin SVD of ``x`` through its own gain on the
 singular values, so every fit is accurate to about kappa(x) * eps, and the
-audit factors each distinct ``x`` once for all of them.  The gradient-descent oracle
+audit factors each distinct ``x`` once for all of them.  ``natreg fit``
+reads the same fits off the R factor of ``[x | y]`` instead
+(:func:`fit_block_factors`).  The gradient-descent oracle
 exists so the closed forms can be cross-checked by an independent route; it
 must never be replaced by a call to the closed forms themselves.
 """
@@ -122,8 +124,14 @@ def ridge_objective(d: Dataset, model: LinearModel, lam: float) -> float:
     """Sum of squared residuals plus lam times the squared coefficient norm."""
     if not lam >= 0.0:
         raise ContractViolation(f"lambda must be non-negative, got {lam}")
+    return _penalized(sse(d, model), model.coef, lam)
+
+
+def _penalized(sse_value: float, coef: np.ndarray, lam: float) -> float:
+    """``sse_value`` plus lam times the squared norm of ``coef``; ``inf``
+    past float64's range, without a warning."""
     with np.errstate(over="ignore"):
-        return sse(d, model) + float(lam) * float(np.sum(model.coef * model.coef))
+        return sse_value + float(lam) * float(np.sum(coef * coef))
 
 
 def sse_gradient(d: Dataset, model: LinearModel) -> np.ndarray:
@@ -174,19 +182,67 @@ def _coef(vt: np.ndarray, gain: np.ndarray, uty: np.ndarray) -> np.ndarray:
     return vt.T @ (gain[:, None] * uty)
 
 
-def _fit_coef(spec: AlgorithmSpec, d: Dataset) -> np.ndarray:
-    """``spec``'s coefficients on ``d``; OLS raises :class:`RankDeficient`
-    below full column rank."""
-    u, s, vt, rank = _factor(d.x)
+# the error of a fit whose data's norm is past float64's range
+_OVERFLOW = "the data are too large: their norm overflows float64"
+
+
+def _solve(
+    spec: AlgorithmSpec, u: np.ndarray, s: np.ndarray, vt: np.ndarray, rank: int, y: np.ndarray
+) -> np.ndarray:
+    """``spec``'s coefficients from one thin SVD ``u diag(s) vt`` of the
+    predictors, its numerical rank and the targets ``y``.
+
+    Raises :class:`ContractViolation` when the largest singular value
+    overflowed, and OLS raises :class:`RankDeficient` below full column rank.
+    """
+    if not np.isfinite(s[0]):
+        raise ContractViolation(_OVERFLOW)
+    p = vt.shape[1]
     with np.errstate(divide="ignore", over="ignore"):
-        gain = _gain(spec, s, rank, d.p)
+        gain = _gain(spec, s, rank, p)
     if gain is None:
         raise RankDeficient(
-            f"predictor matrix has numerical rank {rank} < {d.p}",
+            f"predictor matrix has numerical rank {rank} < {p}",
             rank=rank,
-            required=d.p,
+            required=p,
         )
-    return _coef(vt, gain, u.T @ d.y)
+    return _coef(vt, gain, u.T @ y)
+
+
+def _fit_coef(spec: AlgorithmSpec, d: Dataset) -> np.ndarray:
+    """``spec``'s coefficients on ``d``; see :func:`_solve`."""
+    return _solve(spec, *_factor(d.x), d.y)
+
+
+def fit_block_factors(
+    spec: AlgorithmSpec, factors: np.ndarray, n_examples: int, p: int
+) -> tuple[LinearModel, float, float]:
+    """``spec``'s fit, its sse and its objective, from the R factors of the
+    row blocks of ``[x | y]`` stacked in order (``n_examples`` rows, p
+    predictor columns), as :func:`natreg.data.csv_block_factors` gives them.
+
+    One more QR of the stack gives R = Q'[x | y] for some Q with orthonormal
+    columns.  OLS and ridge commute with such recombinations of the examples
+    (the audit's index axis), so the fit reads the blocks R11 = R[:p, :p] and
+    R12 = R[:p, p:] as :func:`ols_fit` reads x and y: one thin SVD of R11,
+    with u' R12 for u' y, and the rank cutoff of the full (n_examples, p)
+    shape.  The sse is ``|R [coef; -I]|^2``, and the objective adds ridge's
+    penalty to it.  Errors are those of :func:`_solve`, and
+    :class:`ContractViolation` when R is not finite: a column norm of
+    ``[x | y]`` overflowed.  The digits can differ in their last bits from
+    :meth:`AlgorithmSpec.fit` on the same data.
+    """
+    r = np.linalg.qr(factors, mode="r")
+    if not np.isfinite(r).all():
+        raise ContractViolation(_OVERFLOW)
+    u, s, vt = np.linalg.svd(r[:p, :p], full_matrices=False)
+    model = LinearModel(_solve(spec, u, s, vt, _rank(s, (n_examples, p)), r[:p, p:]))
+    with np.errstate(over="ignore"):
+        residual = r[:, :p] @ model.coef - r[:, p:]
+        sse_value = float(np.sum(residual * residual))
+    if spec.kind is AlgorithmKind.RIDGE:
+        return model, sse_value, _penalized(sse_value, model.coef, spec.lam)
+    return model, sse_value, sse_value
 
 
 def ols_fit(d: Dataset) -> LinearModel:

@@ -19,6 +19,8 @@ from natreg.cli import main
 
 EXACT_CSV = "1,0,1\n0,1,2\n1,1,3\n"
 RANK_DEFICIENT_CSV = "1,0,1\n"
+# each value fits float64, but the norm of each column does not
+OVERFLOW_CSV = "1e308,1.7e308\n-1.5e308,1e308\n1.2e308,-1.6e308\n"
 
 
 def _parse_coefficients(text: str) -> np.ndarray:
@@ -143,7 +145,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
         raise AssertionError("the work ran before --out was checked")
 
     monkeypatch.setattr(natreg.naturality, "run_audit", never)
-    monkeypatch.setattr(natreg.cli, "dataset_from_csv", never)
+    monkeypatch.setattr(natreg.cli, "csv_block_factors", never)
     data = _write(tmp_path, "d.csv", EXACT_CSV)
     missing = str(tmp_path / "nope" / "out.txt")
     through_a_file = str(tmp_path / "d.csv" / "coef.csv")
@@ -166,20 +168,40 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
             open(out, "w")
 
 
-def test_writable_out_check_creates_and_opens_nothing(tmp_path):
+def test_out_is_opened_before_the_work_and_truncated_after_it(tmp_path, monkeypatch, capsys):
+    data = _write(tmp_path, "d.csv", EXACT_CSV)
+    args = ["fit", "--data", data, "--predictors", "2", "--targets", "1", "--algorithm", "ols"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    old = "old contents, longer than the coefficients\n" * 3
+    kept = _write(tmp_path, "kept.csv", old)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "target.csv")  # dangling: open creates its target
+    outs, seen = [kept, str(link)], []
+    real = natreg.cli.csv_block_factors
+
+    def note_the_output(*parse_args):
+        with open(outs[len(seen)], encoding="utf-8") as out:
+            seen.append(out.read())
+        return real(*parse_args)
+
+    monkeypatch.setattr(natreg.cli, "csv_block_factors", note_the_output)
+    for out in outs:
+        assert main([*args, "--out", out]) == 0
+    assert seen == [old, ""]  # while the work ran, each was open and not yet truncated
+    assert (tmp_path / "kept.csv").read_text() == expected
+    assert (tmp_path / "target.csv").read_text() == expected
+    # a FIFO is written, not truncated
+    monkeypatch.setattr(natreg.cli, "csv_block_factors", real)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening the writer would not block
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening the writer does not block
     try:
-        natreg.cli._check_writable(str(fifo))
-        assert os.read(reader, 1) == b""
+        assert main([*args, "--out", str(fifo)]) == 0
+        assert os.read(reader, 1 << 16).decode() == expected
     finally:
         os.close(reader)
-    link = tmp_path / "link"
-    link.symlink_to(tmp_path / "target.txt")  # dangling, and open would create its target
-    for out in (link, tmp_path / "fresh.txt"):
-        natreg.cli._check_writable(str(out))
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link"]
+    assert capsys.readouterr().out == ""
 
 
 def test_fit_leaves_out_untouched_when_it_writes_nothing(tmp_path, capsys):
@@ -190,7 +212,7 @@ def test_fit_leaves_out_untouched_when_it_writes_nothing(tmp_path, capsys):
         assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
                      "--algorithm", "ols", "--out", out]) == 1
     assert (tmp_path / "kept.csv").read_text() == "old contents\n"
-    assert not fresh.exists()
+    assert fresh.read_text() == ""  # opened before the work, it is created empty
     capsys.readouterr()
 
 
@@ -279,7 +301,7 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch
     fit_fails_at_the_byte()
     # the scan stops at the first data record; the byte lies in the last,
     # forked range, whose failed decode sends the parse to the fallback
-    forked = _force_three_ranges(monkeypatch)
+    forked = _force_line_blocks(monkeypatch)
     cuts = []
     real_ranges = natreg.data._ranges
     monkeypatch.setattr(
@@ -290,10 +312,11 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch
     assert len(cuts[0]) == 3 and cuts[0][-1][0] <= raw.index(b"\xff")
 
 
-def _force_three_ranges(monkeypatch) -> list:
-    """Cut any input into three ranges; returns the forked parses' results."""
+def _force_line_blocks(monkeypatch, cpus: int = 3) -> list:
+    """Cut any input into one block per line, dealt to ``cpus`` ranges;
+    returns the forked parses' results."""
     monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
-    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: cpus)
     forked = []
     real = natreg.data.fork_map
     monkeypatch.setattr(
@@ -308,14 +331,16 @@ def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, 
     data = _write(tmp_path, "d.csv", "x1,x2,x3,y\n" + "\n".join(rows) + "\n")
     args = ["fit", "--data", data, "--predictors", "3", "--targets", "1",
             "--algorithm", "ridge", "--lambda", "0.5"]
+    forked = _force_line_blocks(monkeypatch, cpus=1)  # the same blocks, in this process
     assert main(args) == 0
     one_part = capfd.readouterr()
-    forked = _force_three_ranges(monkeypatch)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(args) == 0
     split = capfd.readouterr()
-    assert len(forked) == 1 and forked[0].shape == (300, 4)
+    # each one-line block sends its header row and its one-row R
+    assert [values.shape for values in forked] == [(600, 4), (600, 4)]
     assert split.out == one_part.out
     # the forked parsers write nothing, not even to the descriptors they share
     assert [line.split(" = ")[0] for line in split.err.splitlines()] == [
@@ -330,14 +355,88 @@ def test_fit_split_pipe_prints_what_the_file_prints(tmp_path, capfd, monkeypatch
     rows = [",".join(format(v, ".17g") for v in row) for row in rng.standard_normal((300, 4))]
     content = "x1,x2,x3,y\n" + "\n".join(rows) + "\n"
     args = ["--predictors", "3", "--targets", "1", "--algorithm", "ridge", "--lambda", "0.5"]
+    forked = _force_line_blocks(monkeypatch, cpus=1)
     assert main(["fit", "--data", _write(tmp_path, "d.csv", content), *args]) == 0
     from_file = capfd.readouterr()
-    forked = _force_three_ranges(monkeypatch)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 3)
     with warnings.catch_warnings(), _piped(content.encode()) as data:
         warnings.simplefilter("error")
         assert main(["fit", "--data", data, *args]) == 0
-    assert len(forked) == 1 and forked[0].shape == (300, 4)
+    assert [values.shape for values in forked] == [(600, 4), (600, 4)]
     assert capfd.readouterr() == from_file
+
+
+def _blocks_csv() -> str:
+    """200 records of 3 predictor and 2 target fields with runs of blank lines."""
+    values = np.random.default_rng(5).standard_normal((200, 5))
+    lines = [",".join(format(v, ".17g") for v in row) for row in values]
+    for at in (7, 90, 91):
+        lines[at] += "\n" * 300
+    return "a,b,c,y1,y2\n" + "\n".join(lines) + "\n"
+
+
+def _no_fork():
+    raise OSError("no process to spare")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("algorithm", (["ols"], ["ridge", "--lambda", "0.5"], ["minnorm-ols"]))
+def test_fit_digits_depend_only_on_the_bytes(tmp_path, capfd, monkeypatch, algorithm):
+    content = _blocks_csv()
+    path = _write(tmp_path, "d.csv", content)
+    args = ["--predictors", "3", "--targets", "2", "--algorithm", *algorithm]
+    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 700)  # about 6 records a block
+    runs = []
+    real = natreg.data.fork_map
+    monkeypatch.setattr(
+        natreg.data, "fork_map", lambda fn, items, columns: runs.append(len(items)) or real(fn, items, columns)
+    )
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: cpus)
+        assert main(["fit", "--data", path, *args]) == 0
+        outputs.append(capfd.readouterr())
+        with _piped(content.encode()) as data:
+            assert main(["fit", "--data", data, *args]) == 0
+        outputs.append(capfd.readouterr())
+    # the record-by-record fallback, after a failed fork and after numpy fails
+    for module, name, failing in ((os, "fork", _no_fork), (natreg.data, "_loadtxt_range", lambda *a: None)):
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, failing)
+            assert main(["fit", "--data", path, *args]) == 0
+        outputs.append(capfd.readouterr())
+    assert runs == [1, 1, 2, 2, 3, 3, 3, 3]
+    assert all(output == outputs[0] for output in outputs), algorithm
+    assert outputs[0].out.count("\n") == 3 and outputs[0].err.startswith("sse = ")
+
+
+def test_fit_below_full_rank_and_with_non_finite_values_on_many_blocks(tmp_path, capfd, monkeypatch):
+    _force_line_blocks(monkeypatch)
+    rows = [f"{i % 7},{i % 5},{i % 7 + i % 5},{i}" for i in range(60)]
+    args = ["--predictors", "3", "--targets", "1", "--algorithm", "ols"]
+    assert main(["fit", "--data", _write(tmp_path, "r.csv", "\n".join(rows)), *args]) == 1
+    assert capfd.readouterr() == (
+        "", "error: rank-deficient predictors (rank 2 < 3); "
+        "no unique least-squares fit, consider minnorm-ols or ridge\n"
+    )
+    # x is checked before y, as Dataset checks them, wherever each lies
+    for x_value, y_value, name in (("nan", "inf", "x"), ("1", "-inf", "y"), ("1e999", "1", "x")):
+        bad = list(rows)
+        bad[50] = f"1,{x_value},3,4"
+        bad[3] = f"1,2,3,{y_value}"
+        data = _write(tmp_path, "bad.csv", "\n".join(bad))
+        assert main(["fit", "--data", data, *args]) == 2
+        assert capfd.readouterr() == ("", f"error: {name} contains non-finite entries\n")
+
+
+@pytest.mark.parametrize("algorithm", (["ols"], ["ridge", "--lambda", "1"], ["minnorm-ols"]))
+def test_fit_whose_data_norm_overflows_exits_two(tmp_path, capsys, algorithm):
+    data = _write(tmp_path, "o.csv", OVERFLOW_CSV)
+    assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
+                 "--algorithm", *algorithm]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the data are too large: their norm overflows float64\n"
+    )
 
 
 def test_audit_small_run_exits_zero(capsys):
@@ -437,6 +536,13 @@ def test_overflows_print_no_numpy_warning(tmp_path):
     # the residuals are about 1e199, so their squares overflow to inf
     assert (fit.returncode, fit.stderr) == (0, "sse = inf\nridge objective = inf\n")
     assert abs(_parse_coefficients(fit.stdout)[0, 0] - 1.95) <= 1e-12
+    # norms past float64's range are one error line
+    data = _write(tmp_path, "overflow.csv", OVERFLOW_CSV)
+    fit = _run_python(["-m", "natreg.cli", "fit", "--data", data, "--predictors", "1",
+                       "--targets", "1", "--algorithm", "minnorm-ols"])
+    assert (fit.returncode, fit.stdout, fit.stderr) == (
+        2, "", "error: the data are too large: their norm overflows float64\n"
+    )
     ce = _run_python(["-m", "natreg.cli", "counterexamples", "--b", "1e200", "--c", "1e200"])
     assert (ce.returncode, ce.stdout, ce.stderr) == (
         2, "", "error: b * c overflows float64 (b = 1e+200, c = 1e+200)\n"

@@ -266,9 +266,10 @@ def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monk
     )
 
 
-def _split_into(monkeypatch, parts: int) -> None:
-    """Cut any input with a newline into up to ``parts`` ranges."""
-    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
+def _split_into(monkeypatch, parts: int, step: int = 1) -> None:
+    """Cut any input with a newline into blocks on a grid of ``step`` bytes
+    (one line each when ``step`` is 1), dealt to up to ``parts`` ranges."""
+    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", step)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: parts)
 
 
@@ -367,23 +368,27 @@ def test_csv_leading_bom_is_skipped(csv_path, monkeypatch, header):
     assert _outcome(_reference, with_bom, 1, 1) == expected
 
 
-def _assert_split_parse_matches_its_text(csv_path, monkeypatch, content: str, p: int, q: int):
+def _assert_split_parse_matches_its_text(
+    csv_path, monkeypatch, content: str, p: int, q: int, step: int = 1
+):
     """Some file cut into 2 and into 3 ranges parses as its text, with no fallback."""
     forked = _spy(monkeypatch, "fork_map")
     for parts in (2, 3):
-        _split_into(monkeypatch, parts)
+        _split_into(monkeypatch, parts, step)
         _assert_file_matches_its_text(csv_path, content, p, q)
     assert forked and all(values is not None for _, values in forked)
     return forked
 
 
 def test_csv_split_inside_a_crlf_file_keeps_each_line_whole(csv_path, monkeypatch):
+    # a grid step of one byte aims each cut at the start of a line; at 7
+    # bytes, under lines of 8 or more, some steps fall between "\r" and "\n"
     aims = _spy(monkeypatch, "_after_newline")
     inside = 0
     for n in range(2, 12):
         rows = [f"{i},{i * i},-{i}" for i in range(n)]
         _assert_split_parse_matches_its_text(
-            csv_path, monkeypatch, "a,b,c\r\n" + "\r\n".join(rows) + "\r\n", 2, 1
+            csv_path, monkeypatch, "a,b,c\r\n" + "\r\n".join(rows) + "\r\n", 2, 1, step=7
         )
         content = csv_path.read_bytes()
         inside += sum(content[at - 1 : at + 1] == b"\r\n" for (_, at, _), _ in aims)
@@ -441,11 +446,12 @@ def test_csv_split_where_records_gain_a_field_reports_the_record(csv_path, monke
     # range's records have one field more
     rows = [f"{1000 + i},{1000 + i}" for i in range(20)] + [f"{100 + i},10,10" for i in range(20)]
     _split_into(monkeypatch, 2)
-    aims = _spy(monkeypatch, "_after_newline")
+    cuts = _spy(monkeypatch, "_ranges")
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, "\n".join(rows)), 1, 1)
     assert excinfo.value.record == 21
-    assert [cut for _, cut in aims] == [200]
+    # 40 one-line blocks, dealt 20 to each range
+    assert [[run[-1] for run in runs] for _, runs in cuts] == [[200, 399]]
 
 
 @pytest.mark.parametrize("parts", (1, 3))

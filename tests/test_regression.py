@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from natreg.data import Dataset, synth_dataset
+import natreg.data
+from natreg.data import Dataset, csv_block_factors, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, InvalidHyperparameter, OracleDiverged, RankDeficient
 from natreg.linalg import SeedState, numerical_rank, rel_distance
 from natreg.regression import (
     AlgorithmKind,
     AlgorithmSpec,
     LinearModel,
+    fit_block_factors,
     fit_systems,
     min_norm_ols_fit,
     ols_fit,
@@ -426,3 +428,82 @@ def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit():
         fit_systems(specs, [(tiny, huge)])
     [(ols, ridge)] = fit_systems(specs[:2], [(np.array([[1e-300, 0.0]]), huge)])
     assert ols is None and np.isfinite(ridge).all()
+
+
+_SPECS = (AlgorithmSpec.ols(), AlgorithmSpec.ridge(0.5), AlgorithmSpec.min_norm_ols())
+
+
+def _csv(x: np.ndarray, y: np.ndarray, blank_after: int = 0) -> str:
+    """x and y as CSV records at 17 digits under a header, with 800 blank
+    lines after record ``blank_after``."""
+    rows = [",".join(format(v, ".17g") for v in row) for row in np.hstack([x, y])]
+    rows[blank_after] += "\n" * 800
+    return ",".join(["c"] * (x.shape[1] + y.shape[1])) + "\n" + "\n".join(rows) + "\n"
+
+
+def _factor_blocks(monkeypatch, content: str, p: int, q: int, step: int, cpus: int):
+    """:func:`csv_block_factors` on blocks of a ``step``-byte grid, dealt to ``cpus`` processes."""
+    monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", step)
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: cpus)
+    return csv_block_factors(content, p, q)
+
+
+@pytest.mark.parametrize("kappa", [1e3, 1e7])
+def test_block_factor_fits_match_the_svd_fits(kappa, monkeypatch):
+    gen = SeedState(int(math.log10(kappa)), "blocks").generator()
+    n, p, q = 150, 5, 2
+    u, _ = np.linalg.qr(gen.standard_normal((n, p)))
+    v, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    x = (u * np.logspace(0.0, -math.log10(kappa), p)) @ v.T
+    content = _csv(x, x @ gen.standard_normal((p, q)), blank_after=40)
+    d = dataset_from_csv(content, p, q)
+    sizes = []
+    real = natreg.data._block_factor
+    monkeypatch.setattr(
+        natreg.data, "_block_factor", lambda rows, **kw: sizes.append(len(rows)) or real(rows, **kw)
+    )
+    bound = 20.0 * kappa * np.finfo(np.float64).eps
+    # 330-byte blocks of two records, fewer than p + q, and some of only blank
+    # lines; then 3 KB blocks of about 20 records
+    for step in (330, 3000):
+        factors, n_examples = _factor_blocks(monkeypatch, content, p, q, step, cpus=1)
+        assert n_examples == n
+        forked, _ = _factor_blocks(monkeypatch, content, p, q, step, cpus=3)
+        assert forked.tobytes() == factors.tobytes()
+        for spec in _SPECS:
+            model, sse_value, objective = fit_block_factors(spec, factors, n, p)
+            expected = spec.fit(d)
+            assert rel_distance(model.coef, expected.coef) <= bound, (spec, step)
+            if spec.kind is AlgorithmKind.RIDGE:
+                assert math.isclose(sse_value, sse(d, expected), rel_tol=1e-9)
+                assert math.isclose(objective, ridge_objective(d, expected, spec.lam), rel_tol=1e-9)
+            else:
+                assert sse_value == objective <= 1e-20
+    assert {0, 2} <= set(sizes) and max(sizes) > p + q
+
+
+def test_block_factor_fits_with_fewer_records_than_predictors(monkeypatch):
+    x = np.array([[1.0, 2.0, 0.0, -1.0, 3.0], [0.5, 0.0, 4.0, 1.0, 1.0], [2.0, 2.0, 2.0, 0.0, 1.0]])
+    y = np.array([[1.0], [-2.0], [0.25]])
+    factors, n_examples = _factor_blocks(monkeypatch, _csv(x, y), 5, 1, step=1, cpus=2)
+    assert (n_examples, factors.shape) == (3, (3, 6))  # one row of R per one-record block
+    d = Dataset(x, y)
+    for spec in _SPECS[1:]:
+        model, sse_value, _ = fit_block_factors(spec, factors, n_examples, 5)
+        np.testing.assert_allclose(model.coef, spec.fit(d).coef, rtol=0, atol=1e-14)
+    with pytest.raises(RankDeficient) as excinfo:
+        fit_block_factors(_SPECS[0], factors, n_examples, 5)
+    assert (excinfo.value.rank, excinfo.value.required) == (3, 5)
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.kind.value)
+def test_fits_whose_data_norm_overflows_raise(spec):
+    # each value fits float64; the norms of both columns, and s_max, do not
+    x = np.array([[1e308], [-1.5e308], [1.2e308]])
+    y = np.array([[1.7e308], [1e308], [-1.6e308]])
+    message = "the data are too large: their norm overflows float64"
+    with pytest.raises(ContractViolation, match=message):
+        spec.fit(Dataset(x, y))
+    factors, n_examples = csv_block_factors(_csv(x, y), 1, 1)
+    with pytest.raises(ContractViolation, match=message):
+        fit_block_factors(spec, factors, n_examples, 1)
