@@ -66,17 +66,19 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
 
     Every input is read as UTF-8 bytes: a seekable file whole through its
     descriptor, a pipe once from where its buffer stands, and text encoded.
-    ``np.loadtxt`` parses the bytes from the first data record on, in the
-    line-aligned blocks of :func:`_ranges`, checked for p + q columns; the
-    blocks are dealt in contiguous runs to one process per usable CPU, each
-    run after the first in a forked process.  Whatever that does not parse
-    (no data record, a block numpy rejects or whose rows have other than
-    p + q columns, bytes that are not UTF-8, a failed child, pipe or fork, or
-    no rows at all) goes once to :func:`_parse_records`, which alone raises
-    the parse errors.  It parses the ``str`` itself, or a strict decode of
-    the input's bytes, whose error names its offset in the input.
+    ``np.loadtxt`` parses the bytes from the first data record on, one call
+    per line-aligned block of :func:`_ranges`, checked for p + q columns;
+    the blocks are dealt in contiguous runs to one process per usable CPU,
+    each run after the first in a forked process.  Whatever that does not
+    parse (no data record, a block numpy rejects or whose rows have other
+    than p + q columns, bytes that are not UTF-8, a failed child, pipe or
+    fork, or no rows at all) goes once to :func:`_parse_records`, which alone
+    raises the parse errors.  It parses the ``str`` itself, or a strict
+    decode of the input's bytes, whose error names its offset in the input.
+    Each block's rows are kept as they are: :func:`csv_block_factors` reads
+    the input the same way and reduces each block to its R factor instead.
     """
-    values = _read_csv(content, p, q, None)
+    values = _read_csv(content, p, q, lambda rows: rows)
     return Dataset(x=values[:, :p], y=values[:, p:])
 
 
@@ -116,9 +118,7 @@ def _block_factor(rows: np.ndarray, p: int, q: int) -> np.ndarray:
     """What a block of ``rows`` sends: a header row, then the R factor of
     ``rows``.  The header holds the row count and which of x and y first
     holds a value that is not finite (0 when neither); a block of no rows
-    sends nothing."""
-    if not len(rows):
-        return np.zeros((0, p + q))
+    sends its header alone."""
     header = np.zeros((1, p + q))
     header[0, 0] = len(rows)
     if not np.isfinite(rows[:, :p]).all():
@@ -132,9 +132,9 @@ def _block_factor(rows: np.ndarray, p: int, q: int) -> np.ndarray:
 _Reduce = Callable[[np.ndarray], np.ndarray]
 
 
-def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce | None) -> np.ndarray:
-    """The rows of the CSV, or with ``reduce``, what it makes of each
-    block's rows, in block order: see :func:`dataset_from_csv`."""
+def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce) -> np.ndarray:
+    """What ``reduce`` makes of the rows of each block of the CSV, in block
+    order: see :func:`dataset_from_csv`."""
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
     if not isinstance(content, str):
@@ -153,10 +153,9 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce | None) -> 
         if not isinstance(content, str):
             content = _text(pread, 0, size).read()
         values = _parse_records(content, p, q)
-        if reduce is not None:
-            counts = [_record_count(pread, a, b) for run in runs for a, b in zip(run, run[1:])]
-            blocks = np.split(values, np.cumsum(counts)[:-1]) if runs else [values]
-            values = np.concatenate([reduce(block) for block in blocks])
+        counts = [_record_count(pread, a, b) for run in runs for a, b in zip(run, run[1:])]
+        blocks = np.split(values, np.cumsum(counts)[:-1]) if runs else [values]
+        values = np.concatenate([reduce(block) for block in blocks])
     del pread  # bytes held in memory go before Dataset copies the arrays
     return values
 
@@ -188,15 +187,11 @@ def _runs(pread: _Pread, size: int) -> list[tuple[int, ...]]:
     return [] if data_start is None else _ranges(pread, data_start, size)
 
 
-def _loadtxt_run(
-    pread: _Pread, run: tuple[int, ...], columns: int, reduce: _Reduce | None
-) -> np.ndarray | None:
-    """The rows of the blocks ``zip(run, run[1:])``, parsed as one range, or
-    with ``reduce``, what it makes of each block's rows; None when a block
-    fails (see :func:`_loadtxt_range`).  :func:`~natreg._forkjoin.fork_map`
-    runs the first run in this process and each other in a forked child."""
-    if reduce is None:
-        return _loadtxt_range(pread, run[0], run[-1], columns)
+def _loadtxt_run(pread: _Pread, run: tuple[int, ...], columns: int, reduce: _Reduce) -> np.ndarray | None:
+    """What ``reduce`` makes of the rows of each block ``zip(run, run[1:])``;
+    None when a block fails (see :func:`_loadtxt_range`), and no later block
+    is parsed.  :func:`~natreg._forkjoin.fork_map` runs the first run in this
+    process and each other in a forked child."""
     sent = []
     for start, end in zip(run, run[1:]):
         rows = _loadtxt_range(pread, start, end, columns)
@@ -282,7 +277,8 @@ def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndar
     """The rows of the text of bytes ``[start, end)``, parsed by ``np.loadtxt``.
 
     None where numpy rejects the text or its rows have other than
-    ``columns`` fields; a range of only blank lines gives no rows.
+    ``columns`` fields; a range of only blank lines gives no rows, as
+    shape (0, ``columns``).
     """
     try:
         values = np.loadtxt(
@@ -290,7 +286,9 @@ def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndar
         )
     except ValueError:
         return None
-    return None if len(values) and values.shape[1] != columns else values
+    if not len(values):
+        return np.empty((0, columns))
+    return None if values.shape[1] != columns else values
 
 
 # the byte order mark some editors write first, as U+FEFF

@@ -378,10 +378,11 @@ def run_audit(config: AuditConfig) -> AuditReport:
     the master seed and the (axis, kind) labels, never from execution order
     or algorithm, so the cells of one (axis, kind) group share their trials.
     The groups are dealt round-robin to one worker per usable CPU (at most one
-    per group); this process is the first worker and forked children are the
-    others, each sending its groups' rows back.  With one worker, or when any
-    worker fails, every group is run here one at a time, so an error is
-    raised from the first failing group in config order.
+    per group) by :func:`~natreg._forkjoin.fork_map`: this process is the
+    first worker and forked children are the others, each sending its
+    groups' rows back, so one worker forks nothing.  When any worker fails,
+    every group is run again here one at a time, so an error is raised from
+    the first failing group in config order.
     """
     _stream_modules()  # loaded once here, not again in every forked worker
     from . import __version__
@@ -395,11 +396,9 @@ def run_audit(config: AuditConfig) -> AuditReport:
     workers = min(_usable_cpus(), len(groups))
     shares = [range(w, len(groups), workers) for w in range(workers)]  # group indices
     order = [i for share in shares for i in share]  # the group of each block of rows
-    rows = None
-    if workers > 1:
-        rows = fork_map(
-            lambda share: _trial_rows([groups[i] for i in share], config), shares, len(_TRIAL_FIELDS)
-        )
+    rows = fork_map(
+        lambda share: _trial_rows([groups[i] for i in share], config), shares, len(_TRIAL_FIELDS)
+    )
     if rows is None:
         order = range(len(groups))
         rows = np.concatenate([_run_group(*group, config) for group in groups])
@@ -456,7 +455,7 @@ def counterexample_ols_shear(k: float) -> ShearCounterexample:
         fit=fitted.coef,
         fit_transformed=refitted.coef,
         pulled_back=pulled_back,
-        residual=float(np.linalg.norm(pulled_back - fitted.coef)),
+        residual=math.hypot(*(pulled_back - fitted.coef).ravel()),
         sse_original=sse(d, fitted),
         sse_transformed=sse(transformed, refitted),
     )

@@ -1,13 +1,15 @@
 """Linear regression fits from their closed forms, plus an iterative oracle.
 
 All fits map a dataset to the coefficient matrix of a linear predictor
-``x_new @ coef``, read off one thin SVD of ``x`` through its own gain on the
-singular values, so every fit is accurate to about kappa(x) * eps, and the
-audit factors each distinct ``x`` once for all of them.  ``natreg fit``
-reads the same fits off the R factor of ``[x | y]`` instead
-(:func:`fit_block_factors`).  The gradient-descent oracle
-exists so the closed forms can be cross-checked by an independent route; it
-must never be replaced by a call to the closed forms themselves.
+``x_new @ coef``, read off one thin SVD of ``x`` (:func:`_factor`) through
+its own gain on the singular values, so every fit is accurate to about
+kappa(x) * eps.  :func:`_solve` is the one single fit:
+:meth:`AlgorithmSpec.fit` runs it on ``x`` and ``y``, and ``natreg fit`` on
+the R factor of ``[x | y]`` (:func:`fit_block_factors`).  The audit factors
+each distinct ``x`` once for all of its fits (:func:`fit_systems`).  The
+gradient-descent oracle exists so the closed forms can be cross-checked by an
+independent route; it must never be replaced by a call to the closed forms
+themselves.
 """
 
 from __future__ import annotations
@@ -92,11 +94,8 @@ class AlgorithmSpec:
         return cls(AlgorithmKind.MIN_NORM_OLS)
 
     def fit(self, d: Dataset) -> LinearModel:
-        if self.kind is AlgorithmKind.OLS:
-            return ols_fit(d)
-        if self.kind is AlgorithmKind.RIDGE:
-            return ridge_fit(d, self.lam)
-        return min_norm_ols_fit(d)
+        """This algorithm's fit to ``d``; see :func:`_solve`."""
+        return LinearModel(_solve(self, d.x, d.y, d.x.shape))
 
     def label(self) -> str:
         if self.kind is AlgorithmKind.RIDGE:
@@ -147,14 +146,6 @@ def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.n
     return sse_gradient(d, model) + 2.0 * float(lam) * model.coef
 
 
-def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``u``, ``s``, ``vt`` and the numerical rank of one thin SVD
-    ``x = u diag(s) vt``; the rank is :func:`~natreg.linalg.numerical_rank`'s,
-    counted on these ``s``."""
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return u, s, vt, _rank(s, x.shape)
-
-
 def _gain(spec: AlgorithmSpec, s: np.ndarray, rank: int, p: int) -> np.ndarray | None:
     """The gain on the singular values ``s`` that turns ``u' y`` into
     ``spec``'s ``vt (coef)`` (see :func:`_coef`); None for OLS below full
@@ -186,32 +177,40 @@ def _coef(vt: np.ndarray, gain: np.ndarray, uty: np.ndarray) -> np.ndarray:
 _OVERFLOW = "the data are too large: their norm overflows float64"
 
 
-def _solve(
-    spec: AlgorithmSpec, u: np.ndarray, s: np.ndarray, vt: np.ndarray, rank: int, y: np.ndarray
-) -> np.ndarray:
-    """``spec``'s coefficients from one thin SVD ``u diag(s) vt`` of the
-    predictors, its numerical rank and the targets ``y``.
+def _factor(
+    specs: tuple[AlgorithmSpec, ...], x: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, int, list[np.ndarray | None]]:
+    """``u'``, ``vt``, the numerical rank and every spec's :func:`_gain` from
+    one thin SVD ``x = u diag(s) vt``; the rank is
+    :func:`~natreg.linalg.numerical_rank`'s cutoff counted on ``shape``.
 
     Raises :class:`ContractViolation` when the largest singular value
-    overflowed, and OLS raises :class:`RankDeficient` below full column rank.
+    overflowed: the norm of ``x`` is past float64's range.
     """
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
     if not np.isfinite(s[0]):
         raise ContractViolation(_OVERFLOW)
-    p = vt.shape[1]
+    rank = _rank(s, shape)
     with np.errstate(divide="ignore", over="ignore"):
-        gain = _gain(spec, s, rank, p)
+        return u.T, vt, rank, [_gain(spec, s, rank, x.shape[1]) for spec in specs]
+
+
+def _solve(spec: AlgorithmSpec, x: np.ndarray, y: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``spec``'s coefficients for predictors ``x`` and targets ``y``, read
+    off one thin SVD of ``x`` with the rank cutoff of ``shape``.
+
+    Errors are those of :func:`_factor`, and OLS raises
+    :class:`RankDeficient` below full column rank.
+    """
+    ut, vt, rank, [gain] = _factor((spec,), x, shape)
     if gain is None:
         raise RankDeficient(
-            f"predictor matrix has numerical rank {rank} < {p}",
+            f"predictor matrix has numerical rank {rank} < {x.shape[1]}",
             rank=rank,
-            required=p,
+            required=x.shape[1],
         )
-    return _coef(vt, gain, u.T @ y)
-
-
-def _fit_coef(spec: AlgorithmSpec, d: Dataset) -> np.ndarray:
-    """``spec``'s coefficients on ``d``; see :func:`_solve`."""
-    return _solve(spec, *_factor(d.x), d.y)
+    with np.errstate(over="ignore"):  # LinearModel rejects a coefficient past float64's range
+        return _coef(vt, gain, ut @ y)
 
 
 def fit_block_factors(
@@ -223,20 +222,18 @@ def fit_block_factors(
 
     One more QR of the stack gives R = Q'[x | y] for some Q with orthonormal
     columns.  OLS and ridge commute with such recombinations of the examples
-    (the audit's index axis), so the fit reads the blocks R11 = R[:p, :p] and
-    R12 = R[:p, p:] as :func:`ols_fit` reads x and y: one thin SVD of R11,
-    with u' R12 for u' y, and the rank cutoff of the full (n_examples, p)
-    shape.  The sse is ``|R [coef; -I]|^2``, and the objective adds ridge's
-    penalty to it.  Errors are those of :func:`_solve`, and
-    :class:`ContractViolation` when R is not finite: a column norm of
-    ``[x | y]`` overflowed.  The digits can differ in their last bits from
-    :meth:`AlgorithmSpec.fit` on the same data.
+    (the audit's index axis), so the fit is :func:`_solve` on R11 = R[:p, :p]
+    for x and R12 = R[:p, p:] for y, with the rank cutoff of the full
+    (n_examples, p) shape.  The sse is ``|R [coef; -I]|^2``, and the
+    objective adds ridge's penalty to it.  Errors are those of
+    :func:`_solve`, and :class:`ContractViolation` when R is not finite: a
+    column norm of ``[x | y]`` overflowed.  The digits can differ in their
+    last bits from :meth:`AlgorithmSpec.fit` on the same data.
     """
     r = np.linalg.qr(factors, mode="r")
     if not np.isfinite(r).all():
         raise ContractViolation(_OVERFLOW)
-    u, s, vt = np.linalg.svd(r[:p, :p], full_matrices=False)
-    model = LinearModel(_solve(spec, u, s, vt, _rank(s, (n_examples, p)), r[:p, p:]))
+    model = LinearModel(_solve(spec, r[:p, :p], r[:p, p:], (n_examples, p)))
     with np.errstate(over="ignore"):
         residual = r[:, :p] @ model.coef - r[:, p:]
         sse_value = float(np.sum(residual * residual))
@@ -251,17 +248,17 @@ def ols_fit(d: Dataset) -> LinearModel:
     Requires full column rank; otherwise the minimizer is not unique and a
     :class:`RankDeficient` error reports the detected rank.
     """
-    return LinearModel(_fit_coef(AlgorithmSpec.ols(), d))
+    return AlgorithmSpec.ols().fit(d)
 
 
 def ridge_fit(d: Dataset, lam: float) -> LinearModel:
     """Penalized fit from one thin SVD of ``x`` (see :func:`_gain`); needs lam > 0 only."""
-    return LinearModel(_fit_coef(AlgorithmSpec.ridge(lam), d))
+    return AlgorithmSpec.ridge(lam).fit(d)
 
 
 def min_norm_ols_fit(d: Dataset) -> LinearModel:
     """Minimum-Frobenius-norm least-squares fit from one thin SVD of ``x``."""
-    return LinearModel(_fit_coef(AlgorithmSpec.min_norm_ols(), d))
+    return AlgorithmSpec.min_norm_ols().fit(d)
 
 
 def fit_systems(
@@ -272,18 +269,19 @@ def fit_systems(
 
     The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
     without building a :class:`Dataset` or :class:`LinearModel` per pair.
-    Pairs whose ``x`` is the same object share its one thin SVD and gains.
-    An entry is None where the pair leaves the fit's domain, which only a
-    rank-deficient ``x`` does, and only for OLS.
+    Pairs whose ``x`` is the same object share its one :func:`_factor`.  An
+    entry is None where the pair leaves the fit's domain, which only a
+    rank-deficient ``x`` does, and only for OLS.  Errors are those of
+    :func:`_factor`, and :class:`ContractViolation` when a coefficient is not
+    finite.
     """
-    factored = {}  # id(x) -> (u', vt, gains); systems keeps every x alive, so ids stay unique
+    factored = {}  # id(x) -> _factor(specs, x); systems keeps every x alive, so ids stay unique
     fits = []
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         for x, y in systems:
             if id(x) not in factored:
-                u, s, vt, rank = _factor(x)
-                factored[id(x)] = (u.T, vt, [_gain(spec, s, rank, x.shape[1]) for spec in specs])
-            ut, vt, gains = factored[id(x)]
+                factored[id(x)] = _factor(specs, x, x.shape)
+            ut, vt, _, gains = factored[id(x)]
             uty = ut @ y
             fits.append([None if gain is None else _coef(vt, gain, uty) for gain in gains])
     coefs = [c.ravel() for fit in fits for c in fit if c is not None]

@@ -543,6 +543,11 @@ def test_overflows_print_no_numpy_warning(tmp_path):
     assert (fit.returncode, fit.stdout, fit.stderr) == (
         2, "", "error: the data are too large: their norm overflows float64\n"
     )
+    # so are coefficients past it
+    data = _write(tmp_path, "steep.csv", "1e-300,1e300\n2e-300,1e300\n")
+    fit = _run_python(["-m", "natreg.cli", "fit", "--data", data, "--predictors", "1",
+                       "--targets", "1", "--algorithm", "ols"])
+    assert (fit.returncode, fit.stdout, fit.stderr) == (2, "", "error: coef contains non-finite entries\n")
     ce = _run_python(["-m", "natreg.cli", "counterexamples", "--b", "1e200", "--c", "1e200"])
     assert (ce.returncode, ce.stdout, ce.stderr) == (
         2, "", "error: b * c overflows float64 (b = 1e+200, c = 1e+200)\n"

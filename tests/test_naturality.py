@@ -441,11 +441,11 @@ def test_shear_counterexample_exact_values():
 
 def test_shear_counterexample_general_k():
     # the pulled-back fit differs from the original only in the second
-    # coordinate, by k / (1 + k^2)
-    for k in (0.5, 2.0, -1.0, 10.0):
+    # coordinate, by k / (1 + k^2); at k = 1e200 its square underflows
+    for k in (0.5, 2.0, -1.0, 10.0, 1e200):
         result = counterexample_ols_shear(k)
-        expected = abs(k) / (1 + k * k)
-        assert abs(result.residual - expected) <= 1e-12
+        expected = 1.0 / (abs(k) + 1.0 / abs(k))
+        assert abs(result.residual - expected) <= 1e-12 * expected
         assert result.sse_transformed <= 1e-20
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,9 @@ def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit():
     tiny, huge = np.array([[1e-300]]), np.array([[1e300]])
     with pytest.raises(ContractViolation):
         fit_systems(specs, [(tiny, huge)])
+    with warnings.catch_warnings(), pytest.raises(ContractViolation):
+        warnings.simplefilter("error")  # no numpy overflow warning before the error
+        AlgorithmSpec.ols().fit(Dataset(tiny, huge))
     [(ols, ridge)] = fit_systems(specs[:2], [(np.array([[1e-300, 0.0]]), huge)])
     assert ols is None and np.isfinite(ridge).all()
 
@@ -504,6 +508,8 @@ def test_fits_whose_data_norm_overflows_raise(spec):
     message = "the data are too large: their norm overflows float64"
     with pytest.raises(ContractViolation, match=message):
         spec.fit(Dataset(x, y))
+    with pytest.raises(ContractViolation, match=message):
+        fit_systems((spec,), [(x, y)])
     factors, n_examples = csv_block_factors(_csv(x, y), 1, 1)
     with pytest.raises(ContractViolation, match=message):
         fit_block_factors(spec, factors, n_examples, 1)
