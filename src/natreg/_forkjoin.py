@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import errno
 import os
 import signal
 from collections.abc import Callable, Sequence
@@ -14,32 +13,32 @@ Item = TypeVar("Item")
 
 
 def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def fork_map(
-    fn: Callable[[Item], np.ndarray | None], items: Sequence[Item], columns: int
-) -> np.ndarray | None:
+def fork_map(fn: Callable[[Item], np.ndarray | None], items: Sequence[Item]) -> np.ndarray | None:
     """The rows of ``fn(item)`` for every item (at least one), in order, or
     None if any item fails.
 
-    ``fn`` returns a float64 array with ``columns`` columns, or None when its
-    item fails.  This process runs the first item; a forked child runs each
-    other one and hands its rows to :func:`send_rows`.  An item also fails
-    when its child exits nonzero or sends too few rows, and every item fails
-    when a pipe or a process cannot be had.  An exception of the first item
-    propagates.  Every child is reaped before this returns or raises, and
-    killed first when its rows are not needed.
+    ``fn`` returns a 2-D float64 array, of as many columns for every item,
+    or None when its item fails.  This process runs the first item; a forked
+    child runs each other one and hands its rows to :func:`send_rows`.  An
+    item also fails when its child exits nonzero or sends too few rows, and
+    every item fails when a pipe or a process cannot be had.  An exception
+    of the first item propagates.  Every child is reaped before this returns
+    or raises, and killed first when its rows are not needed.
     """
     children: list[tuple[int, int]] = []
     values = None
     try:
         for item in items[1:]:
             children.append(_fork(fn, item))
-        values = _gather(fn(items[0]), children, columns)
+        values = _gather(fn(items[0]), children)
     except OSError:
         values = None  # no pipe or process to spare
     finally:
@@ -66,8 +65,6 @@ def send_rows(values: np.ndarray | None, pipe: int) -> int:
 
 def _fork(fn: Callable[[Item], np.ndarray | None], item: Item) -> tuple[int, int]:
     """Fork a child that sends ``fn(item)`` down a pipe: (pid, the pipe's read end)."""
-    if not hasattr(os, "fork"):
-        raise OSError(errno.ENOSYS, "os.fork is not available")
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -86,7 +83,7 @@ def _fork(fn: Callable[[Item], np.ndarray | None], item: Item) -> tuple[int, int
     return pid, read_end
 
 
-def _gather(first: np.ndarray | None, children: list[tuple[int, int]], columns: int) -> np.ndarray | None:
+def _gather(first: np.ndarray | None, children: list[tuple[int, int]]) -> np.ndarray | None:
     """``first`` followed by each child's rows, read straight into one array."""
     if first is None or not children:
         return first
@@ -96,7 +93,7 @@ def _gather(first: np.ndarray | None, children: list[tuple[int, int]], columns: 
         if not _read_into(pipe, count):
             return None
         counts.append(int(count[0]))
-    values = np.empty((sum(counts), columns))
+    values = np.empty((sum(counts), first.shape[1]))
     at = len(first)
     values[:at] = first
     for rows, (_, pipe) in zip(counts[1:], children):

@@ -60,21 +60,23 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     ``content`` is the text itself, or a file opened for reading as text with
     ``encoding="utf-8"``.  A record ends at ``\\n``, ``\\r\\n`` or ``\\r``, and
     only there.  A leading UTF-8 byte order mark is skipped.  A single
-    leading header record is skipped when its first field is not numeric.
-    Blank lines are ignored.  Any other malformed record raises
-    :class:`ParseError` carrying the 1-based record number.
+    leading header record is skipped when its first field is not a number
+    as numpy reads one.  Blank lines, and lines of only whitespace, are
+    ignored.  Any other malformed record raises :class:`ParseError`
+    carrying the 1-based record number.
 
     Every input is read as UTF-8 bytes: a seekable file whole through its
     descriptor, a pipe once from where its buffer stands, and text encoded.
-    ``np.loadtxt`` parses the bytes from the first data record on, one call
-    per line-aligned block of :func:`_ranges`, checked for p + q columns;
-    the blocks are dealt in contiguous runs to one process per usable CPU,
-    each run after the first in a forked process.  Whatever that does not
-    parse (no data record, a block numpy rejects or whose rows have other
-    than p + q columns, bytes that are not UTF-8, a failed child, pipe or
-    fork, or no rows at all) goes once to :func:`_parse_records`, which alone
-    raises the parse errors.  It parses the ``str`` itself, or a strict
-    decode of the input's bytes, whose error names its offset in the input.
+    ``np.loadtxt`` parses every value, from the first data record on, one
+    call per line-aligned block of :func:`_ranges`, checked for p + q
+    columns; the blocks are dealt in contiguous runs to one process per
+    usable CPU, each run after the first in a forked process.  When the scan
+    finds no data record or meets bytes that are not UTF-8, or a block (see
+    :func:`_loadtxt_range`), child, pipe or fork fails,
+    :func:`_parse_records` reads the whole ``str``, or a strict decode of the
+    input's bytes, only to raise its first error: the malformed record's
+    number, or the offset of the bytes.  When it raises nothing, a child,
+    pipe or fork failed, and numpy parses every run again in this process.
     Each block's rows are kept as they are: :func:`csv_block_factors` reads
     the input the same way and reduces each block to its R factor instead.
     """
@@ -90,8 +92,7 @@ def csv_block_factors(content: str | TextIO, p: int, q: int) -> tuple[np.ndarray
     same errors, but each process reduces every block it parses to
     ``np.linalg.qr(block, mode="r")`` (at most p + q rows) and sends that, not
     its rows.  The blocks lie on a byte grid that the number of CPUs never
-    moves, so the result depends only on the input's bytes; when the record
-    parser takes over, it reduces its records on the same blocks.  Raises
+    moves, so the result depends only on the input's bytes.  Raises
     :class:`ContractViolation` as :class:`Dataset` does when x, then y,
     holds a value that is not finite.
     """
@@ -143,19 +144,17 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce) -> np.ndar
         except io.UnsupportedOperation:
             content = content.read()  # no descriptor, such as a StringIO
     pread, size = _input_bytes(content)
-    runs, values = _runs(pread, size), None
-    if runs:
-        with warnings.catch_warnings():
-            # a block may hold only blank lines; the scan saw a data record
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = fork_map(lambda run: _loadtxt_run(pread, run, p + q, reduce), runs, p + q)
-    if values is None or not len(values):
-        if not isinstance(content, str):
-            content = _text(pread, 0, size).read()
-        values = _parse_records(content, p, q)
-        counts = [_record_count(pread, a, b) for run in runs for a, b in zip(run, run[1:])]
-        blocks = np.split(values, np.cumsum(counts)[:-1]) if runs else [values]
-        values = np.concatenate([reduce(block) for block in blocks])
+    runs = _runs(pread, size)
+    parse = functools.partial(_loadtxt_run, pread, columns=p + q, reduce=reduce)
+    with warnings.catch_warnings():
+        # a block may hold only blank lines; the scan saw a data record
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = fork_map(parse, runs) if runs else None
+        if values is None:
+            if not isinstance(content, str):
+                content = _text(pread, 0, size).read()
+            _parse_records(content, p, q)  # raises the first error, if there is one
+            values = np.concatenate([parse(run) for run in runs])  # a child, pipe or fork failed
     del pread  # bytes held in memory go before Dataset copies the arrays
     return values
 
@@ -167,7 +166,7 @@ _Pread = Callable[[int, int], bytes]
 def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
     """A ``pread(n, at)`` over the input's UTF-8 bytes, and their count."""
     if isinstance(content, str):
-        data = content.encode("utf-8", "surrogatepass")
+        data = content.encode("utf-8", "replace")  # a lone surrogate as "?", never a number
     elif content.seekable() and hasattr(os, "pread"):
         fd = content.fileno()
         return functools.partial(os.pread, fd), os.fstat(fd).st_size
@@ -217,8 +216,7 @@ def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, ...]]:
     depends only on the bytes.  The first block starts at the first data
     record, so no block holds the header.  Each run is its blocks' cuts,
     first to last.  There are no more runs than whole ``MIN_PART_BYTES``
-    in the data, so a short tail block is never a process's whole share,
-    and one run when ``os.fork`` is missing.
+    in the data, so a short tail block is never a process's whole share.
     """
     cuts = [data_start]
     aim = data_start + MIN_PART_BYTES
@@ -231,8 +229,6 @@ def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, ...]]:
     cuts.append(size)
     blocks = len(cuts) - 1
     runs = min(_usable_cpus(), blocks, max(1, (size - data_start) // MIN_PART_BYTES))
-    if not hasattr(os, "fork"):
-        runs = 1
     bounds = [blocks * i // runs for i in range(runs + 1)]
     return [tuple(cuts[a : b + 1]) for a, b in zip(bounds, bounds[1:])]
 
@@ -276,19 +272,26 @@ def _text(pread: _Pread, start: int, end: int, newline: str | None = None) -> Te
 def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndarray | None:
     """The rows of the text of bytes ``[start, end)``, parsed by ``np.loadtxt``.
 
-    None where numpy rejects the text or its rows have other than
-    ``columns`` fields; a range of only blank lines gives no rows, as
-    shape (0, ``columns``).
+    numpy reads a line of only whitespace, which the record rule calls
+    blank, as a record of one field, so a range that numpy rejects is
+    parsed once more without those lines.  None where numpy rejects that
+    too or the rows have other than ``columns`` fields; a range of only
+    blank lines gives no rows, as shape (0, ``columns``).
     """
     try:
-        values = np.loadtxt(
-            _text(pread, start, end), delimiter=",", dtype=np.float64, comments=None, ndmin=2
-        )
+        try:
+            values = _loadtxt(_text(pread, start, end))
+        except ValueError:
+            values = _loadtxt(line for line in _text(pread, start, end) if line.strip())
     except ValueError:
         return None
     if not len(values):
         return np.empty((0, columns))
     return None if values.shape[1] != columns else values
+
+
+def _loadtxt(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
 
 
 # the byte order mark some editors write first, as U+FEFF
@@ -314,9 +317,14 @@ def _data_start(stream: TextIO) -> int | None:
 
 
 def _to_float(field: str) -> float:
-    """``float`` of ``field`` stripped as ``np.loadtxt`` strips it: of every
-    Unicode space, which ``float`` alone does not do for ``\x1c``-``\x1f``."""
-    return float(field.strip())
+    """The number ``np.loadtxt`` reads in ``field``.  numpy strips every
+    Unicode space (``float`` alone keeps ``\x1c``-``\x1f``) and hands the
+    ASCII of the rest to ``PyOS_string_to_double``, as ``float`` does; but
+    ``float`` also reads ``1_0`` and non-ASCII digits."""
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"not a number numpy reads: {field!r}")
+    return float(field)
 
 
 def _is_number(field: str) -> bool:
@@ -327,21 +335,12 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _records(text: str) -> list[str]:
-    """The non-blank lines of ``text``, each ended by ``\\n``, ``\\r\\n`` or ``\\r``."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return [line for line in lines if line.strip()]
-
-
-def _record_count(pread: _Pread, start: int, end: int) -> int:
-    """The number of records in bytes ``[start, end)``, which start a line."""
-    return len(_records(_text(pread, start, end).read()))
-
-
 def _parse_records(content: str, p: int, q: int) -> np.ndarray:
-    """The values of :func:`dataset_from_csv`, parsed one record at a time."""
+    """The values of :func:`dataset_from_csv`, parsed one record at a time,
+    or the error that names the first malformed record."""
+    lines = content.removeprefix(_BOM).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows: list[list[float]] = []
-    for number, line in enumerate(_records(content.removeprefix(_BOM)), start=1):
+    for number, line in enumerate((line for line in lines if line.strip()), start=1):
         fields = line.split(",")
         if number == 1 and not _is_number(fields[0]):
             continue  # header

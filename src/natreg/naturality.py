@@ -396,9 +396,7 @@ def run_audit(config: AuditConfig) -> AuditReport:
     workers = min(_usable_cpus(), len(groups))
     shares = [range(w, len(groups), workers) for w in range(workers)]  # group indices
     order = [i for share in shares for i in share]  # the group of each block of rows
-    rows = fork_map(
-        lambda share: _trial_rows([groups[i] for i in share], config), shares, len(_TRIAL_FIELDS)
-    )
+    rows = fork_map(lambda share: _trial_rows([groups[i] for i in share], config), shares)
     if rows is None:
         order = range(len(groups))
         rows = np.concatenate([_run_group(*group, config) for group in groups])

@@ -173,8 +173,9 @@ def _coef(vt: np.ndarray, gain: np.ndarray, uty: np.ndarray) -> np.ndarray:
     return vt.T @ (gain[:, None] * uty)
 
 
-# the error of a fit whose data's norm is past float64's range
+# the errors of a fit whose data's norm, or whose coefficients, pass float64's range
 _OVERFLOW = "the data are too large: their norm overflows float64"
+_COEF_OVERFLOW = "the fitted coefficients overflow float64"
 
 
 def _factor(
@@ -199,7 +200,8 @@ def _solve(spec: AlgorithmSpec, x: np.ndarray, y: np.ndarray, shape: tuple[int, 
     """``spec``'s coefficients for predictors ``x`` and targets ``y``, read
     off one thin SVD of ``x`` with the rank cutoff of ``shape``.
 
-    Errors are those of :func:`_factor`, and OLS raises
+    Errors are those of :func:`_factor`, :class:`ContractViolation` when a
+    coefficient is past float64's range, and OLS raises
     :class:`RankDeficient` below full column rank.
     """
     ut, vt, rank, [gain] = _factor((spec,), x, shape)
@@ -209,8 +211,11 @@ def _solve(spec: AlgorithmSpec, x: np.ndarray, y: np.ndarray, shape: tuple[int, 
             rank=rank,
             required=x.shape[1],
         )
-    with np.errstate(over="ignore"):  # LinearModel rejects a coefficient past float64's range
-        return _coef(vt, gain, ut @ y)
+    with np.errstate(over="ignore"):
+        coef = _coef(vt, gain, ut @ y)
+    if not np.isfinite(coef).all():
+        raise ContractViolation(_COEF_OVERFLOW)
+    return coef
 
 
 def fit_block_factors(
@@ -272,8 +277,8 @@ def fit_systems(
     Pairs whose ``x`` is the same object share its one :func:`_factor`.  An
     entry is None where the pair leaves the fit's domain, which only a
     rank-deficient ``x`` does, and only for OLS.  Errors are those of
-    :func:`_factor`, and :class:`ContractViolation` when a coefficient is not
-    finite.
+    :func:`_factor`, and :class:`ContractViolation` when a coefficient is past
+    float64's range.
     """
     factored = {}  # id(x) -> _factor(specs, x); systems keeps every x alive, so ids stay unique
     fits = []
@@ -286,7 +291,7 @@ def fit_systems(
             fits.append([None if gain is None else _coef(vt, gain, uty) for gain in gains])
     coefs = [c.ravel() for fit in fits for c in fit if c is not None]
     if coefs and not np.isfinite(np.concatenate(coefs)).all():
-        raise ContractViolation("coef contains non-finite entries")
+        raise ContractViolation(_COEF_OVERFLOW)
     return fits
 
 

@@ -238,6 +238,16 @@ def test_fit_malformed_csv_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: record 2: expected 2 fields, got 3\n"
 
 
+@pytest.mark.parametrize("field", ("1_0", "\uff11", "\u0661"))
+def test_fit_reads_a_number_as_numpy_does(tmp_path, capsys, field):
+    # float reads these as 10, 1 and 1; numpy, which parses every value, does not
+    path = tmp_path / "n.csv"
+    path.write_text(f"1,2\n{field},3\n4,5\n", encoding="utf-8")
+    assert main(["fit", "--data", str(path), "--predictors", "1", "--targets", "1",
+                 "--algorithm", "ols"]) == 2
+    assert capsys.readouterr() == ("", "error: record 2: non-numeric field\n")
+
+
 def test_fit_empty_csv_exits_two(tmp_path, capsys):
     data = _write(tmp_path, "empty.csv", "x,y\n")
     assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
@@ -389,7 +399,7 @@ def test_fit_digits_depend_only_on_the_bytes(tmp_path, capfd, monkeypatch, algor
     runs = []
     real = natreg.data.fork_map
     monkeypatch.setattr(
-        natreg.data, "fork_map", lambda fn, items, columns: runs.append(len(items)) or real(fn, items, columns)
+        natreg.data, "fork_map", lambda fn, items: runs.append(len(items)) or real(fn, items)
     )
     outputs = []
     for cpus in (1, 2, 3):
@@ -399,13 +409,12 @@ def test_fit_digits_depend_only_on_the_bytes(tmp_path, capfd, monkeypatch, algor
         with _piped(content.encode()) as data:
             assert main(["fit", "--data", data, *args]) == 0
         outputs.append(capfd.readouterr())
-    # the record-by-record fallback, after a failed fork and after numpy fails
-    for module, name, failing in ((os, "fork", _no_fork), (natreg.data, "_loadtxt_range", lambda *a: None)):
-        with monkeypatch.context() as patched:
-            patched.setattr(module, name, failing)
-            assert main(["fit", "--data", path, *args]) == 0
-        outputs.append(capfd.readouterr())
-    assert runs == [1, 1, 2, 2, 3, 3, 3, 3]
+    # after a failed fork, numpy parses every run again in this process
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fork", _no_fork)
+        assert main(["fit", "--data", path, *args]) == 0
+    outputs.append(capfd.readouterr())
+    assert runs == [1, 1, 2, 2, 3, 3, 3]
     assert all(output == outputs[0] for output in outputs), algorithm
     assert outputs[0].out.count("\n") == 3 and outputs[0].err.startswith("sse = ")
 
@@ -547,7 +556,9 @@ def test_overflows_print_no_numpy_warning(tmp_path):
     data = _write(tmp_path, "steep.csv", "1e-300,1e300\n2e-300,1e300\n")
     fit = _run_python(["-m", "natreg.cli", "fit", "--data", data, "--predictors", "1",
                        "--targets", "1", "--algorithm", "ols"])
-    assert (fit.returncode, fit.stdout, fit.stderr) == (2, "", "error: coef contains non-finite entries\n")
+    assert (fit.returncode, fit.stdout, fit.stderr) == (
+        2, "", "error: the fitted coefficients overflow float64\n"
+    )
     ce = _run_python(["-m", "natreg.cli", "counterexamples", "--b", "1e200", "--c", "1e200"])
     assert (ce.returncode, ce.stdout, ce.stderr) == (
         2, "", "error: b * c overflows float64 (b = 1e+200, c = 1e+200)\n"

@@ -62,7 +62,7 @@ def test_csv_header_is_skipped():
     np.testing.assert_array_equal(d.y, [[1.0], [2.0]])
     d = dataset_from_csv(io.StringIO("x1,x2,y\n1,0,1\n0,1,2"), p=2, q=1)  # no descriptor
     np.testing.assert_array_equal(d.y, [[1.0], [2.0]])
-    # a lone surrogate is encoded with surrogatepass, which the scan rejects
+    # a lone surrogate is encoded as "?", which is never a number
     d = dataset_from_csv("x,\ud800\n2,3", p=1, q=1)
     np.testing.assert_array_equal(d.x, [[2.0]])
     np.testing.assert_array_equal(d.y, [[3.0]])
@@ -286,7 +286,7 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
-def _fork_map_in_process(fn, items, columns):
+def _fork_map_in_process(fn, items):
     """What ``natreg.data.fork_map`` returns, with every item run in this process.
 
     Each range still goes through ``fn``, the parse's ``_loadtxt_range`` with
@@ -296,7 +296,7 @@ def _fork_map_in_process(fn, items, columns):
     parts = [fn(item) for item in items]
     if any(part is None for part in parts):
         return None
-    return np.concatenate([part.reshape(-1, columns) for part in parts])
+    return np.concatenate(parts)
 
 
 @pytest.mark.parametrize("parts", (2, 3))
@@ -366,6 +366,44 @@ def test_csv_leading_bom_is_skipped(csv_path, monkeypatch, header):
         assert _outcome(_parse_pipe, with_bom.encode(), 1, 1) == expected
     assert not fallbacks  # numpy parsed every one
     assert _outcome(_reference, with_bom, 1, 1) == expected
+
+
+_WHITESPACE_LINES = (" ", "\t", "\u3000", "\x1c")
+
+
+@pytest.mark.parametrize("header", ("", "x,y\n"))
+def test_csv_whitespace_only_lines_are_blank_to_numpy_too(csv_path, monkeypatch, header):
+    # numpy reads each of these lines as a record of one field; the record
+    # rule calls them blank, and so does the retry of each block they fail
+    lines = [f"{i},{-i}\n{_WHITESPACE_LINES[i % 4]}\n" for i in range(12)]
+    content = "\x1c\n" + header + "".join(lines)
+    expected = _outcome(_reference, content, 1, 1)
+    assert expected[:2] == ((12, 1), (12, 1))
+    fallbacks = _spy(monkeypatch, "_parse_records")
+    # one block; then blocks of one or two lines, dealt to 2 and to 3 runs
+    for parts, step in ((1, natreg.data.MIN_PART_BYTES), (2, 6), (3, 6)):
+        _split_into(monkeypatch, parts, step)
+        assert _outcome(dataset_from_csv, content, 1, 1) == expected
+        assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == expected
+        assert _outcome(_parse_pipe, content.encode(), 1, 1) == expected
+    assert not fallbacks  # numpy parsed every one
+
+
+@pytest.mark.parametrize("field", ("1_0", "\uff11", "\u0661"))
+def test_csv_number_is_what_numpy_reads(csv_path, monkeypatch, field):
+    # float reads these as 10, 1 and 1; numpy reads none of them
+    content = f"1,2\n{field},3\n4,5\n"
+    for parts in (1, 2):
+        _split_into(monkeypatch, parts)
+        for parse, source in (
+            (dataset_from_csv, content),
+            (_parse_file, _written(csv_path, content)),
+            (_parse_pipe, content.encode()),
+        ):
+            assert _outcome(parse, source, 1, 1) == (ParseError, "record 2: non-numeric field", 2)
+    # so a first record led by one is a header
+    d = dataset_from_csv(f"{field},y\n4,5\n", 1, 1)
+    np.testing.assert_array_equal(d.x, [[4.0]])
 
 
 def _assert_split_parse_matches_its_text(

@@ -425,9 +425,10 @@ def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit():
     assert deficient >= 8  # both pairs of each rank-deficient x; the other specs fit them
     # an OLS fit that overflows is an error; one outside its domain is only None
     tiny, huge = np.array([[1e-300]]), np.array([[1e300]])
-    with pytest.raises(ContractViolation):
+    message = "^the fitted coefficients overflow float64$"
+    with pytest.raises(ContractViolation, match=message):
         fit_systems(specs, [(tiny, huge)])
-    with warnings.catch_warnings(), pytest.raises(ContractViolation):
+    with warnings.catch_warnings(), pytest.raises(ContractViolation, match=message):
         warnings.simplefilter("error")  # no numpy overflow warning before the error
         AlgorithmSpec.ols().fit(Dataset(tiny, huge))
     [(ols, ridge)] = fit_systems(specs[:2], [(np.array([[1e-300, 0.0]]), huge)])
