@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 from collections.abc import Callable, Sequence
@@ -21,50 +22,56 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork_map(fn: Callable[[Item], np.ndarray | None], items: Sequence[Item]) -> np.ndarray | None:
-    """The rows of ``fn(item)`` for every item (at least one), in order, or
-    None if any item fails.
+def fork_map(fn: Callable[[Item], np.ndarray], items: Sequence[Item], workers: int) -> np.ndarray:
+    """``np.concatenate([fn(item) for item in items])``, or the exception it
+    raises, whatever the number of workers and whether a fork, pipe or
+    child fails.
 
-    ``fn`` returns a 2-D float64 array, of as many columns for every item,
-    or None when its item fails.  This process runs the first item; a forked
-    child runs each other one and hands its rows to :func:`send_rows`.  An
-    item also fails when its child exits nonzero or sends too few rows, and
-    every item fails when a pipe or a process cannot be had.  An exception
-    of the first item propagates.  Every child is reaped before this returns
-    or raises, and killed first when its rows are not needed.
+    ``fn`` returns a 2-D float64 array.  Item i is dealt to worker
+    ``i % workers``: this process is worker 0 and a forked child each other
+    one.  A worker runs its items in order until one raises; a child then
+    sends the rows of the items before it.  When item 0 raises, the children
+    are killed and the exception propagates.  Otherwise this process reads
+    every child's rows and reaps every child, then runs each item whose rows
+    it lacks, in item order, so the first exception it meets is the serial
+    loop's.  No item whose rows a child sent runs again, and an item that
+    raises runs at most twice.
     """
+    workers = max(1, min(workers, len(items)))
+    rows: list[np.ndarray | None] = [None] * len(items)
     children: list[tuple[int, int]] = []
-    values = None
+    with contextlib.suppress(OSError):  # no pipe or process to spare: their items run here
+        for worker in range(1, workers):
+            children.append(_fork(fn, items[worker::workers]))
+    stop = len(items)  # where this process's own items raised
     try:
-        for item in items[1:]:
-            children.append(_fork(fn, item))
-        values = _gather(fn(items[0]), children)
-    except OSError:
-        values = None  # no pipe or process to spare
+        for i in range(0, len(items), workers):
+            try:
+                rows[i] = fn(items[i])
+            except Exception as exc:
+                if i == 0:
+                    raise
+                stop, raised = i, exc
+                break
+        for worker, (_, pipe) in enumerate(children, start=1):
+            for i, values in zip(range(worker, len(items), workers), _receive(pipe)):
+                rows[i] = values
     finally:
         for pid, pipe in children:
             os.close(pipe)
-            if values is None:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    return None if any(statuses) else values
+            os.kill(pid, signal.SIGKILL)  # done, or its rows are not needed
+            os.waitpid(pid, 0)
+    for i, item in enumerate(items):
+        if i == stop:
+            raise raised
+        if rows[i] is None:
+            rows[i] = fn(item)
+    return np.concatenate(rows)
 
 
-def send_rows(values: np.ndarray | None, pipe: int) -> int:
-    """Write the row count as one int64, then the float64 rows: the exit code.
-
-    Writes nothing and returns 1 when ``values`` is None.
-    """
-    if values is None:
-        return 1
-    with open(pipe, "wb") as out:
-        out.write(np.int64(len(values)))
-        out.write(values)
-    return 0
-
-
-def _fork(fn: Callable[[Item], np.ndarray | None], item: Item) -> tuple[int, int]:
-    """Fork a child that sends ``fn(item)`` down a pipe: (pid, the pipe's read end)."""
+def _fork(fn: Callable[[Item], np.ndarray], share: Sequence[Item]) -> tuple[int, int]:
+    """Fork a child that runs ``fn`` over ``share`` and sends the rows of the
+    items before the first that raises: (pid, the pipe's read end)."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -73,42 +80,42 @@ def _fork(fn: Callable[[Item], np.ndarray | None], item: Item) -> tuple[int, int
         os.close(write_end)
         raise
     if pid == 0:  # the child never returns, nor writes to stdout or stderr
-        code = 1
         try:
             os.close(read_end)
-            code = send_rows(fn(item), write_end)
+            done = []
+            for item in share:
+                try:
+                    done.append(fn(item))
+                except Exception:
+                    break
+            _send_rows(done, write_end)
         finally:
-            os._exit(code)
+            os._exit(0)  # what the parent reads is what it sent, not this code
     os.close(write_end)
     return pid, read_end
 
 
-def _gather(first: np.ndarray | None, children: list[tuple[int, int]]) -> np.ndarray | None:
-    """``first`` followed by each child's rows, read straight into one array."""
-    if first is None or not children:
-        return first
-    counts = [len(first)]
-    for _, pipe in children:
-        count = np.zeros(1, dtype=np.int64)
-        if not _read_into(pipe, count):
-            return None
-        counts.append(int(count[0]))
-    values = np.empty((sum(counts), first.shape[1]))
-    at = len(first)
-    values[:at] = first
-    for rows, (_, pipe) in zip(counts[1:], children):
-        if rows and not _read_into(pipe, values[at : at + rows]):  # cast("B") rejects 0 rows
-            return None
-        at += rows
-    return values
+def _send_rows(done: list[np.ndarray], pipe: int) -> None:
+    """Write the item count, the row width and each item's row count as
+    int64, then every item's float64 rows."""
+    width = done[0].shape[1] if done else 0
+    with open(pipe, "wb") as out:
+        out.write(np.array([len(done), width, *map(len, done)], dtype=np.int64))
+        if done:
+            out.write(np.concatenate(done))
 
 
-def _read_into(pipe: int, array: np.ndarray) -> bool:
-    """Fill ``array`` from ``pipe``; False if the pipe ends first."""
-    view = memoryview(array).cast("B")
-    while view:
-        count = os.readv(pipe, [view])
-        if not count:
-            return False
-        view = view[count:]
-    return True
+def _receive(pipe: int) -> list[np.ndarray]:
+    """The rows of each item a child sent, in order; none when what it
+    sent is cut short."""
+    with open(pipe, "rb", closefd=False) as stream:
+        sent = stream.read()
+    words = np.frombuffer(sent, dtype=np.int64, count=len(sent) // 8)
+    if len(words) < 2 or len(words) < 2 + words[0]:
+        return []
+    done, width = words[:2]
+    bounds = np.cumsum([0, *words[2 : 2 + done]])
+    if len(sent) != 8 * (2 + done + bounds[-1] * width):
+        return []
+    values = words[2 + done :].view(np.float64).reshape(bounds[-1], width)
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -69,16 +69,16 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     descriptor, a pipe once from where its buffer stands, and text encoded.
     ``np.loadtxt`` parses every value, from the first data record on, one
     call per line-aligned block of :func:`_ranges`, checked for p + q
-    columns; the blocks are dealt in contiguous runs to one process per
-    usable CPU, each run after the first in a forked process.  When the scan
-    finds no data record or meets bytes that are not UTF-8, or a block (see
-    :func:`_loadtxt_range`), child, pipe or fork fails,
-    :func:`_parse_records` reads the whole ``str``, or a strict decode of the
-    input's bytes, only to raise its first error: the malformed record's
-    number, or the offset of the bytes.  When it raises nothing, a child,
-    pipe or fork failed, and numpy parses every run again in this process.
-    Each block's rows are kept as they are: :func:`csv_block_factors` reads
-    the input the same way and reduces each block to its R factor instead.
+    columns.  :func:`~natreg._forkjoin.fork_map` deals the blocks to one
+    process per usable CPU, and its rows, or the error it raises, are those
+    of parsing the blocks one at a time in this process.  When the scan
+    finds no data record or meets bytes that are not UTF-8, or numpy
+    rejects a block (see :func:`_loadtxt_range`), :func:`_parse_records`
+    reads the whole ``str``, or a strict decode of the input's bytes, only
+    to raise its first error: the malformed record's number, or the offset
+    of the bytes.  Each block's rows are kept as they are:
+    :func:`csv_block_factors` reads the input the same way and reduces each
+    block to its R factor instead.
     """
     values = _read_csv(content, p, q, lambda rows: rows)
     return Dataset(x=values[:, :p], y=values[:, p:])
@@ -92,7 +92,9 @@ def csv_block_factors(content: str | TextIO, p: int, q: int) -> tuple[np.ndarray
     same errors, but each process reduces every block it parses to
     ``np.linalg.qr(block, mode="r")`` (at most p + q rows) and sends that, not
     its rows.  The blocks lie on a byte grid that the number of CPUs never
-    moves, so the result depends only on the input's bytes.  Raises
+    moves, and the result is that of reducing them one at a time in this
+    process, so it depends only on the input's bytes, never on the number of
+    processes or on a failed fork.  Raises
     :class:`ContractViolation` as :class:`Dataset` does when x, then y,
     holds a value that is not finite.
     """
@@ -144,19 +146,25 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce) -> np.ndar
         except io.UnsupportedOperation:
             content = content.read()  # no descriptor, such as a StringIO
     pread, size = _input_bytes(content)
-    runs = _runs(pread, size)
-    parse = functools.partial(_loadtxt_run, pread, columns=p + q, reduce=reduce)
-    with warnings.catch_warnings():
-        # a block may hold only blank lines; the scan saw a data record
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        values = fork_map(parse, runs) if runs else None
-        if values is None:
-            if not isinstance(content, str):
-                content = _text(pread, 0, size).read()
-            _parse_records(content, p, q)  # raises the first error, if there is one
-            values = np.concatenate([parse(run) for run in runs])  # a child, pipe or fork failed
+    try:
+        with warnings.catch_warnings():
+            # a block may hold only blank lines; the scan saw a data record
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = fork_map(
+                lambda block: reduce(_loadtxt_range(pread, *block, columns=p + q)),
+                *_blocks(pread, size),
+            )
+    except _Rejected as rejected:
+        if not isinstance(content, str):
+            content = _text(pread, 0, size).read()
+        _parse_records(content, p, q)  # raises the first error
+        raise RuntimeError(f"the record parser finds no error where {rejected}") from rejected
     del pread  # bytes held in memory go before Dataset copies the arrays
     return values
+
+
+class _Rejected(Exception):
+    """The scan or numpy rejects the input's bytes; the record parser names why."""
 
 
 # reads up to n bytes at an offset, as os.pread does on a descriptor
@@ -175,29 +183,17 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
     return (lambda n, at: data[at : at + n]), len(data)
 
 
-def _runs(pread: _Pread, size: int) -> list[tuple[int, ...]]:
-    """:func:`_ranges` of bytes ``[0, size)`` from the first data record on;
-    none when there is no data record or the scan meets bytes that are not
-    UTF-8 (the fallback's strict decode names their offset)."""
+def _blocks(pread: _Pread, size: int) -> tuple[list[tuple[int, int]], int]:
+    """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.
+    Raises :class:`_Rejected` when there is no data record or the scan meets
+    bytes that are not UTF-8."""
     try:
         data_start = _data_start(_text(pread, 0, size, newline=""))
     except UnicodeDecodeError:
-        return []
-    return [] if data_start is None else _ranges(pread, data_start, size)
-
-
-def _loadtxt_run(pread: _Pread, run: tuple[int, ...], columns: int, reduce: _Reduce) -> np.ndarray | None:
-    """What ``reduce`` makes of the rows of each block ``zip(run, run[1:])``;
-    None when a block fails (see :func:`_loadtxt_range`), and no later block
-    is parsed.  :func:`~natreg._forkjoin.fork_map` runs the first run in this
-    process and each other in a forked child."""
-    sent = []
-    for start, end in zip(run, run[1:]):
-        rows = _loadtxt_range(pread, start, end, columns)
-        if rows is None:
-            return None
-        sent.append(reduce(rows))
-    return np.concatenate(sent)
+        data_start = None
+    if data_start is None:
+        raise _Rejected("the scan finds no data record or bytes that are not UTF-8")
+    return _ranges(pread, data_start, size)
 
 
 # A fork and reap of a natreg process costs about 4 ms on a 2-vCPU Xeon, and
@@ -207,16 +203,16 @@ def _loadtxt_run(pread: _Pread, run: tuple[int, ...], columns: int, reduce: _Red
 MIN_PART_BYTES = 1 << 20
 
 
-def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, ...]]:
-    """``[data_start, size)`` cut into blocks, dealt in contiguous runs to
-    one process per usable CPU.
+def _ranges(pread: _Pread, data_start: int, size: int) -> tuple[list[tuple[int, int]], int]:
+    """``[data_start, size)`` cut into blocks ``(start, end)``, and the
+    number of processes to deal them to: one per usable CPU.
 
     A block ends just after the first newline at or past each multiple of
     ``MIN_PART_BYTES`` from ``data_start``, or at ``size``: the grid
     depends only on the bytes.  The first block starts at the first data
-    record, so no block holds the header.  Each run is its blocks' cuts,
-    first to last.  There are no more runs than whole ``MIN_PART_BYTES``
-    in the data, so a short tail block is never a process's whole share.
+    record, so no block holds the header.  There are no more processes than
+    whole ``MIN_PART_BYTES`` in the data, so a short tail block is never a
+    process's whole share.
     """
     cuts = [data_start]
     aim = data_start + MIN_PART_BYTES
@@ -227,10 +223,8 @@ def _ranges(pread: _Pread, data_start: int, size: int) -> list[tuple[int, ...]]:
         cuts.append(cut)
         aim = cut + (data_start - cut) % MIN_PART_BYTES  # the next grid step
     cuts.append(size)
-    blocks = len(cuts) - 1
-    runs = min(_usable_cpus(), blocks, max(1, (size - data_start) // MIN_PART_BYTES))
-    bounds = [blocks * i // runs for i in range(runs + 1)]
-    return [tuple(cuts[a : b + 1]) for a, b in zip(bounds, bounds[1:])]
+    workers = min(_usable_cpus(), max(1, (size - data_start) // MIN_PART_BYTES))
+    return list(zip(cuts, cuts[1:])), workers
 
 
 def _after_newline(pread: _Pread, offset: int, size: int) -> int:
@@ -269,25 +263,27 @@ def _text(pread: _Pread, start: int, end: int, newline: str | None = None) -> Te
     return io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
 
 
-def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndarray | None:
+def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndarray:
     """The rows of the text of bytes ``[start, end)``, parsed by ``np.loadtxt``.
 
     numpy reads a line of only whitespace, which the record rule calls
     blank, as a record of one field, so a range that numpy rejects is
-    parsed once more without those lines.  None where numpy rejects that
-    too or the rows have other than ``columns`` fields; a range of only
-    blank lines gives no rows, as shape (0, ``columns``).
+    parsed once more without those lines.  Raises :class:`_Rejected` where
+    numpy rejects that too or the rows have other than ``columns`` fields; a
+    range of only blank lines gives no rows, as shape (0, ``columns``).
     """
     try:
         try:
             values = _loadtxt(_text(pread, start, end))
         except ValueError:
             values = _loadtxt(line for line in _text(pread, start, end) if line.strip())
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise _Rejected(f"numpy rejects bytes [{start}, {end})") from exc
     if not len(values):
         return np.empty((0, columns))
-    return None if values.shape[1] != columns else values
+    if values.shape[1] != columns:
+        raise _Rejected(f"bytes [{start}, {end}) hold other than {columns} fields a record")
+    return values
 
 
 def _loadtxt(lines) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from ._forkjoin import fork_map
 from ._forkjoin import usable_cpus as _usable_cpus
 from .data import Dataset, draw_dataset
-from .errors import ConfigError, ContractViolation, NatregError
+from .errors import ConfigError, ContractViolation
 from .linalg import SeedState, _rel_distance, _stream_modules, rel_distance
 from .morphisms import Axis, CategoryKind, Morphism, SQUARE_KINDS, draw_morphism_matrix
 from .regression import (
@@ -377,12 +377,11 @@ def run_audit(config: AuditConfig) -> AuditReport:
     The report is a pure function of the config: trial seeds are derived from
     the master seed and the (axis, kind) labels, never from execution order
     or algorithm, so the cells of one (axis, kind) group share their trials.
-    The groups are dealt round-robin to one worker per usable CPU (at most one
-    per group) by :func:`~natreg._forkjoin.fork_map`: this process is the
-    first worker and forked children are the others, each sending its
-    groups' rows back, so one worker forks nothing.  When any worker fails,
-    every group is run again here one at a time, so an error is raised from
-    the first failing group in config order.
+    The groups are run by :func:`~natreg._forkjoin.fork_map` on one worker
+    per usable CPU: this process is the first worker and forked children
+    are the others, each sending its groups' rows back, so one worker forks
+    nothing.  Its rows, or the error it raises, are those of running the
+    groups one at a time in config order.
     """
     _stream_modules()  # loaded once here, not again in every forked worker
     from . import __version__
@@ -393,26 +392,12 @@ def run_audit(config: AuditConfig) -> AuditReport:
         for axis in config.axes
         for category in config.categories
     ]
-    workers = min(_usable_cpus(), len(groups))
-    shares = [range(w, len(groups), workers) for w in range(workers)]  # group indices
-    order = [i for share in shares for i in share]  # the group of each block of rows
-    rows = fork_map(lambda share: _trial_rows([groups[i] for i in share], config), shares)
-    if rows is None:
-        order = range(len(groups))
-        rows = np.concatenate([_run_group(*group, config) for group in groups])
+    rows = fork_map(lambda group: _run_group(*group, config), groups, _usable_cpus())
     shape = (len(groups), len(config.algorithms), config.trials_per_cell, len(_TRIAL_FIELDS))
-    blocks = rows.reshape(shape)[np.argsort(order)].swapaxes(0, 1).reshape(-1, *shape[2:])
+    blocks = rows.reshape(shape).swapaxes(0, 1).reshape(-1, *shape[2:])
     cells = [(spec, *group) for spec in config.algorithms for group in groups]  # config order
     summaries = [CellSummary(*cell, block) for cell, block in zip(cells, blocks)]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
-
-
-def _trial_rows(groups: list[tuple], config: AuditConfig) -> np.ndarray | None:
-    """The rows of ``groups``, in order; None when a group raises one of this package's errors."""
-    try:
-        return np.concatenate([_run_group(*group, config) for group in groups])
-    except NatregError:
-        return None
 
 
 @dataclass(frozen=True)

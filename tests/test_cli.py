@@ -309,8 +309,9 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch
         assert "position 20004" in err
 
     fit_fails_at_the_byte()
-    # the scan stops at the first data record; the byte lies in the last,
-    # forked range, whose failed decode sends the parse to the fallback
+    # the scan stops at the first data record; the byte lies in the last
+    # block, dealt to a child, whose failed decode is met again here and
+    # sends the parse to the record parser
     forked = _force_line_blocks(monkeypatch)
     cuts = []
     real_ranges = natreg.data._ranges
@@ -318,8 +319,9 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch
         natreg.data, "_ranges", lambda *a: cuts.append(real_ranges(*a)) or cuts[-1]
     )
     fit_fails_at_the_byte()
-    assert forked == [None]
-    assert len(cuts[0]) == 3 and cuts[0][-1][0] <= raw.index(b"\xff")
+    assert forked == []  # fork_map raised
+    (blocks, workers), = cuts
+    assert workers == 3 and blocks[-1][0] <= raw.index(b"\xff") and (len(blocks) - 1) % 3
 
 
 def _force_line_blocks(monkeypatch, cpus: int = 3) -> list:
@@ -399,7 +401,8 @@ def test_fit_digits_depend_only_on_the_bytes(tmp_path, capfd, monkeypatch, algor
     runs = []
     real = natreg.data.fork_map
     monkeypatch.setattr(
-        natreg.data, "fork_map", lambda fn, items: runs.append(len(items)) or real(fn, items)
+        natreg.data, "fork_map",
+        lambda fn, items, workers: runs.append(workers) or real(fn, items, workers),
     )
     outputs = []
     for cpus in (1, 2, 3):
@@ -409,7 +412,7 @@ def test_fit_digits_depend_only_on_the_bytes(tmp_path, capfd, monkeypatch, algor
         with _piped(content.encode()) as data:
             assert main(["fit", "--data", data, *args]) == 0
         outputs.append(capfd.readouterr())
-    # after a failed fork, numpy parses every run again in this process
+    # after a failed fork, this process parses the blocks dealt to the child
     with monkeypatch.context() as patched:
         patched.setattr(os, "fork", _no_fork)
         assert main(["fit", "--data", path, *args]) == 0

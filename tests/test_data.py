@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import natreg._forkjoin
 import natreg.data
-from natreg.data import Dataset, _parse_records, dataset_from_csv, synth_dataset
+from natreg.data import Dataset, _parse_records, csv_block_factors, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, EmptyDataset, NatregError, ParseError
 from natreg.linalg import SeedState, numerical_rank
 
@@ -274,29 +274,31 @@ def _split_into(monkeypatch, parts: int, step: int = 1) -> None:
 
 
 def _spy(monkeypatch, name: str) -> list:
-    """Record the arguments and result of each call of ``natreg.data.<name>``."""
+    """Record the arguments and the result, or the exception, of each call
+    of ``natreg.data.<name>``."""
     calls = []
     real = getattr(natreg.data, name)
 
     def spy(*args, **kwargs):
-        calls.append((args, real(*args, **kwargs)))
+        try:
+            calls.append((args, real(*args, **kwargs)))
+        except Exception as exc:
+            calls.append((args, exc))
+            raise
         return calls[-1][1]
 
     monkeypatch.setattr(natreg.data, name, spy)
     return calls
 
 
-def _fork_map_in_process(fn, items):
-    """What ``natreg.data.fork_map`` returns, with every item run in this process.
+def _fork_map_in_process(fn, items, workers):
+    """What ``natreg.data.fork_map`` returns or raises, with every item run in this process.
 
-    Each range still goes through ``fn``, the parse's ``_loadtxt_range`` with
-    its p + q check; one failed range fails them all, and a range of only
+    Each block still goes through ``fn``, the parse's ``_loadtxt_range`` with
+    its p + q check; the first block it rejects raises, and a block of only
     blank lines adds no rows.
     """
-    parts = [fn(item) for item in items]
-    if any(part is None for part in parts):
-        return None
-    return np.concatenate(parts)
+    return np.concatenate([fn(item) for item in items])
 
 
 @pytest.mark.parametrize("parts", (2, 3))
@@ -311,7 +313,7 @@ def test_csv_split_file_matches_its_text_on_odd_input(csv_path, parts):
         cuts = _spy(monkeypatch, "_ranges")
         for content in contents:
             _assert_file_matches_its_text(csv_path, content, 2, 1)
-    assert max(len(ranges) for _, ranges in cuts) == parts
+    assert max(workers for _, (_, workers) in cuts) == parts
 
 
 @pytest.mark.parametrize("parts", (2, 3))
@@ -411,10 +413,11 @@ def _assert_split_parse_matches_its_text(
 ):
     """Some file cut into 2 and into 3 ranges parses as its text, with no fallback."""
     forked = _spy(monkeypatch, "fork_map")
+    fallbacks = _spy(monkeypatch, "_parse_records")
     for parts in (2, 3):
         _split_into(monkeypatch, parts, step)
         _assert_file_matches_its_text(csv_path, content, p, q)
-    assert forked and all(values is not None for _, values in forked)
+    assert forked and not fallbacks
     return forked
 
 
@@ -447,13 +450,14 @@ def test_csv_split_keeps_the_header_in_the_first_range(csv_path, monkeypatch):
 
 
 def test_csv_split_part_of_only_blank_lines_warns_nothing(csv_path, monkeypatch):
-    # the middle range of three holds only blank lines; each range is parsed
-    # under warnings.simplefilter("error"), so a warning would fail its part
+    # one-line blocks, most of them blank, dealt to three processes; each
+    # block is parsed under warnings.simplefilter("error"), so a warning
+    # would fail its block
     forked = _assert_split_parse_matches_its_text(
         csv_path, monkeypatch, "1,2\n3,4\n" + "\n" * 40 + "5,6\n", 1, 1
     )
     args, _ = forked[-1]
-    assert len(args[1]) == 3
+    assert (len(args[1]), args[2]) == (43, 3)
 
 
 def test_csv_header_then_one_long_record_is_one_range(csv_path, monkeypatch):
@@ -488,8 +492,11 @@ def test_csv_split_where_records_gain_a_field_reports_the_record(csv_path, monke
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, "\n".join(rows)), 1, 1)
     assert excinfo.value.record == 21
-    # 40 one-line blocks, dealt 20 to each range
-    assert [[run[-1] for run in runs] for _, runs in cuts] == [[200, 399]]
+    # 40 one-line blocks dealt to two processes; the first wider record
+    # starts block 20
+    assert [(len(blocks), blocks[20][0], workers) for _, (blocks, workers) in cuts] == [
+        (40, 200, 2)
+    ]
 
 
 @pytest.mark.parametrize("parts", (1, 3))
@@ -503,26 +510,25 @@ def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
         _parse_file(_written(csv_path, content), 1, 1)
     assert excinfo.value.record == 35
     # each block reaches numpy at most once, and none after the one that
-    # fails, which on one CPU is here and on three is in the last child
+    # fails, block 33 of 40, which both on one CPU and on three is here
     blocks = [args[1:3] for args, _ in calls]
     assert blocks == sorted(set(blocks))
-    failed = [i for i, (_, rows) in enumerate(calls) if rows is None]
-    assert failed == ([len(calls) - 1] if parts == 1 else [])
+    failed = [i for i, (_, rows) in enumerate(calls) if isinstance(rows, Exception)]
+    assert failed == [len(calls) - 1]
 
 
-_send_rows = natreg._forkjoin.send_rows
+_send_rows = natreg._forkjoin._send_rows
 
 
-def _short_payload(values, pipe):
+def _short_payload(done, pipe):
     with open(pipe, "wb") as out:
-        out.write(np.int64(5))
+        out.write(np.array([1, 3, 5], dtype=np.int64))
         out.write(np.zeros(3))
-    return 0
 
 
-def _sent_then_failed(values, pipe):
-    _send_rows(values, pipe)
-    return 3
+def _sent_then_failed(done, pipe):
+    _send_rows(done, pipe)
+    os._exit(3)
 
 
 def _no_fork():
@@ -530,23 +536,23 @@ def _no_fork():
 
 
 @pytest.mark.parametrize(
-    "send", (_short_payload, _sent_then_failed, lambda values, pipe: 3)
+    "send", (_short_payload, _sent_then_failed, lambda done, pipe: None)
 )
 def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
     content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg._forkjoin, "send_rows", send)  # only children send
-    forked = _spy(monkeypatch, "fork_map")
+    monkeypatch.setattr(natreg._forkjoin, "_send_rows", send)  # only children send
+    fallbacks = _spy(monkeypatch, "_parse_records")
     assert _outcome(_parse_file, _written(csv_path, content), 2, 1) == _outcome(
         _reference, content, 2, 1
     )
-    assert [values for _, values in forked] == [None]
+    assert not fallbacks  # this process parsed the blocks whose rows it lacked
 
 
 def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
     content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg._forkjoin, "send_rows", lambda values, pipe: time.sleep(120))
+    monkeypatch.setattr(natreg._forkjoin, "_send_rows", lambda done, pipe: time.sleep(120))
     begin = time.monotonic()
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, content), 1, 1)
@@ -561,6 +567,27 @@ def test_csv_failed_fork_falls_back_to_one_process(csv_path, monkeypatch):
     assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == _outcome(
         _reference, content, 1, 1
     )
+
+
+def test_csv_block_factors_after_a_failed_fork_are_the_forked_ones(csv_path, monkeypatch):
+    # over two whole MiB of data, so on two CPUs a child takes every other
+    # 1 MiB block; when the fork fails, this process parses those blocks,
+    # and the record parser, which reads the whole input, is never called
+    d, _ = synth_dataset(SeedState(7, "failed fork"), 25_000, 5, 1, noise_sd=1.0)
+    _written(csv_path, dataset_to_csv(d))
+    assert csv_path.stat().st_size > 2 * natreg.data.MIN_PART_BYTES
+    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 2)
+
+    def factors():
+        with open(csv_path, encoding="utf-8") as handle:
+            r, n_examples = csv_block_factors(handle, 5, 1)
+        return r.tobytes(), n_examples
+
+    forked = factors()
+    fallbacks = _spy(monkeypatch, "_parse_records")
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert factors() == forked
+    assert forked[1] == 25_000 and not fallbacks
 
 
 def test_csv_file_below_two_parts_never_forks(csv_path, monkeypatch):

@@ -1,0 +1,124 @@
+"""fork_map: the serial loop's rows, or its exception, on any number of workers."""
+
+from __future__ import annotations
+
+import os
+import signal
+
+import numpy as np
+import pytest
+
+from natreg._forkjoin import fork_map
+
+_ITEMS = range(10)
+
+
+class _Failed(Exception):
+    pass
+
+
+def _mapper(raising=(), killed=None):
+    """``fn`` of ``i``: ``i % 3`` rows of ``i``, two wide, or ``_Failed`` for
+    an item in ``raising``.  A child that reaches item ``killed`` is
+    SIGKILLed.  Returns ``fn`` and the items it ran in this process."""
+    parent, calls = os.getpid(), []
+
+    def fn(i):
+        if os.getpid() == parent:
+            calls.append(i)
+        elif i == killed:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if i in raising:
+            raise _Failed(f"item {i}")
+        return np.full((i % 3, 2), float(i))
+
+    return fn, calls
+
+
+def _outcome(run):
+    try:
+        values = run()
+    except _Failed as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+def _sent(workers: int, raising=(), killed=None, forked=None) -> set:
+    """The items whose rows a child sends: those of its share before the
+    first that raises, in each of the first ``forked`` children but one
+    that is killed."""
+    forked = workers - 1 if forked is None else forked
+    sent = set()
+    for worker in range(1, 1 + forked):
+        share = list(_ITEMS[worker::workers])
+        if killed in share:
+            continue
+        for i in share:
+            if i in raising:
+                break
+            sent.add(i)
+    return sent
+
+
+def _check(workers: int, raising=(), killed=None, forked=None) -> None:
+    fn, _ = _mapper(raising)
+    serial = _outcome(lambda: np.concatenate([fn(i) for i in _ITEMS]))
+    fn, calls = _mapper(raising, killed)
+    assert _outcome(lambda: fork_map(fn, _ITEMS, workers)) == serial
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert not set(calls) & _sent(workers, raising, killed, forked)
+    assert all(calls.count(i) == 1 for i in calls)  # a failing item runs here once too
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_rows_are_the_serial_loops(workers):
+    _check(workers)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("item", ("first", "later"))
+def test_an_item_of_this_process_raises(workers, item):
+    _check(workers, raising={0 if item == "first" else 2 * workers})
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_an_item_of_a_child_raises(workers):
+    _check(workers, raising={workers + 1})
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_a_childs_failing_item_before_this_processs_raises_first(workers):
+    # item 1 is the first child's, item 2 * workers this process's
+    _check(workers, raising={2 * workers, 1})
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("raising", ((), (8,)))
+def test_the_second_fork_fails(monkeypatch, workers, raising):
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("no process to spare")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    _check(workers, raising=raising, forked=min(1, workers - 1))
+    assert len(forks) == min(2, workers - 1)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("raising", ((), (9,)))
+def test_a_child_killed_mid_share(workers, raising):
+    # the first child is killed on its second item
+    _check(workers, raising=raising, killed=1 + workers)
+
+
+def test_no_items_raise_as_the_serial_loop_does():
+    with pytest.raises(ValueError) as serial:
+        np.concatenate([])
+    with pytest.raises(ValueError) as forked:
+        fork_map(lambda i: np.zeros((1, 1)), [], 3)
+    assert str(forked.value) == str(serial.value)

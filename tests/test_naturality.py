@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import time
 
 import numpy as np
@@ -403,11 +404,50 @@ def test_run_audit_on_three_workers_matches_one_worker_byte_for_byte(monkeypatch
 
 def test_run_audit_failed_worker_falls_back_to_one_process(monkeypatch):
     one, _ = _audit_on(monkeypatch, 1)
-    # the children's sender fails; this process sends nothing
-    monkeypatch.setattr(natreg._forkjoin, "send_rows", lambda values, pipe: 3)
+    # the children's sender fails; this process runs their groups
+    monkeypatch.setattr(natreg._forkjoin, "_send_rows", lambda done, pipe: None)
     three, results = _audit_on(monkeypatch, 3)
-    assert results == [None]
+    assert [rows.shape for rows in results] == [(6 * 7, 6)]
     assert audit_report_to_json(three) == audit_report_to_json(one)
+
+
+def test_run_audit_runs_a_killed_workers_groups_here_once(monkeypatch):
+    config = AuditConfig(trials_per_cell=2)
+    monkeypatch.setattr(natreg.naturality, "_usable_cpus", lambda: 1)
+    serial = audit_report_to_json(run_audit(config))
+    parent, calls = os.getpid(), []
+    real = natreg.naturality._run_group
+
+    def run_group(*args):
+        if os.getpid() != parent and calls:  # the child, on its second group
+            os.kill(os.getpid(), signal.SIGKILL)
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(natreg.naturality, "_run_group", run_group)
+    monkeypatch.setattr(natreg.naturality, "_usable_cpus", lambda: 2)
+    assert audit_report_to_json(run_audit(config)) == serial
+    # its own 9 groups, then the child's 9: none runs twice here
+    assert len(calls) == len(set(calls)) == 18
+    with pytest.raises(ChildProcessError):  # the killed child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_run_audit_raises_the_first_failing_group_in_config_order(monkeypatch, workers):
+    groups = [(a, c) for a in _FORKED_CONFIG.axes for c in _FORKED_CONFIG.categories]
+
+    def run_group(axis, category, seed, config):
+        # on 2 and 3 workers group 1 is a child's, and group `workers` is
+        # this process's, which fails first in time
+        index = groups.index((axis, category))
+        if index in (1, workers):
+            raise ContractViolation(f"group {index}")
+        return np.zeros((config.trials_per_cell, 6))
+
+    monkeypatch.setattr(natreg.naturality, "_run_group", run_group)
+    with pytest.raises(ContractViolation, match="^group 1$"):
+        _audit_on(monkeypatch, workers)
 
 
 @pytest.mark.parametrize("error", (ContractViolation, RuntimeError))
