@@ -8,7 +8,7 @@ import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -70,17 +70,18 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     ``np.loadtxt`` parses every value, from the first data record on, one
     call per line-aligned block of :func:`_ranges`, checked for p + q
     columns.  :func:`~natreg._forkjoin.fork_map` deals the blocks to one
-    process per usable CPU, and its rows, or the error it raises, are those
-    of parsing the blocks one at a time in this process.  When the scan
-    finds no data record or meets bytes that are not UTF-8, or numpy
-    rejects a block (see :func:`_loadtxt_range`), :func:`_parse_records`
-    reads the whole ``str``, or a strict decode of the input's bytes, only
-    to raise its first error: the malformed record's number, or the offset
-    of the bytes.  Each block's rows are kept as they are:
-    :func:`csv_block_factors` reads the input the same way and reduces each
-    block to its R factor instead.
+    process per usable CPU, and the blocks' rows, concatenated here, or
+    the error, are those of parsing the blocks one at a time in this
+    process.  When numpy rejects a block (see :func:`_loadtxt_range`), the
+    records before it are counted line by line, unparsed, and
+    :func:`_parse_records` reads that block alone, numbered from there, to
+    raise its first error.  Only when the scan finds no data record or
+    meets bytes that are not UTF-8, or a block holds such bytes, is the
+    whole input decoded: the record parser reads all of it, or the error
+    names the bytes' offset in the input.  :func:`csv_block_factors` reads
+    the input the same way and reduces each block to its R factor instead.
     """
-    values = _read_csv(content, p, q, lambda rows: rows)
+    values = np.concatenate(_read_csv(content, p, q, lambda rows: rows))
     return Dataset(x=values[:, :p], y=values[:, p:])
 
 
@@ -89,53 +90,31 @@ def csv_block_factors(content: str | TextIO, p: int, q: int) -> tuple[np.ndarray
     block order, and the number of records N.
 
     The input is read and parsed as by :func:`dataset_from_csv`, with the
-    same errors, but each process reduces every block it parses to
-    ``np.linalg.qr(block, mode="r")`` (at most p + q rows) and sends that, not
-    its rows.  The blocks lie on a byte grid that the number of CPUs never
-    moves, and the result is that of reducing them one at a time in this
-    process, so it depends only on the input's bytes, never on the number of
-    processes or on a failed fork.  Raises
-    :class:`ContractViolation` as :class:`Dataset` does when x, then y,
-    holds a value that is not finite.
+    same errors, but each process reduces every block it parses with
+    :func:`_block_factor` and sends that, not its rows.  The blocks lie on a
+    byte grid that the number of CPUs never moves, and the result is that
+    of reducing them one at a time in this process, so it depends only on
+    the input's bytes, never on the number of processes or on a failed
+    fork.  Raises :class:`ContractViolation` as :class:`Dataset` does when
+    x, then y, holds a value that is not finite.
     """
-    payload = _read_csv(content, p, q, functools.partial(_block_factor, p=p, q=q))
-    factors, n_examples, codes, at = [], 0, set(), 0
-    while at < len(payload):  # each block's header row, then its R
-        rows, code = int(payload[at, 0]), int(payload[at, 1])
-        end = at + 1 + min(rows, p + q)
-        factors.append(payload[at + 1 : end])
-        n_examples, at = n_examples + rows, end
-        codes.add(code)
-    for code, name in ((_X_NOT_FINITE, "x"), (_Y_NOT_FINITE, "y")):
-        if code in codes:
+    blocks = _read_csv(content, p, q, functools.partial(_block_factor, p=p))
+    for name in ("x", "y"):
+        if any(not_finite == name for _, not_finite, _ in blocks):
             raise ContractViolation(f"{name} contains non-finite entries")
-    return np.concatenate(factors), n_examples
+    return np.concatenate([r for _, _, r in blocks]), sum(rows for rows, _, _ in blocks)
 
 
-# a block header's second field: the first of x and y that holds a value
-# that is not finite, as Dataset checks them
-_X_NOT_FINITE, _Y_NOT_FINITE = 1, 2
+def _block_factor(rows: np.ndarray, p: int) -> tuple[int, str | None, np.ndarray]:
+    """The row count of a block of ``rows``, the first of ``"x"`` and ``"y"``
+    that holds a value that is not finite (None when neither), and
+    ``np.linalg.qr(rows, mode="r")``, at most p + q rows."""
+    finite = np.isfinite(rows).all(axis=0)
+    not_finite = "x" if not finite[:p].all() else "y" if not finite[p:].all() else None
+    return len(rows), not_finite, np.linalg.qr(rows, mode="r")
 
 
-def _block_factor(rows: np.ndarray, p: int, q: int) -> np.ndarray:
-    """What a block of ``rows`` sends: a header row, then the R factor of
-    ``rows``.  The header holds the row count and which of x and y first
-    holds a value that is not finite (0 when neither); a block of no rows
-    sends its header alone."""
-    header = np.zeros((1, p + q))
-    header[0, 0] = len(rows)
-    if not np.isfinite(rows[:, :p]).all():
-        header[0, 1] = _X_NOT_FINITE
-    elif not np.isfinite(rows[:, p:]).all():
-        header[0, 1] = _Y_NOT_FINITE
-    return np.concatenate([header, np.linalg.qr(rows, mode="r")])
-
-
-# maps the rows of one block to what its process sends for them
-_Reduce = Callable[[np.ndarray], np.ndarray]
-
-
-def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce) -> np.ndarray:
+def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarray], Any]) -> list:
     """What ``reduce`` makes of the rows of each block of the CSV, in block
     order: see :func:`dataset_from_csv`."""
     if p < 1 or q < 1:
@@ -150,21 +129,24 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: _Reduce) -> np.ndar
         with warnings.catch_warnings():
             # a block may hold only blank lines; the scan saw a data record
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = fork_map(
+            return fork_map(
                 lambda block: reduce(_loadtxt_range(pread, *block, columns=p + q)),
                 *_blocks(pread, size),
             )
     except _Rejected as rejected:
-        if not isinstance(content, str):
-            content = _text(pread, 0, size).read()
-        _parse_records(content, p, q)  # raises the first error
-        raise RuntimeError(f"the record parser finds no error where {rejected}") from rejected
-    del pread  # bytes held in memory go before Dataset copies the arrays
-    return values
+        start, end = rejected.args
+        try:
+            text = _text(pread, start, end).read()
+        except UnicodeDecodeError:
+            start, end = 0, size  # so the error gives the bytes' offset in the input
+            text = _text(pread, 0, size).read()
+        _parse_records(text, p, q, _records_before(pread, start))  # raises the first error
+        raise RuntimeError(f"the record parser finds no error in bytes [{start}, {end})")
 
 
 class _Rejected(Exception):
-    """The scan or numpy rejects the input's bytes; the record parser names why."""
+    """The scan or numpy rejects the bytes ``[start, end)`` of the input, its
+    two arguments; the record parser names why."""
 
 
 # reads up to n bytes at an offset, as os.pread does on a descriptor
@@ -185,14 +167,14 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
 
 def _blocks(pread: _Pread, size: int) -> tuple[list[tuple[int, int]], int]:
     """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.
-    Raises :class:`_Rejected` when there is no data record or the scan meets
-    bytes that are not UTF-8."""
+    Raises :class:`_Rejected` of the whole input when there is no data
+    record or the scan meets bytes that are not UTF-8."""
     try:
         data_start = _data_start(_text(pread, 0, size, newline=""))
     except UnicodeDecodeError:
         data_start = None
-    if data_start is None:
-        raise _Rejected("the scan finds no data record or bytes that are not UTF-8")
+    if data_start is None:  # no data record, or bytes that are not UTF-8
+        raise _Rejected(0, size)
     return _ranges(pread, data_start, size)
 
 
@@ -278,11 +260,11 @@ def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndar
         except ValueError:
             values = _loadtxt(line for line in _text(pread, start, end) if line.strip())
     except ValueError as exc:
-        raise _Rejected(f"numpy rejects bytes [{start}, {end})") from exc
+        raise _Rejected(start, end) from exc
     if not len(values):
         return np.empty((0, columns))
     if values.shape[1] != columns:
-        raise _Rejected(f"bytes [{start}, {end}) hold other than {columns} fields a record")
+        raise _Rejected(start, end)  # other than ``columns`` fields a record
     return values
 
 
@@ -312,6 +294,14 @@ def _data_start(stream: TextIO) -> int | None:
     return None
 
 
+def _records_before(pread: _Pread, start: int) -> int:
+    """The number of records in bytes ``[0, start)``, counted line by line as
+    :func:`_parse_records` numbers them, with no field read."""
+    lines = _text(pread, 0, start)
+    first = next(lines, "").removeprefix(_BOM)
+    return bool(first.strip()) + sum(1 for line in lines if line.strip())
+
+
 def _to_float(field: str) -> float:
     """The number ``np.loadtxt`` reads in ``field``.  numpy strips every
     Unicode space (``float`` alone keeps ``\x1c``-``\x1f``) and hands the
@@ -331,12 +321,16 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _parse_records(content: str, p: int, q: int) -> np.ndarray:
+def _parse_records(content: str, p: int, q: int, before: int = 0) -> np.ndarray:
     """The values of :func:`dataset_from_csv`, parsed one record at a time,
-    or the error that names the first malformed record."""
-    lines = content.removeprefix(_BOM).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    or the error that names the first malformed record.  ``before`` records
+    of the input precede ``content``; when there are none, a leading BOM is
+    skipped and the first record may be a header."""
+    if not before:
+        content = content.removeprefix(_BOM)
+    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows: list[list[float]] = []
-    for number, line in enumerate((line for line in lines if line.strip()), start=1):
+    for number, line in enumerate((line for line in lines if line.strip()), start=before + 1):
         fields = line.split(",")
         if number == 1 and not _is_number(fields[0]):
             continue  # header

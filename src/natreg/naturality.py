@@ -339,8 +339,8 @@ def _residual(axis: Axis, fitted: np.ndarray, refitted: np.ndarray, m: np.ndarra
 
 def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: AuditConfig) -> np.ndarray:
     """All trials of one (axis, kind) group, each drawn once and each distinct
-    ``x`` factored once: float64 rows of :data:`_TRIAL_FIELDS`, one block per
-    configured algorithm, in order.
+    ``x`` factored once: an (algorithms, trials, :data:`_TRIAL_FIELDS`)
+    float64 array, one block of rows per configured algorithm, in order.
 
     The numbers equal those of ``_CHECKERS[axis]`` run on each trial's
     dataset and morphism; a fit that leaves its domain (a rank-deficient
@@ -368,7 +368,7 @@ def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: Audi
     for i, (m, fitted, refitted) in enumerate(zip(maps, fits[0::2], fits[1::2])):
         for block, f, r in zip(blocks, fitted, refitted):
             block[i, 0] = math.inf if f is None or r is None else _residual(axis, f, r, m)
-    return blocks.reshape(-1, len(_TRIAL_FIELDS))
+    return blocks
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
@@ -379,9 +379,9 @@ def run_audit(config: AuditConfig) -> AuditReport:
     or algorithm, so the cells of one (axis, kind) group share their trials.
     The groups are run by :func:`~natreg._forkjoin.fork_map` on one worker
     per usable CPU: this process is the first worker and forked children
-    are the others, each sending its groups' rows back, so one worker forks
-    nothing.  Its rows, or the error it raises, are those of running the
-    groups one at a time in config order.
+    are the others, each sending its groups' blocks back, so one worker
+    forks nothing.  Its blocks, or the error it raises, are those of
+    running the groups one at a time in config order.
     """
     _stream_modules()  # loaded once here, not again in every forked worker
     from . import __version__
@@ -392,11 +392,12 @@ def run_audit(config: AuditConfig) -> AuditReport:
         for axis in config.axes
         for category in config.categories
     ]
-    rows = fork_map(lambda group: _run_group(*group, config), groups, _usable_cpus())
-    shape = (len(groups), len(config.algorithms), config.trials_per_cell, len(_TRIAL_FIELDS))
-    blocks = rows.reshape(shape).swapaxes(0, 1).reshape(-1, *shape[2:])
-    cells = [(spec, *group) for spec in config.algorithms for group in groups]  # config order
-    summaries = [CellSummary(*cell, block) for cell, block in zip(cells, blocks)]
+    runs = fork_map(lambda group: _run_group(*group, config), groups, _usable_cpus())
+    summaries = [  # config order
+        CellSummary(spec, *group, blocks[a])
+        for a, spec in enumerate(config.algorithms)
+        for group, blocks in zip(groups, runs)
+    ]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
 
 

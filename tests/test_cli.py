@@ -310,8 +310,8 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch
 
     fit_fails_at_the_byte()
     # the scan stops at the first data record; the byte lies in the last
-    # block, dealt to a child, whose failed decode is met again here and
-    # sends the parse to the record parser
+    # block, dealt to a child, whose failed decode is met again here; the
+    # whole input is then decoded, so the error gives the byte's offset in it
     forked = _force_line_blocks(monkeypatch)
     cuts = []
     real_ranges = natreg.data._ranges
@@ -351,8 +351,9 @@ def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, 
         warnings.simplefilter("error")
         assert main(args) == 0
     split = capfd.readouterr()
-    # each one-line block sends its header row and its one-row R
-    assert [values.shape for values in forked] == [(600, 4), (600, 4)]
+    # each one-line block gives its record count, no non-finite part and its one-row R
+    blocks = [[(n, bad, r.shape) for n, bad, r in run] for run in forked]
+    assert blocks == [[(1, None, (1, 4))] * 300] * 2
     assert split.out == one_part.out
     # the forked parsers write nothing, not even to the descriptors they share
     assert [line.split(" = ")[0] for line in split.err.splitlines()] == [
@@ -374,7 +375,8 @@ def test_fit_split_pipe_prints_what_the_file_prints(tmp_path, capfd, monkeypatch
     with warnings.catch_warnings(), _piped(content.encode()) as data:
         warnings.simplefilter("error")
         assert main(["fit", "--data", data, *args]) == 0
-    assert [values.shape for values in forked] == [(600, 4), (600, 4)]
+    blocks = [[(n, bad, r.shape) for n, bad, r in run] for run in forked]
+    assert blocks == [[(1, None, (1, 4))] * 300] * 2
     assert capfd.readouterr() == from_file
 
 

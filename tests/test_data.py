@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -296,9 +297,9 @@ def _fork_map_in_process(fn, items, workers):
 
     Each block still goes through ``fn``, the parse's ``_loadtxt_range`` with
     its p + q check; the first block it rejects raises, and a block of only
-    blank lines adds no rows.
+    blank lines gives no rows.
     """
-    return np.concatenate([fn(item) for item in items])
+    return [fn(item) for item in items]
 
 
 @pytest.mark.parametrize("parts", (2, 3))
@@ -483,6 +484,25 @@ def test_csv_malformed_record_in_a_later_part_reports_its_number(csv_path, monke
             assert excinfo.value.record == 34 + bool(header)
 
 
+@pytest.mark.parametrize("parts", (1, 2, 3))
+def test_csv_rejected_block_alone_reaches_the_record_parser(csv_path, monkeypatch, parts):
+    # one block a line; a BOM leads only the input's first record, so the
+    # one that leads record 4 makes its field non-numeric.  The records
+    # before its block are counted, not parsed: the header, 1,2 and 3,4
+    content = "\ufeffx,y\n\n1,2\r\n3,4\r \n\ufeff5,6\n7,8\n"
+    expected = (ParseError, "record 4: non-numeric field", 4)
+    assert _outcome(_reference, content, 1, 1) == expected
+    _split_into(monkeypatch, parts)
+    for parse, source in (
+        (dataset_from_csv, content),
+        (_parse_file, _written(csv_path, content)),
+        (_parse_pipe, content.encode()),
+    ):
+        fallbacks = _spy(monkeypatch, "_parse_records")
+        assert _outcome(parse, source, 1, 1) == expected
+        assert [args for args, _ in fallbacks] == [("\ufeff5,6\n", 1, 1, 3)]
+
+
 def test_csv_split_where_records_gain_a_field_reports_the_record(csv_path, monkeypatch):
     # records of equal width, so the cut falls exactly where the second
     # range's records have one field more
@@ -517,17 +537,16 @@ def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
     assert failed == [len(calls) - 1]
 
 
-_send_rows = natreg._forkjoin._send_rows
+_send = natreg._forkjoin._send
 
 
 def _short_payload(done, pipe):
     with open(pipe, "wb") as out:
-        out.write(np.array([1, 3, 5], dtype=np.int64))
-        out.write(np.zeros(3))
+        out.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL)[:-1])
 
 
 def _sent_then_failed(done, pipe):
-    _send_rows(done, pipe)
+    _send(done, pipe)
     os._exit(3)
 
 
@@ -541,7 +560,7 @@ def _no_fork():
 def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
     content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg._forkjoin, "_send_rows", send)  # only children send
+    monkeypatch.setattr(natreg._forkjoin, "_send", send)  # only children send
     fallbacks = _spy(monkeypatch, "_parse_records")
     assert _outcome(_parse_file, _written(csv_path, content), 2, 1) == _outcome(
         _reference, content, 2, 1
@@ -552,7 +571,7 @@ def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
 def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
     content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg._forkjoin, "_send_rows", lambda done, pipe: time.sleep(120))
+    monkeypatch.setattr(natreg._forkjoin, "_send", lambda done, pipe: time.sleep(120))
     begin = time.monotonic()
     with pytest.raises(ParseError) as excinfo:
         _parse_file(_written(csv_path, content), 1, 1)

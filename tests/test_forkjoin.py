@@ -1,13 +1,15 @@
-"""fork_map: the serial loop's rows, or its exception, on any number of workers."""
+"""fork_map: the serial loop's list, or its exception, on any number of workers."""
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 
 import numpy as np
 import pytest
 
+import natreg._forkjoin
 from natreg._forkjoin import fork_map
 
 _ITEMS = range(10)
@@ -40,11 +42,12 @@ def _outcome(run):
         values = run()
     except _Failed as exc:
         return type(exc), str(exc)
-    return values.shape, values.tobytes()
+    assert type(values) is list
+    return [(value.shape, value.tobytes()) for value in values]
 
 
 def _sent(workers: int, raising=(), killed=None, forked=None) -> set:
-    """The items whose rows a child sends: those of its share before the
+    """The items whose results a child sends: those of its share before the
     first that raises, in each of the first ``forked`` children but one
     that is killed."""
     forked = workers - 1 if forked is None else forked
@@ -62,7 +65,7 @@ def _sent(workers: int, raising=(), killed=None, forked=None) -> set:
 
 def _check(workers: int, raising=(), killed=None, forked=None) -> None:
     fn, _ = _mapper(raising)
-    serial = _outcome(lambda: np.concatenate([fn(i) for i in _ITEMS]))
+    serial = _outcome(lambda: [fn(i) for i in _ITEMS])
     fn, calls = _mapper(raising, killed)
     assert _outcome(lambda: fork_map(fn, _ITEMS, workers)) == serial
     with pytest.raises(ChildProcessError):  # every child was reaped
@@ -116,9 +119,30 @@ def test_a_child_killed_mid_share(workers, raising):
     _check(workers, raising=raising, killed=1 + workers)
 
 
-def test_no_items_raise_as_the_serial_loop_does():
-    with pytest.raises(ValueError) as serial:
-        np.concatenate([])
-    with pytest.raises(ValueError) as forked:
-        fork_map(lambda i: np.zeros((1, 1)), [], 3)
-    assert str(forked.value) == str(serial.value)
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_a_child_that_sends_a_truncated_pickle(monkeypatch, workers):
+    def truncated(done, pipe):
+        with open(pipe, "wb") as out:
+            out.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL)[:-1])
+        os._exit(0)
+
+    monkeypatch.setattr(natreg._forkjoin, "_send", truncated)  # only children send
+    for raising in ((), (9,)):
+        # no child's results arrive, so this process runs every child's items
+        _check(workers, raising=raising, forked=0)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_results_that_are_not_arrays_are_the_serial_loops(workers):
+    def unpicklable():  # a child's item: its share is run again here
+        pass
+
+    def fn(i):
+        return unpicklable if i == 5 else (i, None) if i % 2 else i * i
+
+    assert fork_map(fn, _ITEMS, workers) == [fn(i) for i in _ITEMS]
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_no_items_give_an_empty_list(workers):
+    assert fork_map(lambda i: np.zeros((1, 1)), [], workers) == []

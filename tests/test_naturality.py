@@ -397,7 +397,8 @@ def _audit_on(monkeypatch, workers: int) -> tuple:
 def test_run_audit_on_three_workers_matches_one_worker_byte_for_byte(monkeypatch):
     one, _ = _audit_on(monkeypatch, 1)
     three, results = _audit_on(monkeypatch, 3)
-    assert [rows.shape for rows in results] == [(6 * 7, 6)]  # no serial fallback
+    # one (algorithms, trials, fields) block a group, from one fork_map call
+    assert [[blocks.shape for blocks in run] for run in results] == [[(1, 7, 6)] * 6]
     assert three.cells == one.cells
     assert audit_report_to_json(three) == audit_report_to_json(one)
 
@@ -405,9 +406,9 @@ def test_run_audit_on_three_workers_matches_one_worker_byte_for_byte(monkeypatch
 def test_run_audit_failed_worker_falls_back_to_one_process(monkeypatch):
     one, _ = _audit_on(monkeypatch, 1)
     # the children's sender fails; this process runs their groups
-    monkeypatch.setattr(natreg._forkjoin, "_send_rows", lambda done, pipe: None)
+    monkeypatch.setattr(natreg._forkjoin, "_send", lambda done, pipe: None)
     three, results = _audit_on(monkeypatch, 3)
-    assert [rows.shape for rows in results] == [(6 * 7, 6)]
+    assert [[blocks.shape for blocks in run] for run in results] == [[(1, 7, 6)] * 6]
     assert audit_report_to_json(three) == audit_report_to_json(one)
 
 
