@@ -75,11 +75,12 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     process.  When numpy rejects a block (see :func:`_loadtxt_range`), the
     records before it are counted line by line, unparsed, and
     :func:`_parse_records` reads that block alone, numbered from there, to
-    raise its first error.  Only when the scan finds no data record or
-    meets bytes that are not UTF-8, or a block holds such bytes, is the
-    whole input decoded: the record parser reads all of it, or the error
-    names the bytes' offset in the input.  :func:`csv_block_factors` reads
-    the input the same way and reduces each block to its R factor instead.
+    raise its first error.  An input with no data record raises
+    :class:`EmptyDataset` from the scan, with nothing parsed.  Only bytes
+    that are not UTF-8, met by the scan or in a block, make the whole input
+    be decoded, so that the error names their offset in the input.
+    :func:`csv_block_factors` reads the input the same way and reduces each
+    block to its R factor instead.
     """
     values = np.concatenate(_read_csv(content, p, q, lambda rows: rows))
     return Dataset(x=values[:, :p], y=values[:, p:])
@@ -145,8 +146,11 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarra
 
 
 class _Rejected(Exception):
-    """The scan or numpy rejects the bytes ``[start, end)`` of the input, its
-    two arguments; the record parser names why."""
+    """The bytes ``[start, end)`` of the input, its two arguments, are
+    rejected: numpy rejects a block, or the scan meets bytes that are not
+    UTF-8, which rejects the whole input.  The record parser names why a
+    block is rejected; bytes that are not UTF-8 are named by their offset
+    in the input."""
 
 
 # reads up to n bytes at an offset, as os.pread does on a descriptor
@@ -167,14 +171,15 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
 
 def _blocks(pread: _Pread, size: int) -> tuple[list[tuple[int, int]], int]:
     """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.
-    Raises :class:`_Rejected` of the whole input when there is no data
-    record or the scan meets bytes that are not UTF-8."""
+    Raises :class:`EmptyDataset` when there is no data record, and
+    :class:`_Rejected` of the whole input when the scan meets bytes that are
+    not UTF-8."""
     try:
         data_start = _data_start(_text(pread, 0, size, newline=""))
     except UnicodeDecodeError:
-        data_start = None
-    if data_start is None:  # no data record, or bytes that are not UTF-8
-        raise _Rejected(0, size)
+        raise _Rejected(0, size) from None
+    if data_start is None:
+        raise EmptyDataset("no data records found")
     return _ranges(pread, data_start, size)
 
 

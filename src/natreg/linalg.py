@@ -29,8 +29,8 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-# Kept only because benchmarks/trace_child.py binds it by name; it goes when
-# the trace is rewired (ROADMAP item 6).
+# Kept only because benchmarks/trace_child.py binds it by name; it goes
+# (ROADMAP item 7) once the trace is rewired (item 18).
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ f = b`` for symmetric positive definite ``a``.
 

@@ -352,8 +352,6 @@ def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: Audi
     for i, row in enumerate(rows):
         x, y, m, kappa = draw_trial(axis, category, config, seed.derive(i))
         x2, y2 = _transform(axis, category, x, y, m)
-        if not (np.isfinite(x2).all() and np.isfinite(y2).all()):
-            raise ContractViolation("transformed data contains non-finite entries")
         tolerance = config.base_tolerance
         if kappa is not None:
             # Ill-conditioned invertible maps amplify roundoff; scale the pass

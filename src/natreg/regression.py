@@ -274,19 +274,20 @@ def fit_systems(
 
     The same numbers :meth:`AlgorithmSpec.fit` gives one dataset at a time,
     without building a :class:`Dataset` or :class:`LinearModel` per pair.
-    Pairs whose ``x`` is the same object share its one :func:`_factor`.  An
-    entry is None where the pair leaves the fit's domain, which only a
-    rank-deficient ``x`` does, and only for OLS.  Errors are those of
-    :func:`_factor`, and :class:`ContractViolation` when a coefficient is past
-    float64's range.
+    Consecutive pairs whose ``x`` is the same object share its one
+    :func:`_factor`, as a trial's two systems do when its map leaves ``x``
+    as it is.  An entry is None where the pair leaves the fit's domain,
+    which only a rank-deficient ``x`` does, and only for OLS.  Errors are
+    those of :func:`_factor`, and :class:`ContractViolation` when a
+    coefficient is past float64's range.
     """
-    factored = {}  # id(x) -> _factor(specs, x); systems keeps every x alive, so ids stay unique
+    previous = None  # the last pair's x and its _factor
     fits = []
     with np.errstate(over="ignore"):
         for x, y in systems:
-            if id(x) not in factored:
-                factored[id(x)] = _factor(specs, x, x.shape)
-            ut, vt, _, gains = factored[id(x)]
+            if previous is None or previous[0] is not x:
+                previous = x, _factor(specs, x, x.shape)
+            ut, vt, _, gains = previous[1]
             uty = ut @ y
             fits.append([None if gain is None else _coef(vt, gain, uty) for gain in gains])
     coefs = [c.ravel() for fit in fits for c in fit if c is not None]

@@ -3,11 +3,22 @@
 The JSON layout is part of the tool's interface: top-level keys are
 tool_version, master_seed, config, cells, and counterexamples, and emitting
 is byte-stable (parsing a report and re-serializing reproduces it exactly).
+
+The audit's ``config`` and each counterexample are written from their
+dataclass fields, so a new field is reported without an edit here: a
+dataclass is an object of its fields, with ``lam`` written as ``"lambda"``;
+an enum is its value; a tuple, a list or a numpy array is a list.  A
+witness adds ``violation_exhibited``.  A cell's keys, and the
+counterexamples' ``config``, are derived values and are written out below.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
+
+import numpy as np
 
 from .naturality import (
     AuditReport,
@@ -36,51 +47,24 @@ def _cell_payload(cell: CellSummary) -> dict:
     }
 
 
-def _config_payload(report: AuditReport) -> dict:
-    config = report.config
-    return {
-        "algorithms": [
-            {"kind": spec.kind.value, "lambda": spec.lam} for spec in config.algorithms
-        ],
-        "axes": [axis.value for axis in config.axes],
-        "categories": [category.value for category in config.categories],
-        "p_range": list(config.p_range),
-        "q_range": list(config.q_range),
-        "max_examples": config.max_examples,
-        "codomain_offset": config.codomain_offset,
-        "trials_per_cell": config.trials_per_cell,
-        "master_seed": config.master_seed,
-        "base_tolerance": config.base_tolerance,
-    }
+def _data(value):
+    """``value`` as JSON data, by the rules of the module docstring."""
+    if dataclasses.is_dataclass(value):
+        return {
+            "lambda" if field.name == "lam" else field.name: _data(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_data(item) for item in value]
+    return value
 
 
-def _shear_payload(shear: ShearCounterexample) -> dict:
-    return {
-        "k": shear.k,
-        "fit": shear.fit.tolist(),
-        "fit_transformed": shear.fit_transformed.tolist(),
-        "pulled_back": shear.pulled_back.tolist(),
-        "residual": shear.residual,
-        "sse_original": shear.sse_original,
-        "sse_transformed": shear.sse_transformed,
-        "violation_exhibited": shear.violation_exhibited,
-    }
-
-
-def _scaling_payload(scaling: ScalingCounterexample) -> dict:
-    return {
-        "b": scaling.b,
-        "c": scaling.c,
-        "lambda": scaling.lam,
-        "fit": scaling.fit,
-        "fit_transformed": scaling.fit_transformed,
-        "fit_closed_form": scaling.fit_closed_form,
-        "fit_transformed_closed_form": scaling.fit_transformed_closed_form,
-        "expected_if_natural": scaling.expected_if_natural,
-        "residual": scaling.residual,
-        "pulled_back_residual": scaling.pulled_back_residual,
-        "violation_exhibited": scaling.violation_exhibited,
-    }
+def _witness_payload(witness: ShearCounterexample | ScalingCounterexample) -> dict:
+    return {**_data(witness), "violation_exhibited": witness.violation_exhibited}
 
 
 def _serialize(payload: dict) -> str:
@@ -92,7 +76,7 @@ def audit_report_to_json(report: AuditReport) -> str:
     payload = {
         "tool_version": report.tool_version,
         "master_seed": report.config.master_seed,
-        "config": _config_payload(report),
+        "config": _data(report.config),
         "cells": [_cell_payload(cell) for cell in report.cells],
         "counterexamples": None,
     }
@@ -113,8 +97,8 @@ def counterexamples_to_json(
         },
         "cells": [],
         "counterexamples": {
-            "shear": _shear_payload(shear),
-            "ridge_scaling": _scaling_payload(scaling),
+            "shear": _witness_payload(shear),
+            "ridge_scaling": _witness_payload(scaling),
         },
     }
     return _serialize(payload)

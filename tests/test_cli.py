@@ -491,6 +491,7 @@ def test_audit_exit_one_when_a_cell_disagrees(capsys):
 def test_audit_rejects_unknown_names(capsys):
     assert main(["audit", "--categories", "nosuch"]) == 2
     assert main(["audit", "--axes", "sideways"]) == 2
+    assert main(["audit", "--axes", ","]) == 2  # names no entry
     assert main(["audit", "--algorithm", "minnorm-ols"]) == 2
     assert main(["audit", "--trials", "0"]) == 2
     capsys.readouterr()

@@ -39,6 +39,8 @@ def test_dataset_rejects_non_finite():
 def test_dataset_rejects_empty():
     with pytest.raises(ContractViolation):
         Dataset(np.zeros((0, 1)), np.zeros((0, 1)))
+    with pytest.raises(ContractViolation, match="must be 2-D"):
+        Dataset(np.zeros(3), np.zeros((3, 1)))
 
 
 def test_dataset_arrays_are_frozen():
@@ -501,6 +503,26 @@ def test_csv_rejected_block_alone_reaches_the_record_parser(csv_path, monkeypatc
         fallbacks = _spy(monkeypatch, "_parse_records")
         assert _outcome(parse, source, 1, 1) == expected
         assert [args for args, _ in fallbacks] == [("\ufeff5,6\n", 1, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "content", ("", "x,y", "x,y\r\n\n \n", "\ufeff", "\ufeff\n\n", "\n \t\n\x1c\r"),
+    ids=("empty", "header", "header-blank", "bom", "bom-blank", "blank"),
+)
+def test_csv_without_a_data_record_is_empty_before_any_parse(csv_path, monkeypatch, content):
+    # the scan finds no data record and raises, so neither numpy nor the
+    # record parser reads a byte
+    expected = (EmptyDataset, "no data records found", None)
+    assert _outcome(_reference, content, 1, 1) == expected
+    for parse, source in (
+        (dataset_from_csv, content),
+        (_parse_file, _written(csv_path, content)),
+        (_parse_pipe, content.encode()),
+    ):
+        fallbacks = _spy(monkeypatch, "_parse_records")
+        blocks = _spy(monkeypatch, "_loadtxt_range")
+        assert _outcome(parse, source, 1, 1) == expected
+        assert (fallbacks, blocks) == ([], [])
 
 
 def test_csv_split_where_records_gain_a_field_reports_the_record(csv_path, monkeypatch):

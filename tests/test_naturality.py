@@ -175,6 +175,12 @@ def test_audit_config_validation():
         AuditConfig(algorithms=())
     with pytest.raises(ConfigError):
         AuditConfig(axes=())
+    with pytest.raises(ConfigError) as excinfo:
+        AuditConfig(categories=())
+    assert excinfo.value.field == "categories"
+    with pytest.raises(ConfigError) as excinfo:
+        AuditConfig(codomain_offset=-1)
+    assert excinfo.value.field == "codomain_offset"
     for tolerance in (0.0, math.inf, math.nan):
         # an infinite pass line could count no trial as a violation
         with pytest.raises(ConfigError):
@@ -362,6 +368,7 @@ def test_cell_counts_read_from_the_rows_match_a_recount_over_the_trials():
     changed = rows.copy()
     changed[4, 0] = 1e-300
     assert cell != CellSummary(cell.spec, cell.axis, cell.category, seed, changed)
+    assert (cell == object()) is False
     # a cell keeps a read-only copy of its rows: writing the array it was built
     # from changes neither its counts nor its trials
     assert not cell.rows.flags.writeable
@@ -543,6 +550,8 @@ def test_scaling_counterexample_unit_scaling_is_silent():
 def test_counterexample_argument_validation():
     with pytest.raises(ContractViolation):
         counterexample_ridge_scaling(1.0, 0.0, 1.0)
+    with pytest.raises(ContractViolation, match=r"^b must be finite"):
+        counterexample_ridge_scaling(math.inf, 2.0, 1.0)
     with pytest.raises(InvalidHyperparameter):
         counterexample_ridge_scaling(1.0, 2.0, 0.0)
     with pytest.raises(ContractViolation):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import natreg.data
+import natreg.regression
 from natreg.data import Dataset, csv_block_factors, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, InvalidHyperparameter, OracleDiverged, RankDeficient
 from natreg.linalg import SeedState, numerical_rank, rel_distance
@@ -57,6 +58,8 @@ def test_ridge_objective_rejects_negative_lambda():
     d = Dataset([[1.0]], [[1.0]])
     with pytest.raises(ContractViolation):
         ridge_objective(d, LinearModel([[0.5]]), -1.0)
+    with pytest.raises(ContractViolation):
+        ridge_objective_gradient(d, LinearModel([[0.5]]), -1.0)
 
 
 def test_ols_exact_fit():
@@ -390,7 +393,7 @@ def test_rank_cutoff_matches_numerical_rank_and_lstsq_at_the_edges(name, x):
     assert err <= 10.0 * kappa * eps * np.linalg.norm(expected / scale), err
 
 
-def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit():
+def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit(monkeypatch):
     # pairs share their x object two at a time, and each shape repeats with a
     # new x, so a factorization reused for the wrong x shows in the numbers
     specs = (
@@ -407,8 +410,15 @@ def test_fit_systems_matches_the_one_at_a_time_fits_bit_for_bit():
     systems = [
         (x, gen.standard_normal((x.shape[0], q))) for i, x in enumerate(xs) for q in (1 + i % 3, 2)
     ]
+    factored = []
+    real = natreg.regression._factor
+    monkeypatch.setattr(
+        natreg.regression, "_factor", lambda *args: factored.append(args[1]) or real(*args)
+    )
     fits = fit_systems(specs, systems)
     assert len(fits) == len(systems)
+    assert len(factored) == len(xs)  # the two pairs of each x share its one factorization
+    monkeypatch.undo()
     deficient = 0
     for (x, y), fit in zip(systems, fits):
         assert len(fit) == len(specs)

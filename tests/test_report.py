@@ -64,6 +64,71 @@ def test_json_top_level_schema():
     assert payload["cells"][2]["lambda"] == 1.0
 
 
+def test_json_config_and_witnesses_hold_every_field():
+    config = json.loads(audit_report_to_json(run_audit(SMALL_CONFIG)))["config"]
+    assert sorted(config) == [
+        "algorithms",
+        "axes",
+        "base_tolerance",
+        "categories",
+        "codomain_offset",
+        "master_seed",
+        "max_examples",
+        "p_range",
+        "q_range",
+        "trials_per_cell",
+    ]
+    assert config["algorithms"] == [
+        {"kind": "ols", "lambda": None},
+        {"kind": "ridge", "lambda": 1.0},
+    ]
+    assert (config["axes"], config["categories"]) == (["target"], ["discrete", "euc"])
+    assert (config["p_range"], config["q_range"]) == ([1, 8], [1, 8])
+    shear = counterexample_ols_shear(1.0)
+    scaling = counterexample_ridge_scaling(1.0, 2.0, 1.0)
+    witnesses = json.loads(counterexamples_to_json("0.1.0", shear, scaling))["counterexamples"]
+    assert sorted(witnesses["shear"]) == [
+        "fit",
+        "fit_transformed",
+        "k",
+        "pulled_back",
+        "residual",
+        "sse_original",
+        "sse_transformed",
+        "violation_exhibited",
+    ]
+    assert sorted(witnesses["ridge_scaling"]) == [
+        "b",
+        "c",
+        "expected_if_natural",
+        "fit",
+        "fit_closed_form",
+        "fit_transformed",
+        "fit_transformed_closed_form",
+        "lambda",
+        "pulled_back_residual",
+        "residual",
+        "violation_exhibited",
+    ]
+
+
+def test_json_of_a_list_valued_config_is_that_of_its_tuples():
+    fields = {
+        "algorithms": [AlgorithmSpec.ols(), AlgorithmSpec.ridge(1.0)],
+        "axes": [Axis.TARGET],
+        "categories": [CategoryKind.DISCRETE, CategoryKind.EUC],
+        "p_range": [1, 2],
+        "q_range": [1, 3],
+    }
+    listed = dataclasses.replace(SMALL_CONFIG, **fields)
+    tupled = dataclasses.replace(
+        SMALL_CONFIG, **{name: tuple(value) for name, value in fields.items()}
+    )
+    rendered = audit_report_to_json(run_audit(tupled))
+    assert audit_report_to_json(run_audit(listed)) == rendered
+    assert json.loads(rendered)["config"]["p_range"] == [1, 2]
+
+
 def test_json_round_trip_is_byte_stable():
     rendered = audit_report_to_json(run_audit(SMALL_CONFIG))
     reparsed = json.dumps(json.loads(rendered), indent=2, sort_keys=True) + "\n"
