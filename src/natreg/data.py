@@ -76,9 +76,9 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     records before it are counted line by line, unparsed, and
     :func:`_parse_records` reads that block alone, numbered from there, to
     raise its first error.  An input with no data record raises
-    :class:`EmptyDataset` from the scan, with nothing parsed.  Only bytes
-    that are not UTF-8, met by the scan or in a block, make the whole input
-    be decoded, so that the error names their offset in the input.
+    :class:`EmptyDataset` from the scan, with nothing parsed.  Bytes that
+    are not UTF-8 are decoded again from byte 0 to the end of the scan's
+    read, or of their block, so that the error gives their offset.
     :func:`csv_block_factors` reads the input the same way and reduces each
     block to its R factor instead.
     """
@@ -120,11 +120,6 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarra
     order: see :func:`dataset_from_csv`."""
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
-    if not isinstance(content, str):
-        try:
-            content.fileno()
-        except io.UnsupportedOperation:
-            content = content.read()  # no descriptor, such as a StringIO
     pread, size = _input_bytes(content)
     try:
         with warnings.catch_warnings():
@@ -139,18 +134,15 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarra
         try:
             text = _text(pread, start, end).read()
         except UnicodeDecodeError:
-            start, end = 0, size  # so the error gives the bytes' offset in the input
-            text = _text(pread, 0, size).read()
+            _text(pread, 0, end).read()  # raises it again, at the bytes' offset in the input
+            raise
         _parse_records(text, p, q, _records_before(pread, start))  # raises the first error
         raise RuntimeError(f"the record parser finds no error in bytes [{start}, {end})")
 
 
 class _Rejected(Exception):
-    """The bytes ``[start, end)`` of the input, its two arguments, are
-    rejected: numpy rejects a block, or the scan meets bytes that are not
-    UTF-8, which rejects the whole input.  The record parser names why a
-    block is rejected; bytes that are not UTF-8 are named by their offset
-    in the input."""
+    """numpy rejects the block of bytes ``[start, end)``, the two arguments,
+    of the input; the record parser names why."""
 
 
 # reads up to n bytes at an offset, as os.pread does on a descriptor
@@ -158,26 +150,34 @@ _Pread = Callable[[int, int], bytes]
 
 
 def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
-    """A ``pread(n, at)`` over the input's UTF-8 bytes, and their count."""
-    if isinstance(content, str):
+    """A ``pread(n, at)`` over the input's UTF-8 bytes, and their count: a
+    seekable file's from byte 0, a pipe's from where its buffer stands."""
+    try:
+        fd = None if isinstance(content, str) else content.fileno()
+    except io.UnsupportedOperation:
+        fd, content = None, content.read()  # no descriptor, such as a StringIO
+    if fd is None:
         data = content.encode("utf-8", "replace")  # a lone surrogate as "?", never a number
     elif content.seekable() and hasattr(os, "pread"):
-        fd = content.fileno()
         return functools.partial(os.pread, fd), os.fstat(fd).st_size
     else:
+        if content.seekable():
+            content.buffer.seek(0)  # a file whole without os.pread too
         data = content.buffer.read()  # a pipe: its bytes, never its text
     return (lambda n, at: data[at : at + n]), len(data)
 
 
 def _blocks(pread: _Pread, size: int) -> tuple[list[tuple[int, int]], int]:
     """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.
-    Raises :class:`EmptyDataset` when there is no data record, and
-    :class:`_Rejected` of the whole input when the scan meets bytes that are
-    not UTF-8."""
+    Raises :class:`EmptyDataset` when there is no data record, and the
+    ``UnicodeDecodeError`` of bytes ``[0, at)`` when the scan meets bytes
+    that are not UTF-8 before ``at``, the end of the bytes it has read."""
+    scan = _text(pread, 0, size, newline="")
     try:
-        data_start = _data_start(_text(pread, 0, size, newline=""))
+        data_start = _data_start(scan)
     except UnicodeDecodeError:
-        raise _Rejected(0, size) from None
+        _text(pread, 0, scan.buffer.raw._at).read()  # raises it again, at the bytes' offset
+        raise
     if data_start is None:
         raise EmptyDataset("no data records found")
     return _ranges(pread, data_start, size)

@@ -21,6 +21,7 @@ cells are negative.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,6 +135,8 @@ class AuditConfig:
     base_tolerance: float = 1e-8
 
     def __post_init__(self):
+        for name in ("max_examples", "codomain_offset", "trials_per_cell", "master_seed"):
+            object.__setattr__(self, name, _config_int(name, getattr(self, name)))
         if not self.algorithms:
             raise ConfigError("algorithms", "must not be empty")
         for spec in self.algorithms:
@@ -146,10 +149,16 @@ class AuditConfig:
             raise ConfigError("axes", "must not be empty")
         if not self.categories:
             raise ConfigError("categories", "must not be empty")
-        for name, lo_hi in (("p_range", self.p_range), ("q_range", self.q_range)):
-            lo, hi = lo_hi
+        for name in ("p_range", "q_range"):
+            lo_hi = getattr(self, name)
+            try:
+                lo, hi = lo_hi
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"need a pair (lo, hi), got {lo_hi!r}") from None
+            lo, hi = _config_int(name, lo), _config_int(name, hi)
             if not (1 <= lo <= hi):
-                raise ConfigError(name, f"need 1 <= lo <= hi, got {lo_hi}")
+                raise ConfigError(name, f"need 1 <= lo <= hi, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
         if self.max_examples < self.p_range[1] + 1:
             raise ConfigError(
                 "max_examples",
@@ -161,6 +170,16 @@ class AuditConfig:
             raise ConfigError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
         if not 0.0 < self.base_tolerance < math.inf:
             raise ConfigError("base_tolerance", f"must be positive and finite, got {self.base_tolerance}")
+
+
+def _config_int(name: str, value) -> int:
+    """``value`` as a Python int, as ``operator.index`` reads it (a numpy
+    integer too); anything else, a float too, raises :class:`ConfigError`
+    naming the field ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(name, f"must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

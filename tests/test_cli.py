@@ -310,8 +310,9 @@ def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch
 
     fit_fails_at_the_byte()
     # the scan stops at the first data record; the byte lies in the last
-    # block, dealt to a child, whose failed decode is met again here; the
-    # whole input is then decoded, so the error gives the byte's offset in it
+    # block, dealt to a child, whose failed decode is met again here; bytes
+    # [0, end) of that block, here all of them, are then decoded, so the
+    # error gives the byte's offset in the input
     forked = _force_line_blocks(monkeypatch)
     cuts = []
     real_ranges = natreg.data._ranges

@@ -6,6 +6,7 @@ import io
 import itertools
 import os
 import pickle
+import random
 import time
 import tracemalloc
 import warnings
@@ -338,9 +339,9 @@ def test_csv_split_text_matches_record_parser_on_any_text(content, p, q):
 
 
 def test_csv_lone_surrogate_after_the_first_record_gives_the_record_parser_outcome(monkeypatch):
-    # the scan stops at the first data record and decodes no further than
-    # its next chunk, so the range that holds a surrogate this far on fails
-    # its strict decode, in this process or a forked one
+    # text is encoded with "replace", so a lone surrogate arrives as "?": the
+    # scan stops at the first data record, and numpy rejects the block that
+    # holds the "?" this far on, in this process or a forked one
     rows = "3,4\n" * 5000
     for parts in (1, 2):
         _split_into(monkeypatch, parts)
@@ -355,6 +356,124 @@ def _parse_pipe(raw: bytes, p: int, q: int) -> Dataset:
     os.close(write_end)
     with open(read_end, encoding="utf-8") as handle:
         return dataset_from_csv(handle, p, q)
+
+
+def _decode_error(raw: bytes) -> str:
+    """The message of the error ``raw.decode("utf-8")`` raises."""
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        raw.decode("utf-8")
+    return str(excinfo.value)
+
+
+def _spans_read(monkeypatch) -> dict:
+    """``[start, reached]`` of each byte range of the input that this process
+    reads, keyed by the range, in the order of their first reads."""
+    spans = {}
+    readinto = natreg.data._ByteRange.readinto
+
+    def spy(self, buffer):
+        span = spans.setdefault(self, [self._at, self._at])
+        count = readinto(self, buffer)
+        span[1] += count
+        return count
+
+    monkeypatch.setattr(natreg.data._ByteRange, "readinto", spy)
+    return spans
+
+
+def test_csv_not_utf8_in_the_first_line_is_named_from_the_scan_alone(csv_path, monkeypatch):
+    # the scan's first chunk holds the byte: the error is raised again from
+    # the bytes the scan read, and the 4 MiB input is never read whole
+    raw = b"a,\xff\n" + b"1,2\n" * (1 << 20)
+    csv_path.write_bytes(raw)
+    spans = _spans_read(monkeypatch)
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        _parse_file(csv_path, 1, 1)
+    assert str(excinfo.value) == _decode_error(raw)
+    assert sum(reached - start for start, reached in spans.values()) < natreg.data.MIN_PART_BYTES
+
+
+@pytest.mark.parametrize("parts", (1, 2))
+def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path, monkeypatch, parts):
+    # the byte lies past the scan's read, in block k of 4 KiB blocks: once
+    # numpy rejects the block, it and then bytes [0, end_k) are decoded
+    step = 4096
+    raw = b"x,y\n" + b"".join(b"%d,%d\n" % (i, -i) for i in range(20_000))
+    bad = raw.index(b"\n12345,") + 1
+    raw = raw[:bad] + b"\xe2\x82," + raw[bad:]
+    csv_path.write_bytes(raw)
+    _split_into(monkeypatch, parts, step)
+    cuts = _spy(monkeypatch, "_ranges")
+    spans = _spans_read(monkeypatch)
+    fork_map = natreg.data.fork_map
+    before_error_route = []
+
+    def fork_map_then_mark(*args):
+        try:
+            return fork_map(*args)
+        finally:
+            before_error_route.append(len(spans))
+
+    monkeypatch.setattr(natreg.data, "fork_map", fork_map_then_mark)
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        _parse_file(csv_path, 1, 1)
+    assert str(excinfo.value) == _decode_error(raw)
+    (blocks, _), = [result for _, result in cuts]
+    start, end = next((start, end) for start, end in blocks if start <= bad < end)
+    assert end < len(raw) and end - start < 2 * step
+    (marked,) = before_error_route
+    error_route = list(spans.values())[marked:]
+    assert sum(reached - at for at, reached in error_route) <= end + (end - start)
+    assert error_route[-1] == [0, end]
+
+
+_NOT_UTF8 = (
+    b"\xff", b"\x80", b"\xbf", b"\xc3", b"\xc0\xaf", b"\xe2\x82", b"\xed\xa0\x80",
+    b"\xef\xbf", b"\xf0\x9f\x98", b"\xf4\x90\x80\x80", b"\xf8\x88\x80\x80\x80",
+)
+
+
+def test_csv_not_utf8_anywhere_gives_the_error_of_decoding_it_whole(csv_path, monkeypatch):
+    # one sequence that is not UTF-8 in otherwise valid input, wherever it
+    # falls: the header, the scan's read, a block here or a forked one.  The
+    # last bytes decoded are [0, end): the end of the scan's read, or of the
+    # block numpy rejected
+    rng = random.Random(25)
+    cuts = _spy(monkeypatch, "_ranges")
+    spans = _spans_read(monkeypatch)
+    for trial in range(300):
+        _split_into(monkeypatch, 1 + trial % 2, rng.choice((64, 512, 4096)))
+        records = ["x,\u00e9"] * rng.randint(0, 1) + [
+            f"{rng.randint(-9, 99)},{rng.random()!r}" for _ in range(rng.randint(1, 1000))
+        ]
+        raw = rng.choice(("\n", "\r\n", "\r")).join(records).encode() + b"\n" * rng.randint(0, 1)
+        bad = rng.randint(0, len(raw))
+        while b"\x80" <= raw[bad : bad + 1] < b"\xc0":  # inside a character
+            bad -= 1
+        raw = raw[:bad] + rng.choice(_NOT_UTF8) + raw[bad:]
+        csv_path.write_bytes(raw)
+        cuts.clear()
+        spans.clear()
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            _parse_file(csv_path, 1, 1)
+        assert str(excinfo.value) == _decode_error(raw), raw
+        if cuts:
+            [(blocks, _)] = [result for _, result in cuts]
+            end = next(end for start, end in blocks if start <= bad < end)
+        else:
+            end = next(iter(spans.values()))[1]  # the scan's
+        assert list(spans.values())[-1] == [0, end], raw
+
+
+@pytest.mark.parametrize("pread", (True, False), ids=("pread", "no-pread"))
+def test_csv_file_is_read_whole_whatever_its_position(csv_path, monkeypatch, pread):
+    if not pread:
+        monkeypatch.delattr(os, "pread")
+    content = "1,2\n3,4\n5,6\n"
+    with open(_written(csv_path, content), encoding="utf-8") as handle:
+        assert handle.readline() == "1,2\n"
+        d = dataset_from_csv(handle, 1, 1)
+    assert d.n_examples == 3
 
 
 @pytest.mark.parametrize("header", ("", "x,y\n"))

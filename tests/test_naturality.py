@@ -189,6 +189,37 @@ def test_audit_config_validation():
         AuditConfig(p_range=(3, 2))
     with pytest.raises(ConfigError):
         AuditConfig(max_examples=5)
+    for field, value in (
+        ("p_range", (1, 8.5)),
+        ("p_range", (1, 2, 3)),
+        ("q_range", 3),
+        ("q_range", ("1", "8")),
+        ("trials_per_cell", 2.5),
+        ("master_seed", None),
+        ("max_examples", np.float64(40)),
+    ):
+        with pytest.raises(ConfigError) as excinfo:
+            AuditConfig(**{field: value})
+        assert excinfo.value.field == field
+
+
+def test_audit_config_stores_numpy_integers_as_ints():
+    # a numpy integer is stored as the int it equals, so the report is the
+    # one the int gives, and JSON can write it
+    small = dict(axes=(Axis.TARGET,), categories=(CategoryKind.EUC,))
+    config = AuditConfig(
+        p_range=(np.int32(1), np.int64(3)), q_range=[1, np.uint8(2)], max_examples=np.int64(9),
+        codomain_offset=np.int16(2), trials_per_cell=np.int64(2), master_seed=np.int64(7), **small,
+    )
+    plain = AuditConfig(
+        p_range=(1, 3), q_range=(1, 2), max_examples=9, codomain_offset=2, trials_per_cell=2,
+        master_seed=7, **small,
+    )
+    assert config == plain
+    for value in (*config.p_range, *config.q_range, config.max_examples,
+                  config.codomain_offset, config.trials_per_cell, config.master_seed):
+        assert type(value) is int
+    assert audit_report_to_json(run_audit(config)) == audit_report_to_json(run_audit(plain))
 
 
 def test_run_audit_is_deterministic():
