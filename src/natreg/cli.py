@@ -31,9 +31,13 @@ from .regression import AlgorithmKind, AlgorithmSpec, fit_block_factors
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    error = argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise error
     return value
 
 

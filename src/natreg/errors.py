@@ -31,10 +31,6 @@ class InvalidHyperparameter(NatregError, ValueError):
     """A hyperparameter is outside its admissible range."""
 
 
-class OracleDiverged(NatregError):
-    """The gradient-descent reference fit increased its objective."""
-
-
 class ParseError(NatregError, ValueError):
     """A CSV record could not be parsed.  Carries the 1-based record number."""
 

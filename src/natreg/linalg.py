@@ -57,6 +57,8 @@ def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.count_nonzero(s > max(shape) * EPS * s[0]))
 
 
+# Kept only because benchmarks/trace_child.py binds it by name; it goes
+# (ROADMAP item 7) once the trace is rewired (item 18).
 def numerical_rank(a: np.ndarray) -> int:
     """Number of singular values of ``a`` above :func:`_rank`'s cutoff."""
     a = as_matrix(a, "a")

@@ -17,13 +17,12 @@ a small fixed vocabulary:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, SamplingFailed
-from .linalg import SeedState, as_matrix, condition_estimate, numerical_rank
+from .linalg import SeedState, as_matrix, condition_estimate
 
 
 class Axis(enum.Enum):
@@ -73,8 +72,7 @@ class Morphism:
     y``).  ``source_dim`` and ``target_dim`` are read from the shape by that
     convention.  Construction copies the matrix into a read-only C-contiguous
     array and checks the kind's dimension rules; the structural constraint is
-    checked by :func:`verify_morphism` and guaranteed by
-    :func:`sample_morphism`.  Only the ``check_*`` oracle of
+    guaranteed by :func:`sample_morphism`.  Only the ``check_*`` oracle of
     :mod:`natreg.naturality` takes one; the audit uses bare matrices.
     """
 
@@ -158,28 +156,3 @@ def sample_morphism(
     """
     matrix, _ = draw_morphism_matrix(kind, axis, source_dim, target_dim, seed.generator())
     return Morphism(kind=kind, axis=axis, matrix=matrix)
-
-
-def verify_morphism(morphism: Morphism) -> float:
-    """Residual of the structural constraint for the morphism's kind; 0 is exact."""
-    m = morphism.matrix
-    kind = morphism.kind
-    if kind is CategoryKind.FINVEC:
-        return 0.0
-    if kind is CategoryKind.DISCRETE:
-        return float(np.linalg.norm(m - np.eye(morphism.source_dim)))
-    if kind is CategoryKind.FINVEC_ISO:
-        if numerical_rank(m) < morphism.source_dim:
-            return math.inf
-        return 0.0
-    if kind is CategoryKind.SET_ISO:
-        eye = np.eye(morphism.source_dim)
-        orthogonality = float(np.linalg.norm(m.T @ m - eye))
-        binary = float(np.linalg.norm(m * (m - 1.0)))
-        return max(orthogonality, binary)
-    # euc and euc_mono: the small Gram matrix must be the identity on the source.
-    if morphism.axis is Axis.INDEX:
-        gram = m.T @ m
-    else:
-        gram = m @ m.T
-    return float(np.linalg.norm(gram - np.eye(morphism.source_dim)))

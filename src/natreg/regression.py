@@ -1,4 +1,4 @@
-"""Linear regression fits from their closed forms, plus an iterative oracle.
+"""Linear regression fits from their closed forms.
 
 All fits map a dataset to the coefficient matrix of a linear predictor
 ``x_new @ coef``, read off one thin SVD of ``x`` (:func:`_factor`) through
@@ -6,10 +6,7 @@ its own gain on the singular values, so every fit is accurate to about
 kappa(x) * eps.  :func:`_solve` is the one single fit:
 :meth:`AlgorithmSpec.fit` runs it on ``x`` and ``y``, and ``natreg fit`` on
 the R factor of ``[x | y]`` (:func:`fit_block_factors`).  The audit factors
-each distinct ``x`` once for all of its fits (:func:`fit_systems`).  The
-gradient-descent oracle exists so the closed forms can be cross-checked by an
-independent route; it must never be replaced by a call to the closed forms
-themselves.
+each distinct ``x`` once for all of its fits (:func:`fit_systems`).
 """
 
 from __future__ import annotations
@@ -22,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    ContractViolation,
-    InvalidHyperparameter,
-    OracleDiverged,
-    RankDeficient,
-)
+from .errors import ContractViolation, InvalidHyperparameter, RankDeficient
 from .linalg import _rank, as_matrix
 
 
@@ -119,31 +111,11 @@ def sse(d: Dataset, model: LinearModel) -> float:
         return float(np.sum(r * r))
 
 
-def ridge_objective(d: Dataset, model: LinearModel, lam: float) -> float:
-    """Sum of squared residuals plus lam times the squared coefficient norm."""
-    if not lam >= 0.0:
-        raise ContractViolation(f"lambda must be non-negative, got {lam}")
-    return _penalized(sse(d, model), model.coef, lam)
-
-
 def _penalized(sse_value: float, coef: np.ndarray, lam: float) -> float:
     """``sse_value`` plus lam times the squared norm of ``coef``; ``inf``
     past float64's range, without a warning."""
     with np.errstate(over="ignore"):
         return sse_value + float(lam) * float(np.sum(coef * coef))
-
-
-def sse_gradient(d: Dataset, model: LinearModel) -> np.ndarray:
-    """Gradient of :func:`sse` in the coefficients: 2 x'(x coef - y)."""
-    _check_shapes(d, model)
-    return 2.0 * d.x.T @ (d.x @ model.coef - d.y)
-
-
-def ridge_objective_gradient(d: Dataset, model: LinearModel, lam: float) -> np.ndarray:
-    """Gradient of :func:`ridge_objective`: 2 x'(x coef - y) + 2 lam coef."""
-    if not lam >= 0.0:
-        raise ContractViolation(f"lambda must be non-negative, got {lam}")
-    return sse_gradient(d, model) + 2.0 * float(lam) * model.coef
 
 
 def _gain(spec: AlgorithmSpec, s: np.ndarray, rank: int, p: int) -> np.ndarray | None:
@@ -183,7 +155,7 @@ def _factor(
 ) -> tuple[np.ndarray, np.ndarray, int, list[np.ndarray | None]]:
     """``u'``, ``vt``, the numerical rank and every spec's :func:`_gain` from
     one thin SVD ``x = u diag(s) vt``; the rank is
-    :func:`~natreg.linalg.numerical_rank`'s cutoff counted on ``shape``.
+    :func:`~natreg.linalg._rank`'s cutoff counted on ``shape``.
 
     Raises :class:`ContractViolation` when the largest singular value
     overflowed: the norm of ``x`` is past float64's range.
@@ -294,46 +266,3 @@ def fit_systems(
     if coefs and not np.isfinite(np.concatenate(coefs)).all():
         raise ContractViolation(_COEF_OVERFLOW)
     return fits
-
-
-def ols_oracle_fit(
-    d: Dataset, steps: int, step_size: float | None = None
-) -> LinearModel:
-    """Gradient descent on the sum of squared residuals, started from zero.
-
-    An independent route to the least-squares solution, used to certify
-    :func:`ols_fit`.  The default step size 1 / (2 trace(x'x)) always
-    converges; an explicit step that makes the objective increase raises
-    :class:`OracleDiverged`.  Iteration stops early once the gradient is at
-    machine-precision scale.
-    """
-    if steps < 1:
-        raise ContractViolation(f"steps must be positive, got {steps}")
-    xtx = d.x.T @ d.x
-    xty = d.x.T @ d.y
-    if step_size is None:
-        step_size = 1.0 / (2.0 * float(np.trace(xtx)))
-    if not step_size > 0.0:
-        raise ContractViolation(f"step_size must be positive, got {step_size}")
-    y_sq = float(np.sum(d.y * d.y))
-    grad_floor = 1e-15 * (1.0 + float(np.linalg.norm(xty)))
-    coef = np.zeros((d.p, d.q))
-    previous = y_sq  # objective at coef = 0
-    for _ in range(steps):
-        grad = 2.0 * (xtx @ coef - xty)
-        if float(np.linalg.norm(grad)) <= grad_floor:
-            break
-        coef = coef - step_size * grad
-        # Expand |y - x coef|^2 through the precomputed Gram matrix.
-        objective = (
-            y_sq
-            - 2.0 * float(np.sum(coef * xty))
-            + float(np.sum(coef * (xtx @ coef)))
-        )
-        if objective > previous + 1e-12 * (1.0 + previous):
-            raise OracleDiverged(
-                f"objective rose from {previous:.6e} to {objective:.6e}; "
-                "step size too large"
-            )
-        previous = objective
-    return LinearModel(coef)

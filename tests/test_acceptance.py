@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 from conftest import record_criterion
+from oracles import ols_oracle_fit, ridge_objective, ridge_objective_gradient, sse_gradient
 
 from natreg.cli import main
 from natreg.data import Dataset, synth_dataset
@@ -23,17 +24,7 @@ from natreg.naturality import (
     counterexample_ols_shear,
     counterexample_ridge_scaling,
 )
-from natreg.regression import (
-    AlgorithmSpec,
-    LinearModel,
-    ols_fit,
-    ols_oracle_fit,
-    ridge_fit,
-    ridge_objective,
-    ridge_objective_gradient,
-    sse,
-    sse_gradient,
-)
+from natreg.regression import AlgorithmSpec, LinearModel, ols_fit, ridge_fit, sse
 
 
 def _criterion(number: int, description: str):

@@ -498,6 +498,24 @@ def test_audit_rejects_unknown_names(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["audit", "--trials", "x"], "--trials"),
+        (["fit", "--data", "d.csv", "--predictors", "1.5", "--targets", "1",
+          "--algorithm", "ols"], "--predictors"),
+        (["fit", "--data", "d.csv", "--predictors", "2", "--targets", "two",
+          "--algorithm", "ols"], "--targets"),
+    ],
+)
+def test_non_integer_counts_are_usage_errors_in_plain_words(argv, flag, capsys):
+    value = argv[argv.index(flag) + 1]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer, got {value}\n" in err
+    assert "_positive_int" not in err
+
+
 def test_counterexamples_default_exits_zero(capsys):
     code = main(["counterexamples"])
     captured = capsys.readouterr()

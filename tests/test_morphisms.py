@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import verify_morphism
 
 import natreg.morphisms
 from natreg.data import synth_dataset
@@ -17,7 +18,6 @@ from natreg.morphisms import (
     Morphism,
     draw_morphism_matrix,
     sample_morphism,
-    verify_morphism,
 )
 
 ALL_KINDS = list(CategoryKind)

@@ -292,6 +292,39 @@ def test_run_audit_scales_tolerance_by_condition():
     )
 
 
+# Ridge with lam > 0 is not natural under invertible predictor maps, but OLS,
+# its lam -> 0 limit, is; so the smallest lam at which the default audit
+# still refutes ridge/predictor/finvec_iso is how small a departure from
+# naturality it can see.  Tightening this ladder is allowed; loosening is not.
+RESOLVED_LAMBDAS = (1e-4, 1e-6, 1e-8, 1e-10)
+# at 1e-12 finvec_iso passes every trial, wrongly; printed, not asserted
+UNRESOLVED_LAMBDA = 1e-12
+
+
+def test_audit_resolves_ridge_departing_from_naturality_down_to_lambda_1e_10():
+    natural_kinds = (CategoryKind.SET_ISO, CategoryKind.EUC)
+    for lam in (*RESOLVED_LAMBDAS, UNRESOLVED_LAMBDA):
+        report = run_audit(AuditConfig(
+            algorithms=(AlgorithmSpec.ridge(lam),),
+            axes=(Axis.PREDICTOR,),
+            categories=(CategoryKind.FINVEC_ISO, *natural_kinds),
+        ))
+        cells = {cell.category: cell for cell in report.cells}
+        iso = cells[CategoryKind.FINVEC_ISO]
+        natural_worst = max(cells[kind].max_residual for kind in natural_kinds)
+        ratio = iso.max_residual / natural_worst if natural_worst else math.inf
+        print(
+            f"ridge(lambda={lam:g}) predictor/finvec_iso: {iso.violations}/{iso.trial_count} "
+            f"violations; worst residual {iso.max_residual:.2e}, {ratio:.1e}x the "
+            f"natural cells' {natural_worst:.2e}"
+        )
+        if lam in RESOLVED_LAMBDAS:
+            assert not iso.expected_natural and iso.violations >= 1, lam
+            for kind in natural_kinds:
+                assert cells[kind].expected_natural, (lam, kind)
+                assert cells[kind].pass_count == cells[kind].trial_count, (lam, kind)
+
+
 def test_engine_matches_the_scalar_checkers_trial_by_trial():
     # the engine fits a cell's trials from raw arrays; the check_* functions
     # are the reference, run on each trial's rebuilt Dataset and Morphism

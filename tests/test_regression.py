@@ -7,11 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import (
+    OracleDiverged,
+    ols_oracle_fit,
+    ridge_objective,
+    ridge_objective_gradient,
+    sse_gradient,
+)
 
 import natreg.data
 import natreg.regression
 from natreg.data import Dataset, csv_block_factors, dataset_from_csv, synth_dataset
-from natreg.errors import ContractViolation, InvalidHyperparameter, OracleDiverged, RankDeficient
+from natreg.errors import ContractViolation, InvalidHyperparameter, RankDeficient
 from natreg.linalg import SeedState, numerical_rank, rel_distance
 from natreg.regression import (
     AlgorithmKind,
@@ -21,12 +28,8 @@ from natreg.regression import (
     fit_systems,
     min_norm_ols_fit,
     ols_fit,
-    ols_oracle_fit,
     ridge_fit,
-    ridge_objective,
-    ridge_objective_gradient,
     sse,
-    sse_gradient,
 )
 
 
