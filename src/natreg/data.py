@@ -77,8 +77,8 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     :func:`_parse_records` reads that block alone, numbered from there, to
     raise its first error.  An input with no data record raises
     :class:`EmptyDataset` from the scan, with nothing parsed.  Bytes that
-    are not UTF-8 are decoded again from byte 0 to the end of the scan's
-    read, or of their block, so that the error gives their offset.
+    are not UTF-8 raise what decoding the input whole raises: the scan's
+    read is decoded again from byte 0; a block's error moves by its start.
     :func:`csv_block_factors` reads the input the same way and reduces each
     block to its R factor instead.
     """
@@ -133,9 +133,9 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarra
         start, end = rejected.args
         try:
             text = _text(pread, start, end).read()
-        except UnicodeDecodeError:
-            _text(pread, 0, end).read()  # raises it again, at the bytes' offset in the input
-            raise
+        except UnicodeDecodeError as exc:  # numpy decoded every block before this one
+            raise UnicodeDecodeError(exc.encoding, pread(start + exc.end, 0), start + exc.start,
+                                     start + exc.end, exc.reason) from None
         _parse_records(text, p, q, _records_before(pread, start))  # raises the first error
         raise RuntimeError(f"the record parser finds no error in bytes [{start}, {end})")
 

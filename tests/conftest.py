@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 _criterion_lines: list[tuple[int, str]] = []
 
 
@@ -11,6 +13,20 @@ def record_criterion(number: int, description: str, passed: bool) -> None:
     line = f"[{verdict}] acceptance {number}: {description}"
     _criterion_lines.append((number, line))
     print(line)
+
+
+def no_fork():
+    """Stands in for ``os.fork`` where no process can be forked."""
+    raise OSError("no process to spare")
+
+
+def strict_json(text: str):
+    """``json.loads(text)``, refusing the ``Infinity`` and ``NaN`` that strict JSON lacks."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -11,9 +11,10 @@ import math
 import time
 
 import numpy as np
-from conftest import record_criterion
+from conftest import record_criterion, strict_json
 from oracles import ols_oracle_fit, ridge_objective, ridge_objective_gradient, sse_gradient
 
+import natreg.naturality
 from natreg.cli import main
 from natreg.data import Dataset, synth_dataset
 from natreg.linalg import SeedState, rel_distance
@@ -196,12 +197,18 @@ def test_criterion_7_analytic_gradients_match_central_differences():
             )
 
 
-def test_criterion_8_audit_reports_are_byte_deterministic(tmp_path):
-    with _criterion(8, "two seeded audit runs emit byte-identical JSON"):
+def test_criterion_8_audit_reports_are_byte_deterministic(tmp_path, monkeypatch):
+    with _criterion(8, "seeded audit runs, forked or not, emit byte-identical strict JSON"):
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
+        serial = tmp_path / "serial.json"
         argv = ["audit", "--seed", "42", "--format", "json"]
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert len(first.read_bytes()) > 0
+        strict_json(first.read_text(encoding="utf-8"))
+        # on one CPU, as under `taskset -c 0`, no worker is forked
+        monkeypatch.setattr(natreg.naturality, "_usable_cpus", lambda: 1)
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert serial.read_bytes() == first.read_bytes()

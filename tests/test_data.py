@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import no_fork
 from hypothesis import given, settings, strategies as st
 
 import natreg._forkjoin
@@ -396,7 +397,8 @@ def test_csv_not_utf8_in_the_first_line_is_named_from_the_scan_alone(csv_path, m
 @pytest.mark.parametrize("parts", (1, 2))
 def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path, monkeypatch, parts):
     # the byte lies past the scan's read, in block k of 4 KiB blocks: once
-    # numpy rejects the block, it and then bytes [0, end_k) are decoded
+    # numpy rejects the block, that block alone is decoded again, and its
+    # error moves by the block's start
     step = 4096
     raw = b"x,y\n" + b"".join(b"%d,%d\n" % (i, -i) for i in range(20_000))
     bad = raw.index(b"\n12345,") + 1
@@ -423,8 +425,7 @@ def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path,
     assert end < len(raw) and end - start < 2 * step
     (marked,) = before_error_route
     error_route = list(spans.values())[marked:]
-    assert sum(reached - at for at, reached in error_route) <= end + (end - start)
-    assert error_route[-1] == [0, end]
+    assert error_route == [[start, end]]
 
 
 _NOT_UTF8 = (
@@ -436,8 +437,8 @@ _NOT_UTF8 = (
 def test_csv_not_utf8_anywhere_gives_the_error_of_decoding_it_whole(csv_path, monkeypatch):
     # one sequence that is not UTF-8 in otherwise valid input, wherever it
     # falls: the header, the scan's read, a block here or a forked one.  The
-    # last bytes decoded are [0, end): the end of the scan's read, or of the
-    # block numpy rejected
+    # last bytes decoded are [0, end) of the scan's read, or [start, end) of
+    # the block numpy rejected
     rng = random.Random(25)
     cuts = _spy(monkeypatch, "_ranges")
     spans = _spans_read(monkeypatch)
@@ -459,10 +460,10 @@ def test_csv_not_utf8_anywhere_gives_the_error_of_decoding_it_whole(csv_path, mo
         assert str(excinfo.value) == _decode_error(raw), raw
         if cuts:
             [(blocks, _)] = [result for _, result in cuts]
-            end = next(end for start, end in blocks if start <= bad < end)
+            span = next([start, end] for start, end in blocks if start <= bad < end)
         else:
-            end = next(iter(spans.values()))[1]  # the scan's
-        assert list(spans.values())[-1] == [0, end], raw
+            span = [0, next(iter(spans.values()))[1]]  # the scan's
+        assert list(spans.values())[-1] == span, raw
 
 
 @pytest.mark.parametrize("pread", (True, False), ids=("pread", "no-pread"))
@@ -582,11 +583,13 @@ def test_csv_split_part_of_only_blank_lines_warns_nothing(csv_path, monkeypatch)
     assert (len(args[1]), args[2]) == (43, 3)
 
 
-def test_csv_header_then_one_long_record_is_one_range(csv_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
+def _forked():
+    # not an OSError, which fork_map takes for a fork that failed
+    raise AssertionError("forked")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+
+def test_csv_header_then_one_long_record_is_one_range(csv_path, monkeypatch):
+    monkeypatch.setattr(os, "fork", _forked)
     for parts in (2, 3):
         _split_into(monkeypatch, parts)
         for end in ("", "\n", "\r\n"):
@@ -691,10 +694,6 @@ def _sent_then_failed(done, pipe):
     os._exit(3)
 
 
-def _no_fork():
-    raise OSError("no process to spare")
-
-
 @pytest.mark.parametrize(
     "send", (_short_payload, _sent_then_failed, lambda done, pipe: None)
 )
@@ -723,7 +722,7 @@ def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
 def test_csv_failed_fork_falls_back_to_one_process(csv_path, monkeypatch):
     content = "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == _outcome(
         _reference, content, 1, 1
     )
@@ -745,17 +744,18 @@ def test_csv_block_factors_after_a_failed_fork_are_the_forked_ones(csv_path, mon
 
     forked = factors()
     fallbacks = _spy(monkeypatch, "_parse_records")
-    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert factors() == forked
     assert forked[1] == 25_000 and not fallbacks
 
 
 def test_csv_file_below_two_parts_never_forks(csv_path, monkeypatch):
-    d, _ = synth_dataset(SeedState(6, "small"), 2000, 7, 1, noise_sd=1.0)
-    monkeypatch.setattr(os, "fork", _no_fork)
+    d, _ = synth_dataset(SeedState(6, "small"), 9000, 7, 1, noise_sd=1.0)
+    monkeypatch.setattr(os, "fork", _forked)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 64)
     text = dataset_to_csv(d)
-    assert len(text.encode()) < 2 * natreg.data.MIN_PART_BYTES
+    # two blocks, a whole MiB and a tail, and one process for both
+    assert natreg.data.MIN_PART_BYTES < len(text.encode()) < 2 * natreg.data.MIN_PART_BYTES
     back = _parse_file(_written(csv_path, text), 7, 1)
     np.testing.assert_array_equal(back.x, d.x)
 

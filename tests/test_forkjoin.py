@@ -1,4 +1,5 @@
-"""fork_map: the serial loop's list, or its exception, on any number of workers."""
+"""fork_map: the serial loop's list, or its exception, on any number of workers,
+and usable_cpus, the number of workers the CLI deals to."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import natreg._forkjoin
-from natreg._forkjoin import fork_map
+from natreg._forkjoin import fork_map, usable_cpus
 
 _ITEMS = range(10)
 
@@ -146,3 +147,11 @@ def test_results_that_are_not_arrays_are_the_serial_loops(workers):
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_no_items_give_an_empty_list(workers):
     assert fork_map(lambda i: np.zeros((1, 1)), [], workers) == []
+
+
+def test_usable_cpus_are_the_ones_this_process_may_run_on(monkeypatch):
+    # so under `taskset -c 0` the audit and the CSV parse fork no process
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "fork")
+    assert usable_cpus() == 1

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import no_fork
 
 import natreg._forkjoin
 import natreg.naturality
@@ -481,6 +482,8 @@ def test_run_audit_failed_worker_falls_back_to_one_process(monkeypatch):
     three, results = _audit_on(monkeypatch, 3)
     assert [[blocks.shape for blocks in run] for run in results] == [[(1, 7, 6)] * 6]
     assert audit_report_to_json(three) == audit_report_to_json(one)
+    monkeypatch.setattr(os, "fork", no_fork)  # and when no child can be forked
+    assert audit_report_to_json(_audit_on(monkeypatch, 3)[0]) == audit_report_to_json(one)
 
 
 def test_run_audit_runs_a_killed_workers_groups_here_once(monkeypatch):
