@@ -107,11 +107,8 @@ def _output(out: str | None):
 def _cmd_fit(args: argparse.Namespace) -> int:
     spec = AlgorithmSpec(AlgorithmKind(args.algorithm), args.lam)  # usage errors before I/O
     with _output(args.out) as write:
-        try:
-            with open(args.data, "r", encoding="utf-8") as handle:
-                factors, n_examples = csv_block_factors(handle, args.predictors, args.targets)
-        except UnicodeDecodeError as exc:
-            raise NatregError(f"--data {args.data!r} is not UTF-8 text: {exc}") from exc
+        with open(args.data, "r", encoding="utf-8") as handle:
+            factors, n_examples = csv_block_factors(handle, args.predictors, args.targets)
         try:
             model, sse, objective = fit_block_factors(spec, factors, n_examples, args.predictors)
         except RankDeficient as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import io
 import os
+import re
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -76,11 +77,11 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     records before it are counted line by line, unparsed, and
     :func:`_parse_records` reads that block alone, numbered from there, to
     raise its first error.  An input with no data record raises
-    :class:`EmptyDataset` from the scan, with nothing parsed.  Bytes that
-    are not UTF-8 raise what decoding the input whole raises: the scan's
-    read is decoded again from byte 0; a block's error moves by its start.
-    :func:`csv_block_factors` reads the input the same way and reduces each
-    block to its R factor instead.
+    :class:`EmptyDataset` from the scan, with nothing parsed.  A file's or a
+    pipe's outcome is :func:`_parse_records`' on its bytes decoded with
+    ``errors="surrogateescape"``: a byte that is not UTF-8 is a malformed
+    record.  :func:`csv_block_factors` reads the input the same way and
+    reduces each block to its R factor instead.
     """
     values = np.concatenate(_read_csv(content, p, q, lambda rows: rows))
     return Dataset(x=values[:, :p], y=values[:, p:])
@@ -131,12 +132,7 @@ def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarra
             )
     except _Rejected as rejected:
         start, end = rejected.args
-        try:
-            text = _text(pread, start, end).read()
-        except UnicodeDecodeError as exc:  # numpy decoded every block before this one
-            raise UnicodeDecodeError(exc.encoding, pread(start + exc.end, 0), start + exc.start,
-                                     start + exc.end, exc.reason) from None
-        _parse_records(text, p, q, _records_before(pread, start))  # raises the first error
+        _parse_records(_text(pread, start, end).read(), p, q, _records_before(pread, start))
         raise RuntimeError(f"the record parser finds no error in bytes [{start}, {end})")
 
 
@@ -168,16 +164,9 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
 
 
 def _blocks(pread: _Pread, size: int) -> tuple[list[tuple[int, int]], int]:
-    """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.
-    Raises :class:`EmptyDataset` when there is no data record, and the
-    ``UnicodeDecodeError`` of bytes ``[0, at)`` when the scan meets bytes
-    that are not UTF-8 before ``at``, the end of the bytes it has read."""
-    scan = _text(pread, 0, size, newline="")
-    try:
-        data_start = _data_start(scan)
-    except UnicodeDecodeError:
-        _text(pread, 0, scan.buffer.raw._at).read()  # raises it again, at the bytes' offset
-        raise
+    """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.  Raises
+    :class:`ParseError` as :func:`_data_start` does, and :class:`EmptyDataset` if there is none."""
+    data_start = _data_start(_text(pread, 0, size, newline=""))
     if data_start is None:
         raise EmptyDataset("no data records found")
     return _ranges(pread, data_start, size)
@@ -245,9 +234,10 @@ class _ByteRange(io.RawIOBase):
 
 
 def _text(pread: _Pread, start: int, end: int, newline: str | None = None) -> TextIO:
-    """The UTF-8 text of bytes ``[start, end)``, decoded strictly as it is read."""
+    """The UTF-8 text of bytes ``[start, end)``, decoded as it is read: a byte
+    that is not UTF-8 as a lone surrogate U+DC80-U+DCFF, which is never a number."""
     raw = io.BufferedReader(_ByteRange(pread, start, end))
-    return io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=newline)
 
 
 def _loadtxt_range(pread: _Pread, start: int, end: int, columns: int) -> np.ndarray:
@@ -286,16 +276,19 @@ def _data_start(stream: TextIO) -> int | None:
 
     ``stream`` reads the text with ``newline=""``, so each line keeps its own
     line end and the offset counts bytes.  None when the text holds no data
-    record.  Reads line by line and stops at the first data record.
+    record.  Reads line by line, stops at the first data record, and raises
+    :class:`ParseError` at a record holding bytes that are not UTF-8, header or not.
     """
     header, data_start = False, 0
     for line in stream:
         if not data_start and line.startswith(_BOM):  # the first line alone
             line, data_start = line[1:], len(_BOM.encode())
-        if line.strip() and (header or _is_number(line.split(",", 1)[0])):
-            return data_start
+        if line.strip():
+            _check_utf8(line, 1 + header)
+            if header or _is_number(line.split(",", 1)[0]):
+                return data_start
+            header = True
         data_start += len(line.encode())
-        header = header or bool(line.strip())
     return None
 
 
@@ -305,6 +298,15 @@ def _records_before(pread: _Pread, start: int) -> int:
     lines = _text(pread, 0, start)
     first = next(lines, "").removeprefix(_BOM)
     return bool(first.strip()) + sum(1 for line in lines if line.strip())
+
+
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of such bytes
+
+
+def _check_utf8(record: str, number: int) -> None:
+    """Raise record ``number``'s :class:`ParseError` if it holds bytes that are not UTF-8."""
+    if _NOT_UTF8.search(record):
+        raise ParseError(f"record {number}: bytes that are not UTF-8", record=number)
 
 
 def _to_float(field: str) -> float:
@@ -328,14 +330,15 @@ def _is_number(field: str) -> bool:
 
 def _parse_records(content: str, p: int, q: int, before: int = 0) -> np.ndarray:
     """The values of :func:`dataset_from_csv`, parsed one record at a time,
-    or the error that names the first malformed record.  ``before`` records
-    of the input precede ``content``; when there are none, a leading BOM is
-    skipped and the first record may be a header."""
+    or the error naming the first malformed record (one holding a byte that
+    was not UTF-8 too).  ``before`` records of the input precede ``content``;
+    when there are none, a leading BOM is skipped and the first record may be a header."""
     if not before:
         content = content.removeprefix(_BOM)
     lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows: list[list[float]] = []
     for number, line in enumerate((line for line in lines if line.strip()), start=before + 1):
+        _check_utf8(line, number)
         fields = line.split(",")
         if number == 1 and not _is_number(fields[0]):
             continue  # header

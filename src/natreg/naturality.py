@@ -21,6 +21,7 @@ cells are negative.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,18 +138,14 @@ class AuditConfig:
     def __post_init__(self):
         for name in ("max_examples", "codomain_offset", "trials_per_cell", "master_seed"):
             object.__setattr__(self, name, _config_int(name, getattr(self, name)))
-        if not self.algorithms:
-            raise ConfigError("algorithms", "must not be empty")
+        for name, kind in (("algorithms", AlgorithmSpec), ("axes", Axis), ("categories", CategoryKind)):
+            object.__setattr__(self, name, _config_members(name, getattr(self, name), kind))
         for spec in self.algorithms:
             if spec.kind not in AUDITED_KINDS:
                 raise ConfigError(
                     "algorithms",
                     f"{spec.kind.value} has no expected classification to audit against",
                 )
-        if not self.axes:
-            raise ConfigError("axes", "must not be empty")
-        if not self.categories:
-            raise ConfigError("categories", "must not be empty")
         for name in ("p_range", "q_range"):
             lo_hi = getattr(self, name)
             try:
@@ -168,8 +165,27 @@ class AuditConfig:
             raise ConfigError("codomain_offset", f"must be >= 0, got {self.codomain_offset}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
+        tolerance = self.base_tolerance
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            raise ConfigError("base_tolerance", f"must be a real number, got {tolerance!r}")
+        object.__setattr__(self, "base_tolerance", float(tolerance))
         if not 0.0 < self.base_tolerance < math.inf:
             raise ConfigError("base_tolerance", f"must be positive and finite, got {self.base_tolerance}")
+
+
+def _config_members(name: str, values, kind: type) -> tuple:
+    """``values`` as a tuple of one or more ``kind``; anything else raises
+    :class:`ConfigError` naming the field ``name``."""
+    try:
+        members = tuple(values)
+    except TypeError:
+        raise ConfigError(name, f"need a sequence of {kind.__name__}, got {values!r}") from None
+    if not members:
+        raise ConfigError(name, "must not be empty")
+    for member in members:
+        if not isinstance(member, kind):
+            raise ConfigError(name, f"need {kind.__name__} values, got {member!r}")
+    return members
 
 
 def _config_int(name: str, value) -> int:

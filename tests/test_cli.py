@@ -17,6 +17,8 @@ import natreg.cli
 import natreg.data
 import natreg.naturality
 from natreg.cli import main
+from natreg.data import _parse_records
+from natreg.errors import ParseError
 
 EXACT_CSV = "1,0,1\n0,1,2\n1,1,3\n"
 RANK_DEFICIENT_CSV = "1,0,1\n"
@@ -128,13 +130,15 @@ def test_fit_usage_errors_exit_two(tmp_path, capsys):
     # missing file
     assert main(["fit", "--data", str(tmp_path / "nope.csv"), "--predictors", "2",
                  "--targets", "1", "--algorithm", "ols"]) == 2
-    # data that is not UTF-8
-    latin1 = tmp_path / "latin1.csv"
-    latin1.write_bytes("caf\xe9,y\n1,2\n".encode("latin-1"))
-    capsys.readouterr()
-    assert main(["fit", "--data", str(latin1), "--predictors", "1", "--targets", "1",
-                 "--algorithm", "ols"]) == 2
-    assert str(latin1) in capsys.readouterr().err
+    # data that is not UTF-8: a Latin-1 header, and UTF-16, whose byte order
+    # mark is not UTF-8 either; each a malformed record 1
+    for name, raw in (("latin1.csv", "caf\xe9,y\n1,2\n".encode("latin-1")),
+                      ("utf16.csv", "x,y\n1,2\n".encode("utf-16"))):
+        (tmp_path / name).write_bytes(raw)
+        capsys.readouterr()
+        assert main(["fit", "--data", str(tmp_path / name), "--predictors", "1",
+                     "--targets", "1", "--algorithm", "ols"]) == 2
+        assert capsys.readouterr().err == "error: record 1: bytes that are not UTF-8\n"
     # output into a directory that does not exist
     assert main(["fit", "--data", data, "--predictors", "2", "--targets", "1",
                  "--algorithm", "ols", "--out", str(tmp_path / "nope" / "coef.csv")]) == 2
@@ -292,42 +296,42 @@ def test_fit_reads_data_from_a_pipe(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source", ("file", "pipe"))
-def test_fit_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, monkeypatch, source):
+def test_fit_not_utf8_names_its_record(tmp_path, capsys, monkeypatch, source):
     if source == "pipe" and not os.path.isdir("/dev/fd"):
         pytest.skip("needs /dev/fd")
     raw = ("x,y\n" + "1,2\n" * 5000).encode() + b"\xff,3\n"
     path = tmp_path / "late.csv"
 
-    def fit_fails_at_the_byte(raw=raw, position=20004):
+    def fit_fails_at_the_record(raw=raw, record=5002):
+        # the one error line of every malformed record, and the record
+        # parser's on the bytes decoded with surrogateescape
         path.write_bytes(raw)
-        with pytest.raises(UnicodeDecodeError) as whole:
-            raw.decode("utf-8")
+        message = f"record {record}: bytes that are not UTF-8"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            _parse_records(raw.decode("utf-8", "surrogateescape"), 1, 1)
         opened = contextlib.nullcontext(str(path)) if source == "file" else _piped(raw)
         with opened as data:
             assert main(["fit", "--data", data, "--predictors", "1", "--targets", "1",
                          "--algorithm", "ols"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: --data {data!r} is not UTF-8 text: {whole.value}\n"
-        assert f"position {position}" in err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    fit_fails_at_the_byte(b"a,\xff\n" + raw, 2)  # in the header: the scan names it
-    fit_fails_at_the_byte()
+    fit_fails_at_the_record(b"a,\xff\n" + raw, 1)  # in the header: the scan names it
+    fit_fails_at_the_record()
     # the scan stops at the first data record; the byte lies in the last
-    # block, dealt to a child, whose failed decode is met again here; that
-    # block's decode error, moved by the block's start, gives the byte's
-    # offset in the input
+    # block, dealt to a child, which numpy rejects there; the record parser
+    # then names its record here
     forked = _force_line_blocks(monkeypatch)
     cuts = []
     real_ranges = natreg.data._ranges
     monkeypatch.setattr(
         natreg.data, "_ranges", lambda *a: cuts.append(real_ranges(*a)) or cuts[-1]
     )
-    fit_fails_at_the_byte()
+    fit_fails_at_the_record()
     assert forked == []  # fork_map raised
     (blocks, workers), = cuts
     assert workers == 3 and blocks[-1][0] <= raw.index(b"\xff") and (len(blocks) - 1) % 3
     monkeypatch.setattr(os, "fork", no_fork)  # this process then parses every block
-    fit_fails_at_the_byte()
+    fit_fails_at_the_record()
 
 
 def _force_line_blocks(monkeypatch, cpus: int = 3) -> list:

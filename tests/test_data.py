@@ -359,11 +359,15 @@ def _parse_pipe(raw: bytes, p: int, q: int) -> Dataset:
         return dataset_from_csv(handle, p, q)
 
 
-def _decode_error(raw: bytes) -> str:
-    """The message of the error ``raw.decode("utf-8")`` raises."""
-    with pytest.raises(UnicodeDecodeError) as excinfo:
-        raw.decode("utf-8")
-    return str(excinfo.value)
+def _bytes_outcome(raw: bytes, p: int, q: int):
+    """The outcome of the record parser on ``raw`` decoded with
+    surrogateescape: that of every file and pipe holding ``raw``."""
+    return _outcome(_reference, raw.decode("utf-8", "surrogateescape"), p, q)
+
+
+def _not_utf8(record: int):
+    """The outcome that names ``record`` as holding bytes that are not UTF-8."""
+    return ParseError, f"record {record}: bytes that are not UTF-8", record
 
 
 def _spans_read(monkeypatch) -> dict:
@@ -383,22 +387,21 @@ def _spans_read(monkeypatch) -> dict:
 
 
 def test_csv_not_utf8_in_the_first_line_is_named_from_the_scan_alone(csv_path, monkeypatch):
-    # the scan's first chunk holds the byte: the error is raised again from
-    # the bytes the scan read, and the 4 MiB input is never read whole
+    # the scan's first chunk holds the byte: the scan names record 1 before
+    # it decides whether that record is a header, and the 4 MiB input is
+    # never read whole
     raw = b"a,\xff\n" + b"1,2\n" * (1 << 20)
     csv_path.write_bytes(raw)
     spans = _spans_read(monkeypatch)
-    with pytest.raises(UnicodeDecodeError) as excinfo:
-        _parse_file(csv_path, 1, 1)
-    assert str(excinfo.value) == _decode_error(raw)
+    assert _outcome(_parse_file, csv_path, 1, 1) == _bytes_outcome(raw, 1, 1) == _not_utf8(1)
     assert sum(reached - start for start, reached in spans.values()) < natreg.data.MIN_PART_BYTES
 
 
 @pytest.mark.parametrize("parts", (1, 2))
 def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path, monkeypatch, parts):
-    # the byte lies past the scan's read, in block k of 4 KiB blocks: once
-    # numpy rejects the block, that block alone is decoded again, and its
-    # error moves by the block's start
+    # the byte lies past the scan's read, in one of the 4 KiB blocks: once
+    # numpy rejects that block, the record parser reads it alone, and the
+    # records before it are counted from byte 0 to its start
     step = 4096
     raw = b"x,y\n" + b"".join(b"%d,%d\n" % (i, -i) for i in range(20_000))
     bad = raw.index(b"\n12345,") + 1
@@ -417,15 +420,14 @@ def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path,
             before_error_route.append(len(spans))
 
     monkeypatch.setattr(natreg.data, "fork_map", fork_map_then_mark)
-    with pytest.raises(UnicodeDecodeError) as excinfo:
-        _parse_file(csv_path, 1, 1)
-    assert str(excinfo.value) == _decode_error(raw)
+    # the header is record 1, so the line of 12345 is record 12347
+    assert _outcome(_parse_file, csv_path, 1, 1) == _bytes_outcome(raw, 1, 1) == _not_utf8(12347)
     (blocks, _), = [result for _, result in cuts]
     start, end = next((start, end) for start, end in blocks if start <= bad < end)
     assert end < len(raw) and end - start < 2 * step
     (marked,) = before_error_route
     error_route = list(spans.values())[marked:]
-    assert error_route == [[start, end]]
+    assert error_route == [[start, end], [0, start]]
 
 
 _NOT_UTF8 = (
@@ -434,18 +436,18 @@ _NOT_UTF8 = (
 )
 
 
-def test_csv_not_utf8_anywhere_gives_the_error_of_decoding_it_whole(csv_path, monkeypatch):
+def test_csv_not_utf8_anywhere_gives_the_record_parser_outcome(csv_path, monkeypatch):
     # one sequence that is not UTF-8 in otherwise valid input, wherever it
     # falls: the header, the scan's read, a block here or a forked one.  The
-    # last bytes decoded are [0, end) of the scan's read, or [start, end) of
-    # the block numpy rejected
+    # scan names it from its own read alone; otherwise the last ranges read
+    # are the rejected block, then the bytes before it
     rng = random.Random(25)
     cuts = _spy(monkeypatch, "_ranges")
     spans = _spans_read(monkeypatch)
     for trial in range(300):
         _split_into(monkeypatch, 1 + trial % 2, rng.choice((64, 512, 4096)))
         records = ["x,\u00e9"] * rng.randint(0, 1) + [
-            f"{rng.randint(-9, 99)},{rng.random()!r}" for _ in range(rng.randint(1, 1000))
+            f"{rng.randint(-9, 99)},{rng.random()!r}" for _ in range(rng.randint(1, 500))
         ]
         raw = rng.choice(("\n", "\r\n", "\r")).join(records).encode() + b"\n" * rng.randint(0, 1)
         bad = rng.randint(0, len(raw))
@@ -455,15 +457,60 @@ def test_csv_not_utf8_anywhere_gives_the_error_of_decoding_it_whole(csv_path, mo
         csv_path.write_bytes(raw)
         cuts.clear()
         spans.clear()
-        with pytest.raises(UnicodeDecodeError) as excinfo:
-            _parse_file(csv_path, 1, 1)
-        assert str(excinfo.value) == _decode_error(raw), raw
+        outcome = _outcome(_parse_file, csv_path, 1, 1)
+        assert outcome == _bytes_outcome(raw, 1, 1), raw
+        assert outcome == _not_utf8(outcome[2]), raw
         if cuts:
             [(blocks, _)] = [result for _, result in cuts]
-            span = next([start, end] for start, end in blocks if start <= bad < end)
+            start, end = next((start, end) for start, end in blocks if start <= bad < end)
+            assert list(spans.values())[-2:] == [[start, end], [0, start]], raw
         else:
-            span = [0, next(iter(spans.values()))[1]]  # the scan's
-        assert list(spans.values())[-1] == span, raw
+            assert len(spans) == 1, raw  # the scan's
+
+
+def test_csv_block_factors_names_bytes_that_are_not_utf8_as_dataset_from_csv_does(csv_path, monkeypatch):
+    # natreg fit's reader meets the byte where the other one does: in the
+    # header, in the scan; in block 2, parsed here; in block 3, parsed by
+    # the forked process that takes the odd blocks
+    _split_into(monkeypatch, 2)
+    ranges = _spy(monkeypatch, "_ranges")
+    for line in (0, 3, 4):
+        lines = [b"x,y"] + [b"%d,%d" % (i, -i) for i in range(8)]
+        lines[line] += b"\xff"
+        raw = b"\n".join(lines) + b"\n"
+        assert _bytes_outcome(raw, 1, 1) == _not_utf8(line + 1)
+        csv_path.write_bytes(raw)
+        for read in (dataset_from_csv, csv_block_factors):
+            with open(csv_path, encoding="utf-8") as handle, pytest.raises(ParseError) as excinfo:
+                read(handle, 1, 1)
+            assert _not_utf8(line + 1) == (type(excinfo.value), str(excinfo.value), excinfo.value.record)
+    # the scan raised before any block was cut; then one line a block, on two processes
+    assert [workers for _, (_, workers) in ranges] == [2] * 4
+
+
+_BYTE_CHUNKS = (
+    b"0", b"1", b"9", b",", b".", b"-", b" ", b"\n", b"\r", b"x", b"\x80", b"\xff", b"\xc3",
+    b"\xe2\x82", b"\xc3\xa9",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw=st.lists(st.sampled_from(_BYTE_CHUNKS), max_size=24).map(b"".join),
+    parts=st.integers(1, 3),
+    p=st.integers(1, 2),
+    q=st.integers(1, 2),
+)
+def test_csv_any_bytes_give_the_record_parser_outcome(csv_path, raw, parts, p, q):
+    # a file and a pipe, cut into one-line blocks on 1-3 processes, give the
+    # record parser's outcome on the bytes decoded with surrogateescape; any
+    # exception but a NatregError escapes _outcome and fails the test
+    expected = _bytes_outcome(raw, p, q)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_into(monkeypatch, parts)
+        csv_path.write_bytes(raw)
+        assert _outcome(_parse_file, csv_path, p, q) == expected
+        assert _outcome(_parse_pipe, raw, p, q) == expected
 
 
 @pytest.mark.parametrize("pread", (True, False), ids=("pread", "no-pread"))
@@ -762,18 +809,25 @@ def test_csv_file_below_two_parts_never_forks(csv_path, monkeypatch):
 
 def test_csv_file_parse_peak_memory_is_about_the_arrays(csv_path):
     d, _ = synth_dataset(SeedState(5, "memory"), 20_000, 21, 1, noise_sd=1.0)
-    csv_path.write_text("\n" + ",".join(["x"] * 22) + "\n" + dataset_to_csv(d), encoding="utf-8")
-    tracemalloc.start()
-    try:
-        with open(csv_path, encoding="utf-8") as handle:
-            back = dataset_from_csv(handle, 21, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(back.x, d.x)
-    np.testing.assert_array_equal(back.y, d.y)
+    raw = ("\n" + ",".join(["x"] * 22) + "\n" + dataset_to_csv(d)).encode()
+
+    def parse_peak(raw):
+        csv_path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            return _outcome(_parse_file, csv_path, 21, 1), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    outcome, peak = parse_peak(raw)
+    assert outcome == ((20_000, 21), (20_000, 1), d.x.tobytes(), d.y.tobytes())
     # holding the text or its lines costs several times the arrays
-    assert peak <= 3 * (back.x.nbytes + back.y.nbytes)
+    assert peak <= 3 * (d.x.nbytes + d.y.nbytes)
+    # a byte that is not UTF-8 in the last line costs that line's block,
+    # never a read of the bytes before it
+    outcome, bad_peak = parse_peak(raw[:-2] + b"\xff\n")
+    assert outcome == _not_utf8(20_001)
+    assert bad_peak <= peak + natreg.data.MIN_PART_BYTES
 
 
 def dataset_to_csv(d: Dataset) -> str:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import no_fork
+from conftest import no_fork, strict_json
 
 import natreg._forkjoin
 import natreg.naturality
@@ -198,6 +198,17 @@ def test_audit_config_validation():
         ("trials_per_cell", 2.5),
         ("master_seed", None),
         ("max_examples", np.float64(40)),
+        # refused before any trial runs, not at the report or deep in the engine
+        ("base_tolerance", True),
+        ("base_tolerance", np.True_),
+        ("base_tolerance", "1e-8"),
+        ("base_tolerance", None),
+        ("algorithms", ("ols",)),
+        ("algorithms", AlgorithmSpec.ols()),
+        ("axes", ("target",)),
+        ("axes", (Axis.TARGET, None)),
+        ("categories", ("euc",)),
+        ("categories", CategoryKind.EUC),
     ):
         with pytest.raises(ConfigError) as excinfo:
             AuditConfig(**{field: value})
@@ -205,22 +216,27 @@ def test_audit_config_validation():
 
 
 def test_audit_config_stores_numpy_integers_as_ints():
-    # a numpy integer is stored as the int it equals, so the report is the
-    # one the int gives, and JSON can write it
-    small = dict(axes=(Axis.TARGET,), categories=(CategoryKind.EUC,))
+    # a numpy integer is stored as the int it equals, and a numpy float as
+    # the float, so the report is the one the Python number gives, and
+    # strict JSON can write it
     config = AuditConfig(
         p_range=(np.int32(1), np.int64(3)), q_range=[1, np.uint8(2)], max_examples=np.int64(9),
-        codomain_offset=np.int16(2), trials_per_cell=np.int64(2), master_seed=np.int64(7), **small,
+        codomain_offset=np.int16(2), trials_per_cell=np.int64(2), master_seed=np.int64(7),
+        base_tolerance=np.float32(1e-8), axes=[Axis.TARGET], categories=[CategoryKind.EUC],
     )
     plain = AuditConfig(
         p_range=(1, 3), q_range=(1, 2), max_examples=9, codomain_offset=2, trials_per_cell=2,
-        master_seed=7, **small,
+        master_seed=7, base_tolerance=float(np.float32(1e-8)), axes=(Axis.TARGET,),
+        categories=(CategoryKind.EUC,),
     )
     assert config == plain
     for value in (*config.p_range, *config.q_range, config.max_examples,
                   config.codomain_offset, config.trials_per_cell, config.master_seed):
         assert type(value) is int
-    assert audit_report_to_json(run_audit(config)) == audit_report_to_json(run_audit(plain))
+    assert type(config.base_tolerance) is float
+    report = audit_report_to_json(run_audit(config))
+    assert report == audit_report_to_json(run_audit(plain))
+    assert strict_json(report)["config"]["base_tolerance"] == float(np.float32(1e-8))
 
 
 def test_run_audit_is_deterministic():
