@@ -1,4 +1,4 @@
-"""Fork-join: a function mapped over items in processes, as the serial loop maps it."""
+"""Fork-join: a function mapped over items in processes, as ``map`` maps it."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import contextlib
 import os
 import pickle
 import signal
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
 Item = TypeVar("Item")
@@ -22,20 +22,22 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork_map(fn: Callable[[Item], Result], items: Sequence[Item], workers: int) -> list[Result]:
-    """``[fn(item) for item in items]``, or the exception that loop raises,
-    whatever the number of workers and whether a fork, pipe or child fails.
+def fork_map(fn: Callable[[Item], Result], items: Sequence[Item], workers: int) -> Iterator[Result]:
+    """``map(fn, items)``: ``fn(item)`` for each item in turn, then the
+    exception ``map`` raises there, whatever the number of workers and
+    whether a fork, pipe or child fails.
 
     Item i is dealt to worker ``i % workers``: this process is worker 0 and
     a forked child each other one.  A worker runs its items in order until
     one raises; a child then pickles the results of the items before it.
-    When item 0 raises, the children are killed and the exception
-    propagates.  Otherwise this process reads every child's results and
-    reaps every child, then runs each item whose result it lacks, in item
-    order, so the first exception it meets is the serial loop's.  No item
-    whose result a child sent runs again, and an item that raises runs at
-    most twice.  A result that does not pickle cuts its child's pickle
-    short, so that child's share runs here.
+    Before the first result is yielded, this process reads what each child
+    sent, unless all its items come after the first of this process's
+    items that raised, and kills and reaps every child.  It then yields the
+    results in item order, running each item whose result it lacks, so the
+    first exception it meets is ``map``'s.  No item whose result a child
+    sent runs again, and an item that raises runs at most twice.  A result
+    that does not pickle cuts its child's pickle short, so that child's
+    share runs here.
     """
     workers = max(1, min(workers, len(items)))
     results: dict[int, Result] = {}
@@ -49,12 +51,11 @@ def fork_map(fn: Callable[[Item], Result], items: Sequence[Item], workers: int) 
             try:
                 results[i] = fn(items[i])
             except Exception as exc:
-                if i == 0:
-                    raise
                 stop, raised = i, exc
                 break
         for worker, (_, pipe) in enumerate(children, start=1):
-            results.update(zip(range(worker, len(items), workers), _receive(pipe)))
+            if worker < stop:  # else every item of its share comes after the failure
+                results.update(zip(range(worker, len(items), workers), _receive(pipe)))
     finally:
         for pid, pipe in children:
             os.close(pipe)
@@ -63,9 +64,7 @@ def fork_map(fn: Callable[[Item], Result], items: Sequence[Item], workers: int) 
     for i, item in enumerate(items):
         if i == stop:
             raise raised
-        if i not in results:
-            results[i] = fn(item)
-    return [results[i] for i in range(len(items))]
+        yield results.pop(i) if i in results else fn(item)
 
 
 def _fork(fn: Callable[[Item], Result], share: Sequence[Item]) -> tuple[int, int]:

@@ -66,24 +66,25 @@ def dataset_from_csv(content: str | TextIO, p: int, q: int) -> Dataset:
     ignored.  Any other malformed record raises :class:`ParseError`
     carrying the 1-based record number.
 
-    Every input is read as UTF-8 bytes: a seekable file whole through its
-    descriptor, a pipe once from where its buffer stands, and text encoded.
+    Every input is read as UTF-8 bytes: a seekable handle whole, a file's
+    through its descriptor, a pipe once from where its buffer stands, and
+    text encoded.
     ``np.loadtxt`` parses every value, from the first data record on, one
     call per line-aligned block of :func:`_ranges`, checked for p + q
     columns.  :func:`~natreg._forkjoin.fork_map` deals the blocks to one
     process per usable CPU, and the blocks' rows, concatenated here, or
     the error, are those of parsing the blocks one at a time in this
-    process.  When numpy rejects a block (see :func:`_loadtxt_range`), the
-    records before it are counted line by line, unparsed, and
-    :func:`_parse_records` reads that block alone, numbered from there, to
-    raise its first error.  An input with no data record raises
-    :class:`EmptyDataset` from the scan, with nothing parsed.  A file's or a
-    pipe's outcome is :func:`_parse_records`' on its bytes decoded with
-    ``errors="surrogateescape"``: a byte that is not UTF-8 is a malformed
-    record.  :func:`csv_block_factors` reads the input the same way and
-    reduces each block to its R factor instead.
+    process.  When numpy rejects a block (see :func:`_loadtxt_range`),
+    :func:`_parse_records` reads that block alone to raise its first error,
+    numbered from the header and the rows of the blocks before it, since
+    numpy gives an accepted block one row per record.  An input with no
+    data record raises :class:`EmptyDataset` from the scan, with nothing
+    parsed.  A file's or a pipe's outcome is :func:`_parse_records`' on its
+    bytes decoded with ``errors="surrogateescape"``: a byte that is not
+    UTF-8 is a malformed record.  :func:`csv_block_factors` reads the input
+    the same way and reduces each block to its R factor instead.
     """
-    values = np.concatenate(_read_csv(content, p, q, lambda rows: rows))
+    values = np.concatenate(_read_csv(content, p, q, lambda rows: rows)[0])
     return Dataset(x=values[:, :p], y=values[:, p:])
 
 
@@ -100,40 +101,49 @@ def csv_block_factors(content: str | TextIO, p: int, q: int) -> tuple[np.ndarray
     fork.  Raises :class:`ContractViolation` as :class:`Dataset` does when
     x, then y, holds a value that is not finite.
     """
-    blocks = _read_csv(content, p, q, functools.partial(_block_factor, p=p))
+    blocks, n_examples = _read_csv(content, p, q, functools.partial(_block_factor, p=p))
     for name in ("x", "y"):
-        if any(not_finite == name for _, not_finite, _ in blocks):
+        if any(not_finite == name for not_finite, _ in blocks):
             raise ContractViolation(f"{name} contains non-finite entries")
-    return np.concatenate([r for _, _, r in blocks]), sum(rows for rows, _, _ in blocks)
+    return np.concatenate([r for _, r in blocks]), n_examples
 
 
-def _block_factor(rows: np.ndarray, p: int) -> tuple[int, str | None, np.ndarray]:
-    """The row count of a block of ``rows``, the first of ``"x"`` and ``"y"``
-    that holds a value that is not finite (None when neither), and
+def _block_factor(rows: np.ndarray, p: int) -> tuple[str | None, np.ndarray]:
+    """The first of ``"x"`` and ``"y"`` that holds a value that is not finite
+    in a block of ``rows`` (None when neither), and
     ``np.linalg.qr(rows, mode="r")``, at most p + q rows."""
     finite = np.isfinite(rows).all(axis=0)
     not_finite = "x" if not finite[:p].all() else "y" if not finite[p:].all() else None
-    return len(rows), not_finite, np.linalg.qr(rows, mode="r")
+    return not_finite, np.linalg.qr(rows, mode="r")
 
 
-def _read_csv(content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarray], Any]) -> list:
+def _read_csv(
+    content: str | TextIO, p: int, q: int, reduce: Callable[[np.ndarray], Any]
+) -> tuple[list, int]:
     """What ``reduce`` makes of the rows of each block of the CSV, in block
-    order: see :func:`dataset_from_csv`."""
+    order, and the number of rows: see :func:`dataset_from_csv`."""
     if p < 1 or q < 1:
         raise ContractViolation(f"p and q must be positive, got p={p}, q={q}")
     pread, size = _input_bytes(content)
+    data_start, header = _data_start(_text(pread, 0, size, newline=""))
+
+    def parse(block: tuple[int, int]) -> tuple[int, Any]:
+        rows = _loadtxt_range(pread, *block, columns=p + q)
+        return len(rows), reduce(rows)
+
+    reduced, records = [], header  # records before the next block: a header, then one a row
     try:
         with warnings.catch_warnings():
             # a block may hold only blank lines; the scan saw a data record
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return fork_map(
-                lambda block: reduce(_loadtxt_range(pread, *block, columns=p + q)),
-                *_blocks(pread, size),
-            )
+            for rows, done in fork_map(parse, *_ranges(pread, data_start, size)):
+                records += rows
+                reduced.append(done)
     except _Rejected as rejected:
         start, end = rejected.args
-        _parse_records(_text(pread, start, end).read(), p, q, _records_before(pread, start))
+        _parse_records(_text(pread, start, end).read(), p, q, records)
         raise RuntimeError(f"the record parser finds no error in bytes [{start}, {end})")
+    return reduced, records - header
 
 
 class _Rejected(Exception):
@@ -147,7 +157,9 @@ _Pread = Callable[[int, int], bytes]
 
 def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
     """A ``pread(n, at)`` over the input's UTF-8 bytes, and their count: a
-    seekable file's from byte 0, a pipe's from where its buffer stands."""
+    seekable handle's from its start, a pipe's from where its buffer stands."""
+    if not isinstance(content, str) and content.seekable():
+        content.seek(0)  # a handle whole, whatever its position
     try:
         fd = None if isinstance(content, str) else content.fileno()
     except io.UnsupportedOperation:
@@ -157,19 +169,8 @@ def _input_bytes(content: str | TextIO) -> tuple[_Pread, int]:
     elif content.seekable() and hasattr(os, "pread"):
         return functools.partial(os.pread, fd), os.fstat(fd).st_size
     else:
-        if content.seekable():
-            content.buffer.seek(0)  # a file whole without os.pread too
-        data = content.buffer.read()  # a pipe: its bytes, never its text
+        data = content.buffer.read()  # a pipe's bytes, never its text, or a file whole
     return (lambda n, at: data[at : at + n]), len(data)
-
-
-def _blocks(pread: _Pread, size: int) -> tuple[list[tuple[int, int]], int]:
-    """:func:`_ranges` of bytes ``[0, size)`` from the first data record on.  Raises
-    :class:`ParseError` as :func:`_data_start` does, and :class:`EmptyDataset` if there is none."""
-    data_start = _data_start(_text(pread, 0, size, newline=""))
-    if data_start is None:
-        raise EmptyDataset("no data records found")
-    return _ranges(pread, data_start, size)
 
 
 # A fork and reap of a natreg process costs about 4 ms on a 2-vCPU Xeon, and
@@ -271,33 +272,26 @@ def _loadtxt(lines) -> np.ndarray:
 _BOM = "\ufeff"
 
 
-def _data_start(stream: TextIO) -> int | None:
-    """The byte offset of the first data record, past a leading UTF-8 BOM.
+def _data_start(stream: TextIO) -> tuple[int, int]:
+    """The byte offset of the first data record, past a leading UTF-8 BOM,
+    and the number of records before it: 1 after a header, else 0.
 
     ``stream`` reads the text with ``newline=""``, so each line keeps its own
-    line end and the offset counts bytes.  None when the text holds no data
-    record.  Reads line by line, stops at the first data record, and raises
-    :class:`ParseError` at a record holding bytes that are not UTF-8, header or not.
+    line end and the offset counts bytes.  Reads up to the first data
+    record, raising :class:`ParseError` at any record up to it that holds
+    bytes that are not UTF-8, and :class:`EmptyDataset` if there is none.
     """
-    header, data_start = False, 0
+    header, data_start = 0, 0
     for line in stream:
         if not data_start and line.startswith(_BOM):  # the first line alone
             line, data_start = line[1:], len(_BOM.encode())
         if line.strip():
             _check_utf8(line, 1 + header)
             if header or _is_number(line.split(",", 1)[0]):
-                return data_start
-            header = True
+                return data_start, header
+            header = 1
         data_start += len(line.encode())
-    return None
-
-
-def _records_before(pread: _Pread, start: int) -> int:
-    """The number of records in bytes ``[0, start)``, counted line by line as
-    :func:`_parse_records` numbers them, with no field read."""
-    lines = _text(pread, 0, start)
-    first = next(lines, "").removeprefix(_BOM)
-    return bool(first.strip()) + sum(1 for line in lines if line.strip())
+    raise EmptyDataset("no data records found")
 
 
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of such bytes

@@ -216,7 +216,13 @@ class DiagramTrial:
 
     @property
     def violation(self) -> bool:
-        return self.residual > VIOLATION_MARGIN * self.tolerance
+        return bool(_violations(self.residual, self.tolerance))
+
+
+def _violations(residual, tolerance):
+    """``residual > VIOLATION_MARGIN * tolerance`` elementwise, or an undefined (inf) residual."""
+    with np.errstate(over="ignore"):  # the product overflows to inf at the largest tolerances
+        return np.isinf(residual) | (residual > VIOLATION_MARGIN * tolerance)
 
 
 # the columns of a cell's rows, one row per trial
@@ -277,8 +283,8 @@ class CellSummary:
 
     @property
     def violations(self) -> int:
-        """Trials with ``residual > VIOLATION_MARGIN * tolerance``, as :attr:`DiagramTrial.violation`."""
-        return int(np.count_nonzero(self.rows[:, 0] > VIOLATION_MARGIN * self.rows[:, 1]))
+        """The number of trials for which :attr:`DiagramTrial.violation` holds."""
+        return int(np.count_nonzero(_violations(self.rows[:, 0], self.rows[:, 1])))
 
     @property
     def undefined(self) -> int:
@@ -425,7 +431,7 @@ def run_audit(config: AuditConfig) -> AuditReport:
         for axis in config.axes
         for category in config.categories
     ]
-    runs = fork_map(lambda group: _run_group(*group, config), groups, _usable_cpus())
+    runs = list(fork_map(lambda group: _run_group(*group, config), groups, _usable_cpus()))
     summaries = [  # config order
         CellSummary(spec, *group, blocks[a])
         for a, spec in enumerate(config.algorithms)

@@ -1,8 +1,12 @@
-"""Shared test helpers: acceptance criteria report their verdicts here."""
+"""Shared test helpers: acceptance criteria report their verdicts here, and no
+test may leave a child process behind."""
 
 from __future__ import annotations
 
 import json
+import os
+
+import pytest
 
 _criterion_lines: list[tuple[int, str]] = []
 
@@ -13,6 +17,17 @@ def record_criterion(number: int, description: str, passed: bool) -> None:
     line = f"[{verdict}] acceptance {number}: {description}"
     _criterion_lines.append((number, line))
     print(line)
+
+
+@pytest.fixture(autouse=True)
+def every_child_is_reaped():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child is left
+        return
+    pytest.fail(f"the test left child process {pid or '(running)'} unreaped")
 
 
 def no_fork():

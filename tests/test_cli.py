@@ -327,7 +327,7 @@ def test_fit_not_utf8_names_its_record(tmp_path, capsys, monkeypatch, source):
         natreg.data, "_ranges", lambda *a: cuts.append(real_ranges(*a)) or cuts[-1]
     )
     fit_fails_at_the_record()
-    assert forked == []  # fork_map raised
+    assert forked == []  # fork_map raised before its last result
     (blocks, workers), = cuts
     assert workers == 3 and blocks[-1][0] <= raw.index(b"\xff") and (len(blocks) - 1) % 3
     monkeypatch.setattr(os, "fork", no_fork)  # this process then parses every block
@@ -336,14 +336,20 @@ def test_fit_not_utf8_names_its_record(tmp_path, capsys, monkeypatch, source):
 
 def _force_line_blocks(monkeypatch, cpus: int = 3) -> list:
     """Cut any input into one block per line, dealt to ``cpus`` ranges;
-    returns the forked parses' results."""
+    returns the results of each forked parse that yielded them all."""
     monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", 1)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: cpus)
     forked = []
     real = natreg.data.fork_map
-    monkeypatch.setattr(
-        natreg.data, "fork_map", lambda *a: forked.append(real(*a)) or forked[-1]
-    )
+
+    def fork_map(*args):
+        results = []
+        for result in real(*args):
+            results.append(result)
+            yield result
+        forked.append(results)
+
+    monkeypatch.setattr(natreg.data, "fork_map", fork_map)
     return forked
 
 
@@ -362,7 +368,7 @@ def test_fit_split_parse_prints_what_the_one_part_parse_prints(tmp_path, capfd, 
         assert main(args) == 0
     split = capfd.readouterr()
     # each one-line block gives its record count, no non-finite part and its one-row R
-    blocks = [[(n, bad, r.shape) for n, bad, r in run] for run in forked]
+    blocks = [[(n, bad, r.shape) for n, (bad, r) in run] for run in forked]
     assert blocks == [[(1, None, (1, 4))] * 300] * 2
     assert split.out == one_part.out
     # the forked parsers write nothing, not even to the descriptors they share
@@ -385,7 +391,7 @@ def test_fit_split_pipe_prints_what_the_file_prints(tmp_path, capfd, monkeypatch
     with warnings.catch_warnings(), _piped(content.encode()) as data:
         warnings.simplefilter("error")
         assert main(["fit", "--data", data, *args]) == 0
-    blocks = [[(n, bad, r.shape) for n, bad, r in run] for run in forked]
+    blocks = [[(n, bad, r.shape) for n, (bad, r) in run] for run in forked]
     assert blocks == [[(1, None, (1, 4))] * 300] * 2
     assert capfd.readouterr() == from_file
 

@@ -212,12 +212,8 @@ def csv_path(tmp_path_factory):
 
 
 def _parse_file(path, p: int, q: int) -> Dataset:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return dataset_from_csv(handle, p, q)
-    finally:
-        with pytest.raises(ChildProcessError):  # every forked parser was reaped
-            os.waitpid(-1, os.WNOHANG)
+    with open(path, encoding="utf-8") as handle:
+        return dataset_from_csv(handle, p, q)
 
 
 def _written(path, content: str):
@@ -297,13 +293,13 @@ def _spy(monkeypatch, name: str) -> list:
 
 
 def _fork_map_in_process(fn, items, workers):
-    """What ``natreg.data.fork_map`` returns or raises, with every item run in this process.
+    """What ``natreg.data.fork_map`` yields or raises, with every item run in this process.
 
     Each block still goes through ``fn``, the parse's ``_loadtxt_range`` with
     its p + q check; the first block it rejects raises, and a block of only
     blank lines gives no rows.
     """
-    return [fn(item) for item in items]
+    return map(fn, items)
 
 
 @pytest.mark.parametrize("parts", (2, 3))
@@ -386,6 +382,23 @@ def _spans_read(monkeypatch) -> dict:
     return spans
 
 
+def _error_route(monkeypatch, spans: dict) -> list:
+    """Wrap ``natreg.data.fork_map`` to note how many ranges of ``spans`` were
+    read when each call's iterator ends or raises: the ranges read after the
+    last note are the error route."""
+    marks = []
+    real = natreg.data.fork_map
+
+    def fork_map(*args):
+        try:
+            yield from real(*args)
+        finally:
+            marks.append(len(spans))
+
+    monkeypatch.setattr(natreg.data, "fork_map", fork_map)
+    return marks
+
+
 def test_csv_not_utf8_in_the_first_line_is_named_from_the_scan_alone(csv_path, monkeypatch):
     # the scan's first chunk holds the byte: the scan names record 1 before
     # it decides whether that record is a header, and the 4 MiB input is
@@ -400,8 +413,8 @@ def test_csv_not_utf8_in_the_first_line_is_named_from_the_scan_alone(csv_path, m
 @pytest.mark.parametrize("parts", (1, 2))
 def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path, monkeypatch, parts):
     # the byte lies past the scan's read, in one of the 4 KiB blocks: once
-    # numpy rejects that block, the record parser reads it alone, and the
-    # records before it are counted from byte 0 to its start
+    # numpy rejects that block, the record parser reads it alone, numbered
+    # from the rows of the blocks before it
     step = 4096
     raw = b"x,y\n" + b"".join(b"%d,%d\n" % (i, -i) for i in range(20_000))
     bad = raw.index(b"\n12345,") + 1
@@ -410,24 +423,14 @@ def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path,
     _split_into(monkeypatch, parts, step)
     cuts = _spy(monkeypatch, "_ranges")
     spans = _spans_read(monkeypatch)
-    fork_map = natreg.data.fork_map
-    before_error_route = []
-
-    def fork_map_then_mark(*args):
-        try:
-            return fork_map(*args)
-        finally:
-            before_error_route.append(len(spans))
-
-    monkeypatch.setattr(natreg.data, "fork_map", fork_map_then_mark)
+    marks = _error_route(monkeypatch, spans)
     # the header is record 1, so the line of 12345 is record 12347
     assert _outcome(_parse_file, csv_path, 1, 1) == _bytes_outcome(raw, 1, 1) == _not_utf8(12347)
     (blocks, _), = [result for _, result in cuts]
     start, end = next((start, end) for start, end in blocks if start <= bad < end)
     assert end < len(raw) and end - start < 2 * step
-    (marked,) = before_error_route
-    error_route = list(spans.values())[marked:]
-    assert error_route == [[start, end], [0, start]]
+    (marked,) = marks
+    assert list(spans.values())[marked:] == [[start, end]]
 
 
 _NOT_UTF8 = (
@@ -439,11 +442,12 @@ _NOT_UTF8 = (
 def test_csv_not_utf8_anywhere_gives_the_record_parser_outcome(csv_path, monkeypatch):
     # one sequence that is not UTF-8 in otherwise valid input, wherever it
     # falls: the header, the scan's read, a block here or a forked one.  The
-    # scan names it from its own read alone; otherwise the last ranges read
-    # are the rejected block, then the bytes before it
+    # scan names it from its own read alone; otherwise the error route reads
+    # the rejected block alone
     rng = random.Random(25)
     cuts = _spy(monkeypatch, "_ranges")
     spans = _spans_read(monkeypatch)
+    marks = _error_route(monkeypatch, spans)
     for trial in range(300):
         _split_into(monkeypatch, 1 + trial % 2, rng.choice((64, 512, 4096)))
         records = ["x,\u00e9"] * rng.randint(0, 1) + [
@@ -457,15 +461,17 @@ def test_csv_not_utf8_anywhere_gives_the_record_parser_outcome(csv_path, monkeyp
         csv_path.write_bytes(raw)
         cuts.clear()
         spans.clear()
+        marks.clear()
         outcome = _outcome(_parse_file, csv_path, 1, 1)
         assert outcome == _bytes_outcome(raw, 1, 1), raw
         assert outcome == _not_utf8(outcome[2]), raw
         if cuts:
             [(blocks, _)] = [result for _, result in cuts]
             start, end = next((start, end) for start, end in blocks if start <= bad < end)
-            assert list(spans.values())[-2:] == [[start, end], [0, start]], raw
+            (marked,) = marks
+            assert list(spans.values())[marked:] == [[start, end]], raw
         else:
-            assert len(spans) == 1, raw  # the scan's
+            assert len(spans) == 1 and not marks, raw  # the scan's
 
 
 def test_csv_block_factors_names_bytes_that_are_not_utf8_as_dataset_from_csv_does(csv_path, monkeypatch):
@@ -513,14 +519,17 @@ def test_csv_any_bytes_give_the_record_parser_outcome(csv_path, raw, parts, p, q
         assert _outcome(_parse_pipe, raw, p, q) == expected
 
 
-@pytest.mark.parametrize("pread", (True, False), ids=("pread", "no-pread"))
-def test_csv_file_is_read_whole_whatever_its_position(csv_path, monkeypatch, pread):
-    if not pread:
+@pytest.mark.parametrize("handle", ("pread", "no-pread", "StringIO"))
+def test_csv_file_is_read_whole_whatever_its_position(csv_path, monkeypatch, handle):
+    if handle == "no-pread":
         monkeypatch.delattr(os, "pread")
     content = "1,2\n3,4\n5,6\n"
-    with open(_written(csv_path, content), encoding="utf-8") as handle:
-        assert handle.readline() == "1,2\n"
-        d = dataset_from_csv(handle, 1, 1)
+    with (
+        io.StringIO(content) if handle == "StringIO"
+        else open(_written(csv_path, content), encoding="utf-8")
+    ) as opened:
+        assert opened.readline() == "1,2\n"
+        d = dataset_from_csv(opened, 1, 1)
     assert d.n_examples == 3
 
 

@@ -1,4 +1,4 @@
-"""fork_map: the serial loop's list, or its exception, on any number of workers,
+"""fork_map: what ``map`` yields, then its exception, on any number of workers,
 and usable_cpus, the number of workers the CLI deals to."""
 
 from __future__ import annotations
@@ -38,13 +38,16 @@ def _mapper(raising=(), killed=None):
     return fn, calls
 
 
-def _outcome(run):
+def _outcome(results) -> list:
+    """Each result that iterating ``results`` yields, as its shape and bytes,
+    then the exception it raises."""
+    outcome = []
     try:
-        values = run()
+        for value in results:
+            outcome.append((value.shape, value.tobytes()))
     except _Failed as exc:
-        return type(exc), str(exc)
-    assert type(values) is list
-    return [(value.shape, value.tobytes()) for value in values]
+        outcome.append((type(exc), str(exc)))
+    return outcome
 
 
 def _sent(workers: int, raising=(), killed=None, forked=None) -> set:
@@ -66,11 +69,9 @@ def _sent(workers: int, raising=(), killed=None, forked=None) -> set:
 
 def _check(workers: int, raising=(), killed=None, forked=None) -> None:
     fn, _ = _mapper(raising)
-    serial = _outcome(lambda: [fn(i) for i in _ITEMS])
+    serial = _outcome(map(fn, _ITEMS))
     fn, calls = _mapper(raising, killed)
-    assert _outcome(lambda: fork_map(fn, _ITEMS, workers)) == serial
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
+    assert _outcome(fork_map(fn, _ITEMS, workers)) == serial
     assert not set(calls) & _sent(workers, raising, killed, forked)
     assert all(calls.count(i) == 1 for i in calls)  # a failing item runs here once too
 
@@ -141,12 +142,24 @@ def test_results_that_are_not_arrays_are_the_serial_loops(workers):
     def fn(i):
         return unpicklable if i == 5 else (i, None) if i % 2 else i * i
 
-    assert fork_map(fn, _ITEMS, workers) == [fn(i) for i in _ITEMS]
+    assert list(fork_map(fn, _ITEMS, workers)) == list(map(fn, _ITEMS))
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_no_items_give_an_empty_list(workers):
-    assert fork_map(lambda i: np.zeros((1, 1)), [], workers) == []
+    assert list(fork_map(lambda i: np.zeros((1, 1)), [], workers)) == []
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+def test_an_iterator_abandoned_after_its_first_result_leaves_no_child(workers):
+    fn, calls = _mapper()
+    results = fork_map(fn, _ITEMS, workers)
+    assert calls == []  # nothing runs before the first result is asked for
+    assert next(results).shape == (0, 2)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    results.close()
+    assert calls == list(_ITEMS[::workers])  # this process's share, run once
 
 
 def test_usable_cpus_are_the_ones_this_process_may_run_on(monkeypatch):
