@@ -6,6 +6,7 @@ import contextlib
 import os
 import pickle
 import signal
+import threading
 from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
@@ -28,8 +29,11 @@ def fork_map(fn: Callable[[Item], Result], items: Sequence[Item], workers: int) 
     whether a fork, pipe or child fails.
 
     Item i is dealt to worker ``i % workers``: this process is worker 0 and
-    a forked child each other one.  A worker runs its items in order until
-    one raises; a child then pickles the results of the items before it.
+    a forked child each other one.  While this process runs another thread
+    it is the only worker, since a fork of a multi-threaded process may
+    deadlock in the child (Python 3.12 and later warn of it).  A worker
+    runs its items in order until one raises; a child then pickles the
+    results of the items before it.
     Before the first result is yielded, this process reads what each child
     sent, unless all its items come after the first of this process's
     items that raised, and kills and reaps every child.  It then yields the
@@ -39,7 +43,7 @@ def fork_map(fn: Callable[[Item], Result], items: Sequence[Item], workers: int) 
     that does not pickle cuts its child's pickle short, so that child's
     share runs here.
     """
-    workers = max(1, min(workers, len(items)))
+    workers = 1 if threading.active_count() > 1 else max(1, min(workers, len(items)))
     results: dict[int, Result] = {}
     children: list[tuple[int, int]] = []
     with contextlib.suppress(OSError):  # no pipe or process to spare: their items run here

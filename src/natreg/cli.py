@@ -130,13 +130,10 @@ def _parse_names(raw: str, allowed: dict[str, object], flag: str, parser: argpar
     names = [name.strip() for name in raw.split(",") if name.strip()]
     if not names:
         parser.error(f"{flag} must name at least one entry")
-    picked = []
     for name in names:
         if name not in allowed:
             parser.error(f"{flag}: unknown name {name!r} (choose from {', '.join(allowed)})")
-        if allowed[name] not in picked:
-            picked.append(allowed[name])
-    return tuple(picked)
+    return tuple(allowed[name] for name in names)
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

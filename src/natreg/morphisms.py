@@ -4,7 +4,7 @@ A morphism is a matrix tagged with the kind of structure it preserves and the
 dataset axis it acts on.  Predictor and target morphisms multiply rows from
 the right; index morphisms recombine examples from the left.  Those products
 are written where they are used, in :mod:`natreg.naturality`.  The kinds form
-a small fixed vocabulary:
+a small fixed vocabulary, ordered by inclusion (:func:`subcategories`):
 
   finvec      any linear map
   finvec_iso  invertible, condition-bounded
@@ -40,9 +40,26 @@ class CategoryKind(enum.Enum):
     DISCRETE = "discrete"
 
 
-SQUARE_KINDS = frozenset(
-    {CategoryKind.FINVEC_ISO, CategoryKind.EUC, CategoryKind.SET_ISO, CategoryKind.DISCRETE}
-)
+# The inclusion order of the kinds, discrete < set_iso < euc < {euc_mono,
+# finvec_iso} < finvec, as each kind's immediate subcategories: every
+# morphism of a subcategory is one of the kind above it.
+_IMMEDIATE_SUBCATEGORIES = {
+    CategoryKind.FINVEC: (CategoryKind.FINVEC_ISO, CategoryKind.EUC_MONO),
+    CategoryKind.FINVEC_ISO: (CategoryKind.EUC,),
+    CategoryKind.EUC_MONO: (CategoryKind.EUC,),
+    CategoryKind.EUC: (CategoryKind.SET_ISO,),
+    CategoryKind.SET_ISO: (CategoryKind.DISCRETE,),
+    CategoryKind.DISCRETE: (),
+}
+
+
+def subcategories(kind: CategoryKind) -> frozenset[CategoryKind]:
+    """``kind`` and every kind below it in the inclusion order."""
+    return frozenset({kind}).union(*map(subcategories, _IMMEDIATE_SUBCATEGORIES[kind]))
+
+
+# the invertible maps
+SQUARE_KINDS = subcategories(CategoryKind.FINVEC_ISO)
 
 DEFAULT_KAPPA_MAX = 1e4
 _RESAMPLE_CAP = 100

@@ -33,7 +33,7 @@ from ._forkjoin import usable_cpus as _usable_cpus
 from .data import Dataset, draw_dataset
 from .errors import ConfigError, ContractViolation
 from .linalg import SeedState, _rel_distance, _stream_modules, rel_distance
-from .morphisms import Axis, CategoryKind, Morphism, SQUARE_KINDS, draw_morphism_matrix
+from .morphisms import Axis, CategoryKind, Morphism, SQUARE_KINDS, draw_morphism_matrix, subcategories
 from .regression import (
     AlgorithmKind,
     AlgorithmSpec,
@@ -55,8 +55,32 @@ COUNTEREXAMPLE_THRESHOLD = 1e-6
 ALL_AXES = tuple(Axis)
 ALL_CATEGORIES = tuple(CategoryKind)
 
+# Each algorithm's maximal category per axis: its diagram is expected to
+# commute with the maps of that kind and of every kind below it.
+#   target     finvec for both: both closed forms are linear in y.
+#   index      euc_mono for both: a recombination commutes exactly when it
+#              preserves the Gram matrices x'x and x'y, as inner-product
+#              preserving maps into as many or more examples do.
+#   predictor  finvec_iso for OLS: the least-squares fit commutes with every
+#              invertible map, and a dimension-raising map leaves x rank
+#              deficient, outside its domain.  euc_mono for ridge: the
+#              penalty also needs the map to preserve inner products, and an
+#              isometry into a higher dimension does.
+MAXIMAL = {
+    AlgorithmKind.OLS: {
+        Axis.TARGET: CategoryKind.FINVEC,
+        Axis.PREDICTOR: CategoryKind.FINVEC_ISO,
+        Axis.INDEX: CategoryKind.EUC_MONO,
+    },
+    AlgorithmKind.RIDGE: {
+        Axis.TARGET: CategoryKind.FINVEC,
+        Axis.PREDICTOR: CategoryKind.EUC_MONO,
+        Axis.INDEX: CategoryKind.EUC_MONO,
+    },
+}
+
 # The algorithms with an expected classification, hence the ones audited.
-AUDITED_KINDS = (AlgorithmKind.OLS, AlgorithmKind.RIDGE)
+AUDITED_KINDS = tuple(MAXIMAL)
 
 
 def check_target_naturality(spec: AlgorithmSpec, d: Dataset, eta: Morphism) -> float:
@@ -92,29 +116,13 @@ _CHECKERS = {
 
 
 def expected_natural(kind: AlgorithmKind, axis: Axis, category: CategoryKind) -> bool:
-    """Expected classification of one audit cell.
-
-    Target maps always commute because both closed forms are linear in y.
-    Index maps commute exactly when they preserve the Gram matrix, which
-    inner-product-preserving recombinations do and general ones do not.  On
-    the predictor axis the plain least-squares fit commutes with invertible
-    maps, while the penalized fit additionally needs the map to preserve
-    inner products; dimension-raising isometries are fine for the penalized
-    fit but outside the plain fit's domain.
-    """
-    if kind not in AUDITED_KINDS:
-        raise ContractViolation(f"no expected classification for {kind.value}")
-    if category is CategoryKind.DISCRETE:
-        return True
-    if axis is Axis.TARGET:
-        return True
-    if axis is Axis.INDEX:
-        return category in (CategoryKind.SET_ISO, CategoryKind.EUC, CategoryKind.EUC_MONO)
-    if category in (CategoryKind.SET_ISO, CategoryKind.EUC):
-        return True
-    if kind is AlgorithmKind.OLS:
-        return category is CategoryKind.FINVEC_ISO
-    return category is CategoryKind.EUC_MONO
+    """Expected classification of one audit cell: whether ``category`` lies
+    below the algorithm's maximal category on ``axis`` in :data:`MAXIMAL`."""
+    try:
+        maximal = MAXIMAL[kind]
+    except KeyError:
+        raise ContractViolation(f"no expected classification for {kind.value}") from None
+    return category in subcategories(maximal[axis])
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,8 @@ class AuditConfig:
 
 
 def _config_members(name: str, values, kind: type) -> tuple:
-    """``values`` as a tuple of one or more ``kind``; anything else raises
+    """``values`` as a tuple of one or more ``kind``, each repeated member
+    kept once, where it first occurs; anything else raises
     :class:`ConfigError` naming the field ``name``."""
     try:
         members = tuple(values)
@@ -185,7 +194,7 @@ def _config_members(name: str, values, kind: type) -> tuple:
     for member in members:
         if not isinstance(member, kind):
             raise ConfigError(name, f"need {kind.__name__} values, got {member!r}")
-    return members
+    return tuple(dict.fromkeys(members))
 
 
 def _config_int(name: str, value) -> int:

@@ -500,6 +500,17 @@ def test_audit_exit_one_when_a_cell_disagrees(capsys):
     assert "agreement: 0/1" in captured.out
 
 
+def test_audit_repeated_names_print_what_one_of_each_prints(capsys):
+    tail = ["--trials", "3", "--format", "json"]
+    assert main(["audit", "--algorithm", "ridge,ols,ridge", "--axes", "target,target",
+                 "--categories", "euc,euc"] + tail) == 0
+    repeated = capsys.readouterr().out
+    assert main(["audit", "--algorithm", "ridge,ols", "--axes", "target",
+                 "--categories", "euc"] + tail) == 0
+    assert repeated == capsys.readouterr().out
+    assert len(json.loads(repeated)["cells"]) == 2
+
+
 def test_audit_rejects_unknown_names(capsys):
     assert main(["audit", "--categories", "nosuch"]) == 2
     assert main(["audit", "--axes", "sideways"]) == 2

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -160,6 +161,29 @@ def test_an_iterator_abandoned_after_its_first_result_leaves_no_child(workers):
         os.waitpid(-1, os.WNOHANG)
     results.close()
     assert calls == list(_ITEMS[::workers])  # this process's share, run once
+
+
+@pytest.mark.parametrize("raising", ((), (7,)))
+def test_a_caller_with_another_thread_forks_nothing(monkeypatch, raising):
+    # a fork of a multi-threaded process may deadlock in the child
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    fn, _ = _mapper(raising)
+    serial = _outcome(map(fn, _ITEMS))
+    idle = threading.Event()
+    thread = threading.Thread(target=idle.wait)
+    thread.start()
+    try:
+        assert _outcome(fork_map(fn, _ITEMS, 3)) == serial
+    finally:
+        idle.set()
+        thread.join()
+    assert forks == []
 
 
 def test_usable_cpus_are_the_ones_this_process_may_run_on(monkeypatch):

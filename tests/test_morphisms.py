@@ -13,11 +13,13 @@ from natreg.data import synth_dataset
 from natreg.errors import ContractViolation, SamplingFailed
 from natreg.linalg import SeedState, condition_estimate
 from natreg.morphisms import (
+    DEFAULT_KAPPA_MAX,
     Axis,
     CategoryKind,
     Morphism,
     draw_morphism_matrix,
     sample_morphism,
+    subcategories,
 )
 
 ALL_KINDS = list(CategoryKind)
@@ -155,6 +157,45 @@ def test_sample_morphism_rejects_bad_dims():
         sample_morphism(CategoryKind.EUC_MONO, Axis.PREDICTOR, 3, 2, SeedState(1))
     with pytest.raises(ContractViolation):
         sample_morphism(CategoryKind.FINVEC, Axis.PREDICTOR, 0, 2, SeedState(1))
+
+
+def _square(m) -> bool:
+    return m.shape[0] == m.shape[1]
+
+
+def _orthonormal_rows(m) -> bool:
+    return np.allclose(m @ m.T, np.eye(m.shape[0]), rtol=0, atol=1e-12)
+
+
+# each kind's defining property of a source x target matrix, written
+# without the inclusion order
+_MEMBER = {
+    CategoryKind.DISCRETE: lambda m: _square(m) and np.array_equal(m, np.eye(m.shape[0])),
+    CategoryKind.SET_ISO: lambda m: (
+        _square(m) and np.isin(m, (0.0, 1.0)).all()
+        and (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
+    ),
+    CategoryKind.EUC: lambda m: _square(m) and _orthonormal_rows(m),
+    CategoryKind.EUC_MONO: lambda m: m.shape[0] <= m.shape[1] and _orthonormal_rows(m),
+    CategoryKind.FINVEC_ISO: lambda m: _square(m) and np.linalg.cond(m) <= DEFAULT_KAPPA_MAX,
+    CategoryKind.FINVEC: lambda m: bool(np.isfinite(m).all()),
+}
+
+
+def test_draws_lie_in_exactly_the_kinds_above_their_own():
+    for kind in ALL_KINDS:
+        above = {larger for larger in ALL_KINDS if kind in subcategories(larger)}
+        left_out = set()  # the kinds not above, each of which some draw must leave
+        for axis in Axis:
+            for i in range(20):
+                gen = SeedState(8000 + i, "order").derive(kind.value, axis.value).generator()
+                source, target = _dims_for(kind, axis, gen)
+                m, _ = draw_morphism_matrix(kind, axis, source, target, gen)
+                m = m.T if axis is Axis.INDEX else m  # source x target on every axis
+                assert m.shape == (source, target)
+                assert all(_MEMBER[larger](m) for larger in above), (kind, axis, i)
+                left_out |= {other for other in ALL_KINDS if not _MEMBER[other](m)}
+        assert left_out == set(ALL_KINDS) - above, kind
 
 
 def test_verify_morphism_flags_broken_constraints():

@@ -21,7 +21,7 @@ from natreg.errors import (
     RankDeficient,
 )
 from natreg.linalg import SeedState, condition_estimate
-from natreg.morphisms import Axis, CategoryKind, Morphism, sample_morphism
+from natreg.morphisms import Axis, CategoryKind, Morphism, sample_morphism, subcategories
 from natreg.naturality import (
     _CHECKERS,
     VIOLATION_MARGIN,
@@ -165,6 +165,17 @@ def test_expected_classification_table():
         expected_natural(AlgorithmKind.MIN_NORM_OLS, Axis.TARGET, CategoryKind.FINVEC)
 
 
+def test_observed_verdicts_are_downward_closed():
+    # a cell of the default report that passes every trial implies the same
+    # of every smaller kind's cell in its (algorithm, axis)
+    cells = {(c.spec, c.axis, c.category): c for c in run_audit(AuditConfig()).cells}
+    for (spec, axis, category), cell in cells.items():
+        if cell.pass_count == cell.trial_count:
+            for smaller in subcategories(category):
+                below = cells[(spec, axis, smaller)]
+                assert below.pass_count == below.trial_count, (spec, axis, category, smaller)
+
+
 def test_audit_config_validation():
     with pytest.raises(ConfigError) as excinfo:
         AuditConfig(trials_per_cell=0)
@@ -209,6 +220,7 @@ def test_audit_config_validation():
         ("axes", (Axis.TARGET, None)),
         ("categories", ("euc",)),
         ("categories", CategoryKind.EUC),
+        ("categories", ([CategoryKind.EUC],)),  # unhashable, refused before the dedupe
     ):
         with pytest.raises(ConfigError) as excinfo:
             AuditConfig(**{field: value})
@@ -270,6 +282,24 @@ def test_run_audit_cell_layout_follows_config_order():
         CategoryKind.DISCRETE,
     ]
     assert len(report.trials) == 16
+
+
+def test_a_repeated_member_is_audited_once():
+    config = AuditConfig(
+        algorithms=(AlgorithmSpec.ols(), AlgorithmSpec.ridge(1.0), AlgorithmSpec.ridge(2.0),
+                    AlgorithmSpec.ols(), AlgorithmSpec.ridge(1)),
+        axes=(Axis.TARGET, Axis.TARGET),
+        categories=(CategoryKind.EUC, CategoryKind.DISCRETE, CategoryKind.EUC),
+        trials_per_cell=3,
+    )
+    once = AuditConfig(
+        algorithms=(AlgorithmSpec.ols(), AlgorithmSpec.ridge(1.0), AlgorithmSpec.ridge(2.0)),
+        axes=(Axis.TARGET,),
+        categories=(CategoryKind.EUC, CategoryKind.DISCRETE),
+        trials_per_cell=3,
+    )
+    assert config == once
+    assert len(run_audit(config).cells) == 6
 
 
 def test_run_audit_counts_fit_errors_as_violations():

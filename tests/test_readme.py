@@ -1,4 +1,5 @@
-"""The README's library example runs as written and names the package surface."""
+"""The README's library example runs as written and names the package surface,
+and its table of maximal families is the audit's."""
 
 from __future__ import annotations
 
@@ -6,6 +7,9 @@ import pathlib
 import re
 
 import natreg
+from natreg.morphisms import Axis, CategoryKind
+from natreg.naturality import MAXIMAL
+from natreg.regression import AlgorithmKind
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +30,14 @@ def test_package_exports_exactly_the_readme_names():
     # attribute uses such as natreg.run_audit, not imports from submodules
     used = set(re.findall(r"(?<!from )\bnatreg\.(\w+)", _library_example()))
     assert sorted(natreg.__all__) == sorted(used)
+
+
+def test_readme_maximal_families_are_the_audits():
+    text = README.read_text(encoding="utf-8")
+    header, _, *rows = re.search(r"^\| \| target .*?\n(?=\n)", text, re.M | re.S)[0].splitlines()
+    axes = [Axis(name) for name in header.strip("| ").split(" | ")]
+    table = {}
+    for row in rows:
+        algorithm, *families = row.strip("| ").split(" | ")
+        table[AlgorithmKind(algorithm)] = dict(zip(axes, map(CategoryKind, families)))
+    assert table == MAXIMAL
