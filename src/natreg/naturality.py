@@ -199,12 +199,14 @@ def _config_members(name: str, values, kind: type) -> tuple:
 
 def _config_int(name: str, value) -> int:
     """``value`` as a Python int, as ``operator.index`` reads it (a numpy
-    integer too); anything else, a float too, raises :class:`ConfigError`
-    naming the field ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(name, f"must be an integer, got {value!r}") from None
+    integer too); anything else, a float or a bool too, raises
+    :class:`ConfigError` naming the field ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(name, f"must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -198,14 +198,15 @@ def fit_block_factors(
     predictor columns), as :func:`natreg.data.csv_block_factors` gives them.
 
     One more QR of the stack gives R = Q'[x | y] for some Q with orthonormal
-    columns.  OLS and ridge commute with such recombinations of the examples
-    (the audit's index axis), so the fit is :func:`_solve` on R11 = R[:p, :p]
-    for x and R12 = R[:p, p:] for y, with the rank cutoff of the full
-    (n_examples, p) shape.  The sse is ``|R [coef; -I]|^2``, and the
-    objective adds ridge's penalty to it.  Errors are those of
-    :func:`_solve`, and :class:`ContractViolation` when R is not finite: a
-    column norm of ``[x | y]`` overflowed.  The digits can differ in their
-    last bits from :meth:`AlgorithmSpec.fit` on the same data.
+    columns: the communication-avoiding tall-skinny QR (TSQR) of Demmel,
+    Grigori, Hoemmen and Langou (2012).  OLS and ridge commute with such
+    recombinations of the examples (the audit's index axis), so the fit is
+    :func:`_solve` on R11 = R[:p, :p] for x and R12 = R[:p, p:] for y, with
+    the rank cutoff of the full (n_examples, p) shape.  The sse is
+    ``|R [coef; -I]|^2``, and the objective adds ridge's penalty to it.
+    Errors are those of :func:`_solve`, and :class:`ContractViolation` when
+    R is not finite: a column norm of ``[x | y]`` overflowed.  The digits can
+    differ in their last bits from :meth:`AlgorithmSpec.fit` on the same data.
     """
     r = np.linalg.qr(factors, mode="r")
     if not np.isfinite(r).all():

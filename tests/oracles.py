@@ -1,19 +1,21 @@
 """Independent references that the tests certify natreg against.
 
 The gradient-descent OLS fit, the ridge objective and the analytic gradients
-of both fit objectives, and the structural check of a morphism.  None of
-them ships in the package.  The gradient-descent oracle exists
-so the closed forms can be cross-checked by an independent route; it must
-never be replaced by a call to the closed forms themselves.
+of both fit objectives, the structural check of a morphism, and what the CSV
+readers owe an input.  None of them ships in the package.  The
+gradient-descent oracle exists so the closed forms can be cross-checked by an
+independent route; it must never be replaced by a call to the closed forms
+themselves.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 
-from natreg.data import Dataset
+from natreg.data import Dataset, _data_start, _parse_records
 from natreg.errors import ContractViolation, NatregError
 from natreg.linalg import numerical_rank
 from natreg.morphisms import Axis, CategoryKind, Morphism
@@ -110,3 +112,24 @@ def verify_morphism(morphism: Morphism) -> float:
     else:
         gram = m @ m.T
     return float(np.linalg.norm(gram - np.eye(morphism.source_dim)))
+
+
+def csv_reference(raw: bytes, p: int, q: int) -> Dataset:
+    """The CSV contract: a file's or a pipe's outcome is the record parser's
+    on its bytes ``raw`` decoded with surrogateescape."""
+    values = _parse_records(raw.decode("utf-8", "surrogateescape"), p, q)
+    return Dataset(x=values[:, :p], y=values[:, p:])
+
+
+def csv_block_factors_reference(raw: bytes, p: int, q: int, step: int) -> tuple[np.ndarray, int]:
+    """``csv_block_factors`` on bytes ``raw`` that :func:`csv_reference`
+    accepts, reduced one block at a time in this process: the R factor of
+    each block's rows, stacked in order, and N.  A block ends just after the
+    first newline at or past each multiple of ``step`` bytes from the first
+    data record (where natreg's scan finds it), or at the end."""
+    start, _ = _data_start(io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline=""))
+    ends = {raw.find(b"\n", aim) + 1 or len(raw) for aim in range(start + step, len(raw), step)}
+    cuts = [start, *sorted(ends | {len(raw)})]
+    blocks = [raw[start:end].decode() for start, end in zip(cuts, cuts[1:])]
+    rows = [_parse_records(b, p, q, before=1) if b.strip() else np.empty((0, p + q)) for b in blocks]
+    return np.concatenate([np.linalg.qr(r, mode="r") for r in rows]), sum(map(len, rows))

@@ -1,7 +1,14 @@
-"""Dataset container, CSV parsing, and the synthetic sampler."""
+"""Dataset container, CSV parsing, and the synthetic sampler.
+
+``_check`` asserts the CSV contract (see ``oracles.csv_reference``) on one
+``Draw``.  The hypothesis test draws them, each row of ``KNOWN_ANSWERS`` and
+``PINNED`` is a test of fixed draws, and the tests after those check costs.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import itertools
 import os
@@ -10,15 +17,18 @@ import random
 import time
 import tracemalloc
 import warnings
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from conftest import no_fork
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import csv_block_factors_reference, csv_reference
 
 import natreg._forkjoin
 import natreg.data
-from natreg.data import Dataset, _parse_records, csv_block_factors, dataset_from_csv, synth_dataset
+from natreg.data import MIN_PART_BYTES, Dataset, csv_block_factors, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, EmptyDataset, NatregError, ParseError
 from natreg.linalg import SeedState, numerical_rank
 
@@ -55,155 +65,182 @@ def test_dataset_arrays_are_frozen():
     assert d2.x[0, 0] == 1.0
 
 
-def test_csv_single_record():
-    d = dataset_from_csv("1,0,1", p=2, q=1)
-    np.testing.assert_array_equal(d.x, [[1.0, 0.0]])
-    np.testing.assert_array_equal(d.y, [[1.0]])
-
-
-def test_csv_header_is_skipped():
-    d = dataset_from_csv("x1,x2,y\n1,0,1\n0,1,2", p=2, q=1)
-    assert d.n_examples == 2
-    np.testing.assert_array_equal(d.y, [[1.0], [2.0]])
-    d = dataset_from_csv(io.StringIO("x1,x2,y\n1,0,1\n0,1,2"), p=2, q=1)  # no descriptor
-    np.testing.assert_array_equal(d.y, [[1.0], [2.0]])
-    # a lone surrogate is encoded as "?", which is never a number
-    d = dataset_from_csv("x,\ud800\n2,3", p=1, q=1)
-    np.testing.assert_array_equal(d.x, [[2.0]])
-    np.testing.assert_array_equal(d.y, [[3.0]])
-
-
-def test_csv_numeric_first_record_is_data():
-    d = dataset_from_csv("1,2\n3,4", p=1, q=1)
-    assert d.n_examples == 2
-
-
-def test_csv_wrong_field_count_reports_record():
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("1,2\n3", p=1, q=1)
-    assert excinfo.value.record == 2
-
-
-def test_csv_non_numeric_field_reports_record():
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("1,2\n3,oops\n5,6", p=1, q=1)
-    assert excinfo.value.record == 2
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("1,\ud800\n2,3", p=1, q=1)
-    assert excinfo.value.record == 1
-
-
-def test_csv_header_only_is_empty():
-    with pytest.raises(EmptyDataset):
-        dataset_from_csv("x,y", p=1, q=1)
-    with pytest.raises(EmptyDataset):
-        dataset_from_csv("", p=1, q=1)
-
-
-def test_csv_blank_lines_are_ignored():
-    d = dataset_from_csv("\n1,2\n\n3,4\n", p=1, q=1)
-    assert d.n_examples == 2
-
-
 def test_csv_rejects_bad_dims():
     with pytest.raises(ContractViolation):
         dataset_from_csv("1,2", p=0, q=2)
 
 
-def test_csv_bad_field_after_header_and_blank_lines_reports_record():
-    # the header is record 1 and blank lines are not records
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("x,y\n\n1,2\n\n3,4\n5,oops\n", p=1, q=1)
-    assert excinfo.value.record == 4
-
-
-def test_csv_uniform_wrong_field_count_reports_first_record():
-    # every row has three fields, so loadtxt succeeds with the wrong shape
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("1,2,3\n4,5,6\n", p=1, q=1)
-    assert excinfo.value.record == 1
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("a,b,c\n1,2,3\n4,5,6\n", p=1, q=1)
-    assert excinfo.value.record == 2
-
-
-def test_csv_single_short_record_reports_record():
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("1,2", p=1, q=2)
-    assert excinfo.value.record == 1
-    with pytest.raises(ParseError) as excinfo:
-        dataset_from_csv("x,y,z\n1,2\n", p=1, q=2)
-    assert excinfo.value.record == 2
-
-
-def _reference(content: str, p: int, q: int) -> Dataset:
-    values = _parse_records(content, p, q)
-    return Dataset(x=values[:, :p], y=values[:, p:])
-
-
-def _outcome(parse, content, p: int, q: int):
-    """The parsed bits and shape, or the error's type, message and record."""
+def _outcome(read, *args):
+    """The bits read, or the error's type, message and record."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = parse(content, p, q)
+            result = read(*args)
     except NatregError as exc:
         return type(exc), str(exc), getattr(exc, "record", None)
-    return d.x.shape, d.y.shape, d.x.tobytes(), d.y.tobytes()
+    if isinstance(result, Dataset):
+        return result.x.shape, result.y.shape, result.x.tobytes(), result.y.tobytes()
+    return result[0].shape, result[0].tobytes(), result[1]
 
 
-def _assert_same_outcome(content: str, p: int, q: int) -> None:
-    assert _outcome(dataset_from_csv, content, p, q) == _outcome(_reference, content, p, q), (
-        repr(content), p, q
-    )
+def _bad(record: int, why: str = "non-numeric field"):
+    return ParseError, f"record {record}: {why}", record
+
+
+_UTF8, _EMPTY = "bytes that are not UTF-8", (EmptyDataset, "no data records found", None)
+_send = natreg._forkjoin._send
+
+
+def _short_payload(done, pipe):
+    with open(pipe, "wb") as out:
+        out.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL)[:-1])
+
+
+def _sent_then_failed(done, pipe):
+    _send(done, pipe)
+    os._exit(3)
+
+
+def _forked():
+    raise AssertionError("forked")  # not an OSError, which fork_map takes for a failed fork
+
+
+# a fork's fate: it works, os.fork raises, or each child's send is cut
+# short, exits after sending, or sends nothing
+_FATES = (None, no_fork, _short_payload, _sent_then_failed, lambda done, pipe: None)
+
+
+class Draw(NamedTuple):
+    """One input of the CSV readers, and how it is read."""
+
+    content: str | bytes
+    p: int = 1
+    q: int = 1
+    kind: str = "str"  # or "StringIO", "pread" (a file), "no-pread" (no os.pread), "pipe"
+    at: int = 0  # where a file or a StringIO stands when it is passed
+    step: int = MIN_PART_BYTES  # the block grid's step in bytes
+    procs: int = 1  # usable CPUs
+    fate: Callable | None = None  # one of _FATES, or _forked for os.fork
+    want: object = None  # a known reference outcome: the rows of [x | y], or an error's
+
+
+def _opened(kind: str, content: str | bytes, path, at: int = 0):
+    """An input of ``kind`` holding ``content`` (text for "str" and
+    "StringIO", else bytes), standing at ``at``."""
+    if kind == "str":
+        return contextlib.nullcontext(content)
+    if kind == "StringIO":
+        handle = io.StringIO(content)
+        handle.seek(at)
+        return handle
+    if kind == "pipe":  # its buffer must hold ``content``: 64 KiB on Linux
+        read_end, write_end = os.pipe()
+        os.write(write_end, content)
+        os.close(write_end)
+        return open(read_end, encoding="utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o644), "wb") as out:
+        out.write(content)  # in place: emptying the file first costs about 0.2 ms
+        out.truncate()
+    handle = open(path, encoding="utf-8")
+    handle.buffer.read(at)
+    return handle
+
+
+@functools.lru_cache(maxsize=4)
+def _expected(raw: bytes, p: int, q: int, step: int) -> tuple:
+    """The reference's outcome on ``raw``, and its factors on a grid of
+    ``step`` bytes if it accepts them, else the same outcome."""
+    expected = _outcome(csv_reference, raw, p, q)
+    if isinstance(expected[0], type):  # refused
+        return expected, expected
+    return expected, _outcome(csv_block_factors_reference, raw, p, q, step)
+
+
+def _check(draw: Draw, path) -> None:
+    """Both readers give the reference's outcome on ``draw`` (text's with a
+    lone surrogate as "?"), csv_block_factors the reference's factors,
+    whatever the number of processes and the fork's fate.  The record parser
+    reads only input that it refuses as malformed, numpy none that is empty."""
+    content, p, q = draw.content, draw.p, draw.q
+    text = content if isinstance(content, str) else content.decode("utf-8", "surrogateescape")
+    textual = draw.kind in ("str", "StringIO")
+    raw = content if isinstance(content, bytes) and not textual else text.encode("utf-8", "replace")
+    expected, factors = _expected(raw, p, q, draw.step)
+    if isinstance(draw.want, list):
+        known = np.array(draw.want, dtype=np.float64)
+        assert expected == _outcome(Dataset, known[:, :p], known[:, p:]), draw
+    elif draw.want:
+        assert expected == draw.want, draw
+    with pytest.MonkeyPatch.context() as patch:
+        _split_into(patch, draw.procs, draw.step)
+        if draw.kind == "no-pread":
+            patch.delattr(os, "pread")
+        if draw.fate in (no_fork, _forked):
+            patch.setattr(os, "fork", draw.fate)
+        elif draw.fate:
+            patch.setattr(natreg._forkjoin, "_send", draw.fate)  # only children send
+        fallbacks, blocks = _spy(patch, "_parse_records"), _spy(patch, "_loadtxt_range")
+        outcomes = []
+        for read in (dataset_from_csv, csv_block_factors):
+            with _opened(draw.kind, text if textual else raw, path, draw.at) as source:
+                outcomes.append(_outcome(read, source, p, q))
+    assert outcomes == [expected, factors], draw
+    assert expected[0] is ParseError or not fallbacks, draw
+    assert expected != _EMPTY or not blocks, draw
 
 
 _ODD_FIELDS = (
-    "1", "-0", "0.1", "1e-300", "1_0", "0x10", "nan", "-inf", "1e400", "#1",
-    '"1"', "'1'", "\ufeff1", "\uff11", " 2 ", "\t3", "", "x", "1 2", "1e", "+.5",
-    "2\x0c", "2\u2028",
+    "1", "-0", "0.1", "1e-300", "1_0", "0x10", "nan", "-inf", "1e400", "#1", '"1"', "'1'",
+    "\ufeff1", "\uff11", " 2 ", "\t3", "", "x", "1 2", "1e", "+.5", "2\x0c", "2\u2028", "\ud800",
 )
 _SEPARATORS = (
     "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
     "\n\n", "\n \n",
 )
+_BLANKS = ("", " ", "\t", "\u3000", "\x1c")  # blank lines
+_ALPHABET = "0123456789.,-+e_ x#\n\r\t\x0c\x1d\u2028"
+_NOT_UTF8 = (
+    b"\xff", b"\x80", b"\xbf", b"\xc3", b"\xc0\xaf", b"\xe2\x82", b"\xed\xa0\x80",
+    b"\xef\xbf", b"\xf0\x9f\x98", b"\xf4\x90\x80\x80", b"\xf8\x88\x80\x80\x80",
+)
 
 
-def _odd_inputs():
-    """(content, p, q) for every odd field at each place, around each separator."""
-    for field, sep, header in itertools.product(_ODD_FIELDS, _SEPARATORS, ("", "a,b,c")):
-        for position in range(4):
-            rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"]]
-            if position < 3:
-                rows[position][position] = field
-            else:
-                rows.append([field])
-            records = ([header] if header else []) + [",".join(row) for row in rows]
-            for content in (sep.join(records), sep.join(records) + sep, sep + sep.join(records)):
-                for p, q in ((2, 1), (1, 1)):
-                    yield content, p, q
+def _insert(raw: bytes, at: int, bad: bytes) -> bytes:
+    """``raw`` with ``bad`` at ``at``, or before the character ``at`` falls in."""
+    while b"\x80" <= raw[at : at + 1] < b"\xc0":
+        at -= 1
+    return raw[:at] + bad + raw[at:]
 
 
-def test_csv_fast_path_matches_record_parser_on_odd_input():
-    for content, p, q in _odd_inputs():
-        _assert_same_outcome(content, p, q)
-
-
-def test_csv_fast_path_and_record_parser_strip_information_separators():
-    # np.loadtxt strips every Unicode space around a field, \x1c-\x1f too,
-    # which float() alone rejects; both routes must read 0 here
-    for content, rows in (("0,\x1d0", 1), ("0,\x1c0\x1f\n1,2\n", 2), ("a,b\n\x1e1,2\n", 1)):
-        assert _outcome(_reference, content, 1, 1)[0] == (rows, 1)
-        _assert_same_outcome(content, 1, 1)
-
-
-_ANY_TEXT = st.text(alphabet="0123456789.,-+e_ x#\n\r\t\x0c\x1d\u2028", max_size=40)
-
-
-@settings(max_examples=300)
-@given(_ANY_TEXT, st.integers(1, 3), st.integers(1, 3))
-def test_csv_fast_path_matches_record_parser_on_any_text(content, p, q):
-    _assert_same_outcome(content, p, q)
+@st.composite
+def _draws(draw) -> Draw:
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    field = st.sampled_from(("1", "-2.5", "3e2", " 4 ", "+.5"))
+    shape = draw(st.sampled_from(("table", "odd field", "odd field", "any")))
+    if shape == "odd field":  # a table with one odd field among its numbers
+        field = field | st.just(draw(st.sampled_from(_ODD_FIELDS)))
+    if shape == "any":  # records of odd fields, any text, any separators
+        record = st.lists(st.sampled_from(_ODD_FIELDS), min_size=1, max_size=4).map(",".join)
+        record, sep = record | st.text(_ALPHABET, max_size=40), st.sampled_from(_SEPARATORS)
+    else:  # records of p + q fields, or all of one field more or less, and blank lines
+        width = p + q + draw(st.sampled_from((0, 0, 0, 1, -1)))
+        record = st.lists(field, min_size=width, max_size=width).map(",".join)
+        record, sep = record | st.sampled_from(_BLANKS), st.sampled_from(("\n", "\r\n", "\r"))
+    lines = draw(st.lists(st.tuples(record, sep), min_size=1, max_size=8))
+    head = draw(st.sampled_from(("", "\ufeff", "x,y\n", "\ufeffx,y\n")))  # a BOM, a header
+    content = head + "".join(record + sep for record, sep in lines)
+    # a grid step of one line, a few bytes, the first data record's length, or 1 MiB
+    first = len(next((r for r, _ in lines if r.strip()), "").encode("utf-8", "replace"))
+    step = draw(st.sampled_from((1, 2, 3, 5, max(1, first), first + 1, MIN_PART_BYTES)))
+    if draw(st.integers(0, 2)) == 0:  # bytes, with sequences that are not UTF-8
+        content = content.encode("utf-8", "replace")
+        for bad in draw(st.lists(st.sampled_from(_NOT_UTF8), max_size=2)):
+            content = _insert(content, draw(st.integers(0, len(content))), bad)
+    kinds = ("str", "StringIO", "pread", "no-pread", "pipe")
+    return Draw(
+        content, p, q, draw(st.sampled_from(kinds)), at=draw(st.integers(0, 9)), step=step,
+        procs=draw(st.integers(1, 3)), fate=draw(st.sampled_from(_FATES)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -211,72 +248,224 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "data.csv"
 
 
+@settings(max_examples=300, deadline=None)
+@given(draw=_draws())
+@example(draw=Draw("1,2\n3,4\n5,6\n", step=3))  # a grid point on a line end
+@example(draw=Draw("1,2\n1_0,3\n"))  # a field that float reads and numpy does not
+def test_csv_any_bytes_give_the_record_parser_outcome(csv_path, draw):
+    _check(draw, csv_path)
+
+
+KNOWN_ANSWERS = {  # test_csv_<name>: draws and the reference's outcome
+    "single_record": [Draw("1,0,1", 2, 1, want=[[1, 0, 1]])],
+    "header_is_skipped": [  # text's lone surrogate is a "?", no number
+        Draw("x1,x2,y\n1,0,1\n0,1,2", 2, 1, "StringIO", want=[[1, 0, 1], [0, 1, 2]]),
+        Draw("x,\ud800\n2,3", want=[[2, 3]]),
+        Draw(b"x,\xe2\x82\xac\n2,3", kind="pipe", want=[[2, 3]]),
+    ],
+    "numeric_first_record_is_data": [Draw("1,2\n3,4", want=[[1, 2], [3, 4]])],
+    "blank_lines_are_ignored": [
+        Draw(content, want=[[1, 2], [3, 4]]) for content in ("\n1,2\n\n3,4\n", "1,2\r\r\n3,4\r")
+    ],
+    "fast_path_and_record_parser_strip_information_separators": [  # as numpy does, not float
+        Draw("0,\x1d0", want=[[0, 0]]), Draw("0,\x1c0\x1f\n1,2\n", want=[[0, 0], [1, 2]]),
+        Draw("a,b\n\x1e1,2\n", want=[[1, 2]]),
+    ],
+    "header_only_is_empty": [Draw("x,y", want=_EMPTY), Draw("", want=_EMPTY)],
+    "wrong_field_count_reports_record": [Draw("1,2\n3", want=_bad(2, "expected 2 fields, got 1"))],
+    "non_numeric_field_reports_record": [
+        Draw("1,2\n3,oops\n5,6", want=_bad(2)), Draw("1,\ud800\n2,3", want=_bad(1)),
+        Draw(b"1,2\n\xff,3\n", kind="pread", want=_bad(2, _UTF8)),
+        Draw(b"a,\xe2\x82\n1,2\n", kind="pipe", want=_bad(1, _UTF8)),  # a header too
+    ],
+    "bad_field_after_header_and_blank_lines_reports_record": [  # blank lines are not records
+        Draw("x,y\n\n1,2\n\n3,4\n5,oops\n", want=_bad(4))
+    ],
+    "uniform_wrong_field_count_reports_first_record": [
+        Draw("1,2,3\n4,5,6\n", want=_bad(1, "expected 2 fields, got 3")),
+        Draw("a,b,c\n1,2,3\n4,5,6\n", want=_bad(2, "expected 2 fields, got 3")),
+    ],
+    "single_short_record_reports_record": [
+        Draw("1,2", 1, 2, want=_bad(1, "expected 3 fields, got 2")),
+        Draw("x,y,z\n1,2\n", 1, 2, want=_bad(2, "expected 3 fields, got 2")),
+    ],
+}
+
+
+def _odd_inputs():
+    """(content, p, q): each odd field around each separator, in a place of
+    a 3 x 3 table or as a record of its own, with a header and ends varied."""
+    for i, (field, sep) in enumerate(itertools.product(_ODD_FIELDS, _SEPARATORS)):
+        rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"], []]
+        rows[i % 4][i % 3 : i % 3 + 1] = [field]
+        records = sep.join(["a,b,c"][: i % 2] + [",".join(row) for row in rows if row])
+        yield (records, records + sep, sep + records)[i // 4 % 3], 1 + (i % 5 > 0), 1
+
+
+def _insertions():
+    """Each character of ``_ALPHABET`` at each place of three records."""
+    base = "1,2\n3,4\n5,6"
+    return [base[:at] + c + base[at:] for at in range(len(base) + 1) for c in _ALPHABET]
+
+
+def _not_utf8_anywhere():
+    """One sequence that is not UTF-8 in valid input, wherever it falls: the
+    header, the scan's read, a block here or a forked one."""
+    rng = random.Random(25)
+    for trial in range(100):
+        records = ["x,\u00e9"] * rng.randint(0, 1) + [
+            f"{rng.randint(-9, 99)},{rng.random()!r}" for _ in range(rng.randint(1, 500))
+        ]
+        raw = rng.choice(("\n", "\r\n", "\r")).join(records).encode() + b"\n" * rng.randint(0, 1)
+        raw = _insert(raw, rng.randint(0, len(raw)), rng.choice(_NOT_UTF8))
+        step = rng.choice((64, 512, 4096))
+        yield Draw(raw, kind=("pread", "pipe")[trial % 2], step=step, procs=1 + trial % 2)
+
+
+def _not_utf8_on_line(line: int) -> bytes:
+    lines = [b"x,y"] + [b"%d,%d" % (i, -i) for i in range(8)]
+    lines[line] += b"\xff"
+    return b"\n".join(lines) + b"\n"
+
+
+def _csv(rows, header: str = "", end: str = "\n") -> str:
+    return header + end.join(rows) + end
+
+
+def _split(content, p=1, q=1, parts=(2, 3), step=1, **how) -> list:
+    """``content`` from a file cut into one-line blocks, on each of ``parts`` processes."""
+    return [Draw(content, p, q, "pread", step=step, procs=n, **how) for n in parts]
+
+
+_ROWS_40 = [f"{i},{i}" if i != 33 else "33,oops" for i in range(40)]
+_KINDS = ("str", "pread", "pipe")
+
+PINNED = {  # test_csv_<name>: its draws, or (parameters, the draws of each)
+    "fast_path_matches_record_parser_on_odd_input": lambda: [Draw(*i) for i in _odd_inputs()],
+    "file_matches_its_text_on_odd_input": lambda: [Draw(*i, "pread") for i in _odd_inputs()],
+    "split_file_matches_its_text_on_odd_input": ((2, 3), lambda n: [
+        d for i in _odd_inputs() for d in _split(*i, parts=(n,), fate=no_fork)
+    ]),
+    "fast_path_matches_record_parser_on_any_text": lambda: [Draw(c) for c in _insertions()],
+    "file_matches_its_text_on_any_text": lambda: [Draw(c, kind="pread") for c in _insertions()],
+    "split_file_matches_its_text_on_any_text": ((2, 3), lambda n: [
+        d for c in _insertions() for d in _split(c, parts=(n,), fate=no_fork)
+    ]),
+    "split_text_matches_record_parser_on_any_text": lambda: [
+        Draw(c, step=1, procs=2, fate=no_fork) for c in _insertions()
+    ],
+    "lone_surrogate_after_the_first_record_gives_the_record_parser_outcome": lambda: [
+        Draw(head + "3,4\n" * 5000 + tail, step=64, procs=n) for n in (1, 2)  # past the scan
+        for head, tail in (("1,2\n", "3,\ud800\n5,6\n"), ("x,y\n1,2\n", "\ud800\n"),
+                           ("1,2\n", "5,6\ud800"))
+    ],
+    "not_utf8_anywhere_gives_the_record_parser_outcome": lambda: list(_not_utf8_anywhere()),
+    # in the header, in the scan; in block 2, parsed here; in block 3, forked
+    "block_factors_names_bytes_that_are_not_utf8_as_dataset_from_csv_does": lambda: [
+        d for line in (0, 3, 4)
+        for d in _split(_not_utf8_on_line(line), parts=(2,), want=_bad(line + 1, _UTF8))
+    ],
+    # under lines of 8 bytes or more, some grid steps of 7 fall inside a "\r\n"
+    "split_inside_a_crlf_file_keeps_each_line_whole": lambda: [
+        d for n in range(2, 12) for d in _split(
+            _csv([f"{i},{i * i},-{i}" for i in range(n)], "a,b,c\r\n", "\r\n"), 2, 1, step=7
+        )
+    ],
+    "split_between_blank_lines": lambda: _split(
+        _csv([f"{i},{-i}" for i in range(9)], "x,y\n\n\n\n", "\n\n\n")
+    ),
+    "split_keeps_the_header_in_the_first_range": lambda: _split(
+        _csv([f"{i},{-i}" for i in range(5)], "\n" * 60 + "x,y\n")
+    ),
+    "split_part_of_only_blank_lines_warns_nothing": lambda: _split(  # a warning fails the block
+        "1,2\n3,4\n" + "\n" * 40 + "5,6\n", parts=(3,)
+    ),
+    "malformed_record_in_a_later_part_reports_its_number": lambda: [
+        d for h in ("", "x,y\n") for d in _split(_csv(_ROWS_40, h), want=_bad(34 + bool(h)))
+    ],
+    # records of equal width, so a cut falls where the records gain a field
+    "split_where_records_gain_a_field_reports_the_record": lambda: _split(
+        _csv([f"{i},{i}" for i in range(1000, 1020)] + [f"{i},10,10" for i in range(100, 120)]),
+        parts=(2,), want=_bad(21, "expected 2 fields, got 3"),
+    ),
+    "failed_fork_falls_back_to_one_process": lambda: _split(
+        _csv([f"{i},{-i}" for i in range(30)]), parts=(2,), fate=no_fork
+    ),
+    "header_then_one_long_record_is_one_range": lambda: [  # so nothing forks
+        d for end in ("", "\n", "\r\n")
+        for d in _split("a,b,c\n" + ",".join(["1.25" * 50] * 3) + end, 2, 1, fate=_forked)
+    ],
+    # two whole MiB: on two CPUs a child takes every other 1 MiB block
+    "block_factors_after_a_failed_fork_are_the_forked_ones": lambda: [
+        Draw(content, 5, 1, "pread", procs=2, fate=fate) for content in [dataset_to_csv(
+            synth_dataset(SeedState(7, "failed fork"), 25_000, 5, 1, noise_sd=1.0)[0]
+        )] for fate in (None, no_fork)
+    ],
+    "failed_part_falls_back_to_one_process": (_FATES[2:], lambda send: _split(
+        _csv([f"{i},{i / 7!r},{-i}" for i in range(60)], "x,y,z\n"), 2, 1, parts=(3,), fate=send
+    )),
+    "file_is_read_whole_whatever_its_position": (("pread", "no-pread", "StringIO"), lambda kind: [
+        Draw("1,2\n3,4\n5,6\n", kind=kind, at=4, want=[[1, 2], [3, 4], [5, 6]])
+    ]),
+    "leading_bom_is_skipped": (("", "x,y\n"), lambda header: [
+        Draw("\ufeff" + header + "1,2\n3,4\n5,7\n", kind=kind, step=1, procs=n,
+             want=[[1, 2], [3, 4], [5, 7]]) for kind in _KINDS for n in (1, 2)
+    ]),
+    # numpy reads these lines as records of one field; the record rule calls them blank
+    "whitespace_only_lines_are_blank_to_numpy_too": (("", "x,y\n"), lambda header: [
+        Draw("\x1c\n" + header + "".join(f"{i},{-i}\n{_BLANKS[1 + i % 4]}\n" for i in range(12)),
+             kind=kind, step=step, procs=n, want=[[i, -i] for i in range(12)])
+        for kind in _KINDS for n, step in ((1, MIN_PART_BYTES), (2, 6), (3, 6))
+    ]),
+    # float reads these as 10, 1 and 1; numpy reads none, so one leads a header
+    "number_is_what_numpy_reads": (("1_0", "\uff11", "\u0661"), lambda field: [
+        Draw(f"1,2\n{field},3\n4,5\n", kind=kind, step=1, procs=n, want=_bad(2))
+        for kind in _KINDS for n in (1, 2)
+    ] + [Draw(f"{field},y\n4,5\n", want=[[4, 5]])]),
+    # the scan finds no data record, so neither numpy nor the record parser reads a byte
+    "without_a_data_record_is_empty_before_any_parse": ({
+        "empty": "", "header": "x,y", "header-blank": "x,y\r\n\n \n", "bom": "\ufeff",
+        "bom-blank": "\ufeff\n\n", "blank": "\n \t\n\x1c\r",
+    }, lambda content: [Draw(content, kind=k, step=1, procs=2, want=_EMPTY) for k in _KINDS]),
+}
+
+
+def _table_test(cases):
+    """A test that checks each draw of ``cases``, a row of a table above."""
+    if not isinstance(cases, tuple):
+        def test(csv_path):
+            for draw in cases() if callable(cases) else cases:
+                _check(draw, csv_path)
+
+        return test
+    params, draws = cases
+    ids = list(params) if isinstance(params, dict) else None
+
+    @pytest.mark.parametrize("param", [params[i] for i in ids] if ids else params, ids=ids)
+    def test_each(csv_path, param):
+        for draw in draws(param):
+            _check(draw, csv_path)
+
+    return test_each
+
+
+for _name, _cases in {**KNOWN_ANSWERS, **PINNED}.items():
+    globals()[f"test_csv_{_name}"] = _table_test(_cases)
+
+
 def _parse_file(path, p: int, q: int) -> Dataset:
     with open(path, encoding="utf-8") as handle:
         return dataset_from_csv(handle, p, q)
 
 
-def _written(path, content: str):
-    """``path``, now holding ``content`` in UTF-8 with its line ends as they are.
-
-    The file is overwritten in place and then cut to length.  Emptying it
-    first, as ``write_text`` does, costs about 0.2 ms on an ext4 disk, and
-    the batteries here write thousands of contents.
-    """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o644), "wb") as handle:
-        handle.write(content.encode("utf-8"))
-        handle.truncate()
-    return path
-
-
-def _assert_file_matches_its_text(path, content: str, p: int, q: int) -> None:
-    """Parsing the open file gives what the record parser gives on its text-mode contents."""
-    _written(path, content)
-    text = path.read_text(encoding="utf-8")
-    assert _outcome(_parse_file, path, p, q) == _outcome(_reference, text, p, q), (
-        repr(content), p, q
-    )
-
-
-def test_csv_file_matches_its_text_on_odd_input(csv_path):
-    for content, p, q in _odd_inputs():
-        _assert_file_matches_its_text(csv_path, content, p, q)
-
-
-@settings(max_examples=300)
-@given(_ANY_TEXT, st.integers(1, 3), st.integers(1, 3))
-def test_csv_file_matches_its_text_on_any_text(csv_path, content, p, q):
-    _assert_file_matches_its_text(csv_path, content, p, q)
-
-
-def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monkeypatch):
-    scan = natreg.data._data_start
-    replacement = csv_path.with_name("replacement.csv")
-
-    def scan_then_replace(handle):
-        data_start = scan(handle)
-        replacement.write_text("9,9,9\n", encoding="utf-8")
-        os.replace(replacement, csv_path)
-        return data_start
-
-    monkeypatch.setattr(natreg.data, "_data_start", scan_then_replace)
-    csv_path.write_text("x1,x2,y\n1,0,1\n0,1,2\n", encoding="utf-8")
-    # the handle still reads the file it opened; the path now names another
-    assert _outcome(_parse_file, csv_path, 2, 1) == _outcome(
-        dataset_from_csv, "1,0,1\n0,1,2\n", 2, 1
-    )
-
-
 def _split_into(monkeypatch, parts: int, step: int = 1) -> None:
-    """Cut any input with a newline into blocks on a grid of ``step`` bytes
-    (one line each when ``step`` is 1), dealt to up to ``parts`` ranges."""
+    """Cut any input into blocks on a grid of ``step`` bytes, dealt to up to ``parts`` processes."""
     monkeypatch.setattr(natreg.data, "MIN_PART_BYTES", step)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: parts)
 
 
 def _spy(monkeypatch, name: str) -> list:
-    """Record the arguments and the result, or the exception, of each call
-    of ``natreg.data.<name>``."""
+    """The arguments and the result, or the exception, of each call of ``natreg.data.<name>``."""
     calls = []
     real = getattr(natreg.data, name)
 
@@ -292,85 +481,12 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
-def _fork_map_in_process(fn, items, workers):
-    """What ``natreg.data.fork_map`` yields or raises, with every item run in this process.
-
-    Each block still goes through ``fn``, the parse's ``_loadtxt_range`` with
-    its p + q check; the first block it rejects raises, and a block of only
-    blank lines gives no rows.
-    """
-    return map(fn, items)
-
-
-@pytest.mark.parametrize("parts", (2, 3))
-def test_csv_split_file_matches_its_text_on_odd_input(csv_path, parts):
-    # this battery tests where the ranges are cut, so its ranges are parsed
-    # in this process; the tests below fork.  The ranges do not depend on
-    # (p, q), so each distinct content is parsed once.
-    contents = sorted({content for content, _, _ in _odd_inputs()})
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _split_into(monkeypatch, parts)
-        monkeypatch.setattr(natreg.data, "fork_map", _fork_map_in_process)
-        cuts = _spy(monkeypatch, "_ranges")
-        for content in contents:
-            _assert_file_matches_its_text(csv_path, content, 2, 1)
-    assert max(workers for _, (_, workers) in cuts) == parts
-
-
-@pytest.mark.parametrize("parts", (2, 3))
-@settings(max_examples=150)
-@given(content=_ANY_TEXT, p=st.integers(1, 3), q=st.integers(1, 3))
-def test_csv_split_file_matches_its_text_on_any_text(csv_path, parts, content, p, q):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _split_into(monkeypatch, parts)
-        _assert_file_matches_its_text(csv_path, content, p, q)
-
-
-@settings(max_examples=150)
-@given(content=_ANY_TEXT, p=st.integers(1, 3), q=st.integers(1, 3))
-def test_csv_split_text_matches_record_parser_on_any_text(content, p, q):
-    # text takes the ranged route too, its ranges read from memory
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _split_into(monkeypatch, 2)
-        _assert_same_outcome(content, p, q)
-
-
-def test_csv_lone_surrogate_after_the_first_record_gives_the_record_parser_outcome(monkeypatch):
-    # text is encoded with "replace", so a lone surrogate arrives as "?": the
-    # scan stops at the first data record, and numpy rejects the block that
-    # holds the "?" this far on, in this process or a forked one
-    rows = "3,4\n" * 5000
-    for parts in (1, 2):
-        _split_into(monkeypatch, parts)
-        for content in ("1,2\n" + rows + "3,\ud800\n5,6\n", "x,y\n1,2\n" + rows + "\ud800\n",
-                        "1,2\n" + rows + "5,6\ud800"):
-            _assert_same_outcome(content, 1, 1)
-
-
-def _parse_pipe(raw: bytes, p: int, q: int) -> Dataset:
-    read_end, write_end = os.pipe()
-    os.write(write_end, raw)
-    os.close(write_end)
-    with open(read_end, encoding="utf-8") as handle:
-        return dataset_from_csv(handle, p, q)
-
-
-def _bytes_outcome(raw: bytes, p: int, q: int):
-    """The outcome of the record parser on ``raw`` decoded with
-    surrogateescape: that of every file and pipe holding ``raw``."""
-    return _outcome(_reference, raw.decode("utf-8", "surrogateescape"), p, q)
-
-
-def _not_utf8(record: int):
-    """The outcome that names ``record`` as holding bytes that are not UTF-8."""
-    return ParseError, f"record {record}: bytes that are not UTF-8", record
-
-
-def _spans_read(monkeypatch) -> dict:
-    """``[start, reached]`` of each byte range of the input that this process
-    reads, keyed by the range, in the order of their first reads."""
-    spans = {}
-    readinto = natreg.data._ByteRange.readinto
+def _spans_read(monkeypatch) -> tuple[dict, list]:
+    """``[start, reached]`` of each byte range that this process reads, in the
+    order of their first reads, and how many were read when each ``fork_map``
+    iterator ended or raised: those read after the last are the error route."""
+    spans, marks = {}, []
+    readinto, fork_map = natreg.data._ByteRange.readinto, natreg.data.fork_map
 
     def spy(self, buffer):
         span = spans.setdefault(self, [self._at, self._at])
@@ -378,290 +494,66 @@ def _spans_read(monkeypatch) -> dict:
         span[1] += count
         return count
 
-    monkeypatch.setattr(natreg.data._ByteRange, "readinto", spy)
-    return spans
-
-
-def _error_route(monkeypatch, spans: dict) -> list:
-    """Wrap ``natreg.data.fork_map`` to note how many ranges of ``spans`` were
-    read when each call's iterator ends or raises: the ranges read after the
-    last note are the error route."""
-    marks = []
-    real = natreg.data.fork_map
-
-    def fork_map(*args):
+    def marked(*args):
         try:
-            yield from real(*args)
+            yield from fork_map(*args)
         finally:
             marks.append(len(spans))
 
-    monkeypatch.setattr(natreg.data, "fork_map", fork_map)
-    return marks
+    monkeypatch.setattr(natreg.data._ByteRange, "readinto", spy)
+    monkeypatch.setattr(natreg.data, "fork_map", marked)
+    return spans, marks
+
+
+def test_csv_file_replaced_during_the_parse_keeps_the_opened_file(csv_path, monkeypatch):
+    scan, replacement = natreg.data._data_start, csv_path.with_name("replacement.csv")
+
+    def scan_then_replace(handle):
+        data_start = scan(handle)
+        replacement.write_text("9,9,9\n", encoding="utf-8")
+        os.replace(replacement, csv_path)
+        return data_start
+
+    monkeypatch.setattr(natreg.data, "_data_start", scan_then_replace)
+    csv_path.write_text("x1,x2,y\n1,0,1\n0,1,2\n", encoding="utf-8")
+    # the handle still reads the file it opened; the path now names another
+    assert _outcome(_parse_file, csv_path, 2, 1) == _outcome(
+        dataset_from_csv, "1,0,1\n0,1,2\n", 2, 1
+    )
 
 
 def test_csv_not_utf8_in_the_first_line_is_named_from_the_scan_alone(csv_path, monkeypatch):
-    # the scan's first chunk holds the byte: the scan names record 1 before
-    # it decides whether that record is a header, and the 4 MiB input is
-    # never read whole
+    # the scan names record 1 before it decides whether that record is a
+    # header, and the 4 MiB input is never read whole
     raw = b"a,\xff\n" + b"1,2\n" * (1 << 20)
     csv_path.write_bytes(raw)
-    spans = _spans_read(monkeypatch)
-    assert _outcome(_parse_file, csv_path, 1, 1) == _bytes_outcome(raw, 1, 1) == _not_utf8(1)
-    assert sum(reached - start for start, reached in spans.values()) < natreg.data.MIN_PART_BYTES
+    spans, marks = _spans_read(monkeypatch)
+    assert _outcome(_parse_file, csv_path, 1, 1) == _expected(raw, 1, 1, 1)[0] == _bad(1, _UTF8)
+    assert sum(reached - start for start, reached in spans.values()) < MIN_PART_BYTES and not marks
 
 
 @pytest.mark.parametrize("parts", (1, 2))
-def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(csv_path, monkeypatch, parts):
+def test_csv_not_utf8_in_a_block_is_named_from_the_bytes_up_to_its_end(
+    csv_path, monkeypatch, parts
+):
     # the byte lies past the scan's read, in one of the 4 KiB blocks: once
     # numpy rejects that block, the record parser reads it alone, numbered
     # from the rows of the blocks before it
-    step = 4096
     raw = b"x,y\n" + b"".join(b"%d,%d\n" % (i, -i) for i in range(20_000))
     bad = raw.index(b"\n12345,") + 1
     raw = raw[:bad] + b"\xe2\x82," + raw[bad:]
     csv_path.write_bytes(raw)
-    _split_into(monkeypatch, parts, step)
+    _split_into(monkeypatch, parts, 4096)
     cuts = _spy(monkeypatch, "_ranges")
-    spans = _spans_read(monkeypatch)
-    marks = _error_route(monkeypatch, spans)
+    spans, marks = _spans_read(monkeypatch)
     # the header is record 1, so the line of 12345 is record 12347
-    assert _outcome(_parse_file, csv_path, 1, 1) == _bytes_outcome(raw, 1, 1) == _not_utf8(12347)
+    expected = _outcome(csv_reference, raw, 1, 1)
+    assert _outcome(_parse_file, csv_path, 1, 1) == expected == _bad(12347, _UTF8)
     (blocks, _), = [result for _, result in cuts]
     start, end = next((start, end) for start, end in blocks if start <= bad < end)
-    assert end < len(raw) and end - start < 2 * step
+    assert end < len(raw) and end - start < 2 * 4096
     (marked,) = marks
     assert list(spans.values())[marked:] == [[start, end]]
-
-
-_NOT_UTF8 = (
-    b"\xff", b"\x80", b"\xbf", b"\xc3", b"\xc0\xaf", b"\xe2\x82", b"\xed\xa0\x80",
-    b"\xef\xbf", b"\xf0\x9f\x98", b"\xf4\x90\x80\x80", b"\xf8\x88\x80\x80\x80",
-)
-
-
-def test_csv_not_utf8_anywhere_gives_the_record_parser_outcome(csv_path, monkeypatch):
-    # one sequence that is not UTF-8 in otherwise valid input, wherever it
-    # falls: the header, the scan's read, a block here or a forked one.  The
-    # scan names it from its own read alone; otherwise the error route reads
-    # the rejected block alone
-    rng = random.Random(25)
-    cuts = _spy(monkeypatch, "_ranges")
-    spans = _spans_read(monkeypatch)
-    marks = _error_route(monkeypatch, spans)
-    for trial in range(300):
-        _split_into(monkeypatch, 1 + trial % 2, rng.choice((64, 512, 4096)))
-        records = ["x,\u00e9"] * rng.randint(0, 1) + [
-            f"{rng.randint(-9, 99)},{rng.random()!r}" for _ in range(rng.randint(1, 500))
-        ]
-        raw = rng.choice(("\n", "\r\n", "\r")).join(records).encode() + b"\n" * rng.randint(0, 1)
-        bad = rng.randint(0, len(raw))
-        while b"\x80" <= raw[bad : bad + 1] < b"\xc0":  # inside a character
-            bad -= 1
-        raw = raw[:bad] + rng.choice(_NOT_UTF8) + raw[bad:]
-        csv_path.write_bytes(raw)
-        cuts.clear()
-        spans.clear()
-        marks.clear()
-        outcome = _outcome(_parse_file, csv_path, 1, 1)
-        assert outcome == _bytes_outcome(raw, 1, 1), raw
-        assert outcome == _not_utf8(outcome[2]), raw
-        if cuts:
-            [(blocks, _)] = [result for _, result in cuts]
-            start, end = next((start, end) for start, end in blocks if start <= bad < end)
-            (marked,) = marks
-            assert list(spans.values())[marked:] == [[start, end]], raw
-        else:
-            assert len(spans) == 1 and not marks, raw  # the scan's
-
-
-def test_csv_block_factors_names_bytes_that_are_not_utf8_as_dataset_from_csv_does(csv_path, monkeypatch):
-    # natreg fit's reader meets the byte where the other one does: in the
-    # header, in the scan; in block 2, parsed here; in block 3, parsed by
-    # the forked process that takes the odd blocks
-    _split_into(monkeypatch, 2)
-    ranges = _spy(monkeypatch, "_ranges")
-    for line in (0, 3, 4):
-        lines = [b"x,y"] + [b"%d,%d" % (i, -i) for i in range(8)]
-        lines[line] += b"\xff"
-        raw = b"\n".join(lines) + b"\n"
-        assert _bytes_outcome(raw, 1, 1) == _not_utf8(line + 1)
-        csv_path.write_bytes(raw)
-        for read in (dataset_from_csv, csv_block_factors):
-            with open(csv_path, encoding="utf-8") as handle, pytest.raises(ParseError) as excinfo:
-                read(handle, 1, 1)
-            assert _not_utf8(line + 1) == (type(excinfo.value), str(excinfo.value), excinfo.value.record)
-    # the scan raised before any block was cut; then one line a block, on two processes
-    assert [workers for _, (_, workers) in ranges] == [2] * 4
-
-
-_BYTE_CHUNKS = (
-    b"0", b"1", b"9", b",", b".", b"-", b" ", b"\n", b"\r", b"x", b"\x80", b"\xff", b"\xc3",
-    b"\xe2\x82", b"\xc3\xa9",
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    raw=st.lists(st.sampled_from(_BYTE_CHUNKS), max_size=24).map(b"".join),
-    parts=st.integers(1, 3),
-    p=st.integers(1, 2),
-    q=st.integers(1, 2),
-)
-def test_csv_any_bytes_give_the_record_parser_outcome(csv_path, raw, parts, p, q):
-    # a file and a pipe, cut into one-line blocks on 1-3 processes, give the
-    # record parser's outcome on the bytes decoded with surrogateescape; any
-    # exception but a NatregError escapes _outcome and fails the test
-    expected = _bytes_outcome(raw, p, q)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _split_into(monkeypatch, parts)
-        csv_path.write_bytes(raw)
-        assert _outcome(_parse_file, csv_path, p, q) == expected
-        assert _outcome(_parse_pipe, raw, p, q) == expected
-
-
-@pytest.mark.parametrize("handle", ("pread", "no-pread", "StringIO"))
-def test_csv_file_is_read_whole_whatever_its_position(csv_path, monkeypatch, handle):
-    if handle == "no-pread":
-        monkeypatch.delattr(os, "pread")
-    content = "1,2\n3,4\n5,6\n"
-    with (
-        io.StringIO(content) if handle == "StringIO"
-        else open(_written(csv_path, content), encoding="utf-8")
-    ) as opened:
-        assert opened.readline() == "1,2\n"
-        d = dataset_from_csv(opened, 1, 1)
-    assert d.n_examples == 3
-
-
-@pytest.mark.parametrize("header", ("", "x,y\n"))
-def test_csv_leading_bom_is_skipped(csv_path, monkeypatch, header):
-    content = header + "1,2\n3,4\n5,7\n"
-    expected = _outcome(dataset_from_csv, content, 1, 1)
-    assert expected[:2] == ((3, 1), (3, 1))
-    with_bom = "\ufeff" + content
-    fallbacks = _spy(monkeypatch, "_parse_records")
-    for parts in (1, 2):
-        _split_into(monkeypatch, parts)
-        assert _outcome(dataset_from_csv, with_bom, 1, 1) == expected
-        assert _outcome(_parse_file, _written(csv_path, with_bom), 1, 1) == expected
-        assert _outcome(_parse_pipe, with_bom.encode(), 1, 1) == expected
-    assert not fallbacks  # numpy parsed every one
-    assert _outcome(_reference, with_bom, 1, 1) == expected
-
-
-_WHITESPACE_LINES = (" ", "\t", "\u3000", "\x1c")
-
-
-@pytest.mark.parametrize("header", ("", "x,y\n"))
-def test_csv_whitespace_only_lines_are_blank_to_numpy_too(csv_path, monkeypatch, header):
-    # numpy reads each of these lines as a record of one field; the record
-    # rule calls them blank, and so does the retry of each block they fail
-    lines = [f"{i},{-i}\n{_WHITESPACE_LINES[i % 4]}\n" for i in range(12)]
-    content = "\x1c\n" + header + "".join(lines)
-    expected = _outcome(_reference, content, 1, 1)
-    assert expected[:2] == ((12, 1), (12, 1))
-    fallbacks = _spy(monkeypatch, "_parse_records")
-    # one block; then blocks of one or two lines, dealt to 2 and to 3 runs
-    for parts, step in ((1, natreg.data.MIN_PART_BYTES), (2, 6), (3, 6)):
-        _split_into(monkeypatch, parts, step)
-        assert _outcome(dataset_from_csv, content, 1, 1) == expected
-        assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == expected
-        assert _outcome(_parse_pipe, content.encode(), 1, 1) == expected
-    assert not fallbacks  # numpy parsed every one
-
-
-@pytest.mark.parametrize("field", ("1_0", "\uff11", "\u0661"))
-def test_csv_number_is_what_numpy_reads(csv_path, monkeypatch, field):
-    # float reads these as 10, 1 and 1; numpy reads none of them
-    content = f"1,2\n{field},3\n4,5\n"
-    for parts in (1, 2):
-        _split_into(monkeypatch, parts)
-        for parse, source in (
-            (dataset_from_csv, content),
-            (_parse_file, _written(csv_path, content)),
-            (_parse_pipe, content.encode()),
-        ):
-            assert _outcome(parse, source, 1, 1) == (ParseError, "record 2: non-numeric field", 2)
-    # so a first record led by one is a header
-    d = dataset_from_csv(f"{field},y\n4,5\n", 1, 1)
-    np.testing.assert_array_equal(d.x, [[4.0]])
-
-
-def _assert_split_parse_matches_its_text(
-    csv_path, monkeypatch, content: str, p: int, q: int, step: int = 1
-):
-    """Some file cut into 2 and into 3 ranges parses as its text, with no fallback."""
-    forked = _spy(monkeypatch, "fork_map")
-    fallbacks = _spy(monkeypatch, "_parse_records")
-    for parts in (2, 3):
-        _split_into(monkeypatch, parts, step)
-        _assert_file_matches_its_text(csv_path, content, p, q)
-    assert forked and not fallbacks
-    return forked
-
-
-def test_csv_split_inside_a_crlf_file_keeps_each_line_whole(csv_path, monkeypatch):
-    # a grid step of one byte aims each cut at the start of a line; at 7
-    # bytes, under lines of 8 or more, some steps fall between "\r" and "\n"
-    aims = _spy(monkeypatch, "_after_newline")
-    inside = 0
-    for n in range(2, 12):
-        rows = [f"{i},{i * i},-{i}" for i in range(n)]
-        _assert_split_parse_matches_its_text(
-            csv_path, monkeypatch, "a,b,c\r\n" + "\r\n".join(rows) + "\r\n", 2, 1, step=7
-        )
-        content = csv_path.read_bytes()
-        inside += sum(content[at - 1 : at + 1] == b"\r\n" for (_, at, _), _ in aims)
-        aims.clear()
-    assert inside  # some cut was aimed between a "\r" and its "\n"
-
-
-def test_csv_split_between_blank_lines(csv_path, monkeypatch):
-    blanks = "\n\n\n"
-    content = "x,y\n" + blanks + blanks.join(f"{i},{-i}" for i in range(9)) + blanks
-    _assert_split_parse_matches_its_text(csv_path, monkeypatch, content, 1, 1)
-
-
-def test_csv_split_keeps_the_header_in_the_first_range(csv_path, monkeypatch):
-    # the middle of the file lies in the blank lines before the header
-    content = "\n" * 60 + "x,y\n" + "".join(f"{i},{-i}\n" for i in range(5))
-    _assert_split_parse_matches_its_text(csv_path, monkeypatch, content, 1, 1)
-
-
-def test_csv_split_part_of_only_blank_lines_warns_nothing(csv_path, monkeypatch):
-    # one-line blocks, most of them blank, dealt to three processes; each
-    # block is parsed under warnings.simplefilter("error"), so a warning
-    # would fail its block
-    forked = _assert_split_parse_matches_its_text(
-        csv_path, monkeypatch, "1,2\n3,4\n" + "\n" * 40 + "5,6\n", 1, 1
-    )
-    args, _ = forked[-1]
-    assert (len(args[1]), args[2]) == (43, 3)
-
-
-def _forked():
-    # not an OSError, which fork_map takes for a fork that failed
-    raise AssertionError("forked")
-
-
-def test_csv_header_then_one_long_record_is_one_range(csv_path, monkeypatch):
-    monkeypatch.setattr(os, "fork", _forked)
-    for parts in (2, 3):
-        _split_into(monkeypatch, parts)
-        for end in ("", "\n", "\r\n"):
-            content = "a,b,c\n" + ",".join(["1.25" * 50] * 3) + end
-            _assert_file_matches_its_text(csv_path, content, 2, 1)
-
-
-def test_csv_malformed_record_in_a_later_part_reports_its_number(csv_path, monkeypatch):
-    rows = [f"{i},{i}" for i in range(40)]
-    rows[33] = "33,oops"
-    for header in ("", "x,y\n"):
-        for parts in (2, 3):
-            _split_into(monkeypatch, parts)
-            with pytest.raises(ParseError) as excinfo:
-                _parse_file(_written(csv_path, header + "\n".join(rows)), 1, 1)
-            assert excinfo.value.record == 34 + bool(header)
 
 
 @pytest.mark.parametrize("parts", (1, 2, 3))
@@ -670,65 +562,20 @@ def test_csv_rejected_block_alone_reaches_the_record_parser(csv_path, monkeypatc
     # one that leads record 4 makes its field non-numeric.  The records
     # before its block are counted, not parsed: the header, 1,2 and 3,4
     content = "\ufeffx,y\n\n1,2\r\n3,4\r \n\ufeff5,6\n7,8\n"
-    expected = (ParseError, "record 4: non-numeric field", 4)
-    assert _outcome(_reference, content, 1, 1) == expected
     _split_into(monkeypatch, parts)
-    for parse, source in (
-        (dataset_from_csv, content),
-        (_parse_file, _written(csv_path, content)),
-        (_parse_pipe, content.encode()),
-    ):
+    for kind in _KINDS:
         fallbacks = _spy(monkeypatch, "_parse_records")
-        assert _outcome(parse, source, 1, 1) == expected
+        with _opened(kind, content if kind == "str" else content.encode(), csv_path) as source:
+            assert _outcome(dataset_from_csv, source, 1, 1) == _bad(4)
         assert [args for args, _ in fallbacks] == [("\ufeff5,6\n", 1, 1, 3)]
-
-
-@pytest.mark.parametrize(
-    "content", ("", "x,y", "x,y\r\n\n \n", "\ufeff", "\ufeff\n\n", "\n \t\n\x1c\r"),
-    ids=("empty", "header", "header-blank", "bom", "bom-blank", "blank"),
-)
-def test_csv_without_a_data_record_is_empty_before_any_parse(csv_path, monkeypatch, content):
-    # the scan finds no data record and raises, so neither numpy nor the
-    # record parser reads a byte
-    expected = (EmptyDataset, "no data records found", None)
-    assert _outcome(_reference, content, 1, 1) == expected
-    for parse, source in (
-        (dataset_from_csv, content),
-        (_parse_file, _written(csv_path, content)),
-        (_parse_pipe, content.encode()),
-    ):
-        fallbacks = _spy(monkeypatch, "_parse_records")
-        blocks = _spy(monkeypatch, "_loadtxt_range")
-        assert _outcome(parse, source, 1, 1) == expected
-        assert (fallbacks, blocks) == ([], [])
-
-
-def test_csv_split_where_records_gain_a_field_reports_the_record(csv_path, monkeypatch):
-    # records of equal width, so the cut falls exactly where the second
-    # range's records have one field more
-    rows = [f"{1000 + i},{1000 + i}" for i in range(20)] + [f"{100 + i},10,10" for i in range(20)]
-    _split_into(monkeypatch, 2)
-    cuts = _spy(monkeypatch, "_ranges")
-    with pytest.raises(ParseError) as excinfo:
-        _parse_file(_written(csv_path, "\n".join(rows)), 1, 1)
-    assert excinfo.value.record == 21
-    # 40 one-line blocks dealt to two processes; the first wider record
-    # starts block 20
-    assert [(len(blocks), blocks[20][0], workers) for _, (blocks, workers) in cuts] == [
-        (40, 200, 2)
-    ]
 
 
 @pytest.mark.parametrize("parts", (1, 3))
 def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
-    rows = [f"{i},{i}" for i in range(40)]
-    rows[33] = "33,oops"
-    content = "x,y\n" + "\n".join(rows)
     _split_into(monkeypatch, parts)
     calls = _spy(monkeypatch, "_loadtxt_range")  # children's calls are not seen here
-    with pytest.raises(ParseError) as excinfo:
-        _parse_file(_written(csv_path, content), 1, 1)
-    assert excinfo.value.record == 35
+    csv_path.write_text(_csv(_ROWS_40, "x,y\n"))
+    assert _outcome(_parse_file, csv_path, 1, 1) == _bad(35)
     # each block reaches numpy at most once, and none after the one that
     # fails, block 33 of 40, which both on one CPU and on three is here
     blocks = [args[1:3] for args, _ in calls]
@@ -737,83 +584,23 @@ def test_csv_malformed_file_reaches_numpy_once(csv_path, monkeypatch, parts):
     assert failed == [len(calls) - 1]
 
 
-_send = natreg._forkjoin._send
-
-
-def _short_payload(done, pipe):
-    with open(pipe, "wb") as out:
-        out.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL)[:-1])
-
-
-def _sent_then_failed(done, pipe):
-    _send(done, pipe)
-    os._exit(3)
-
-
-@pytest.mark.parametrize(
-    "send", (_short_payload, _sent_then_failed, lambda done, pipe: None)
-)
-def test_csv_failed_part_falls_back_to_one_process(csv_path, monkeypatch, send):
-    content = "x,y,z\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(60))
-    _split_into(monkeypatch, 3)
-    monkeypatch.setattr(natreg._forkjoin, "_send", send)  # only children send
-    fallbacks = _spy(monkeypatch, "_parse_records")
-    assert _outcome(_parse_file, _written(csv_path, content), 2, 1) == _outcome(
-        _reference, content, 2, 1
-    )
-    assert not fallbacks  # this process parsed the blocks whose rows it lacked
-
-
 def test_csv_failed_first_part_stops_the_other_parsers(csv_path, monkeypatch):
-    content = "1,oops\n" + "".join(f"{i},{-i}\n" for i in range(30))
     _split_into(monkeypatch, 3)
     monkeypatch.setattr(natreg._forkjoin, "_send", lambda done, pipe: time.sleep(120))
+    csv_path.write_text(_csv(["1,oops"] + [f"{i},{-i}" for i in range(30)]))
     begin = time.monotonic()
-    with pytest.raises(ParseError) as excinfo:
-        _parse_file(_written(csv_path, content), 1, 1)
-    assert excinfo.value.record == 1
+    assert _outcome(_parse_file, csv_path, 1, 1) == _bad(1)
     assert time.monotonic() - begin < 60
-
-
-def test_csv_failed_fork_falls_back_to_one_process(csv_path, monkeypatch):
-    content = "".join(f"{i},{-i}\n" for i in range(30))
-    _split_into(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert _outcome(_parse_file, _written(csv_path, content), 1, 1) == _outcome(
-        _reference, content, 1, 1
-    )
-
-
-def test_csv_block_factors_after_a_failed_fork_are_the_forked_ones(csv_path, monkeypatch):
-    # over two whole MiB of data, so on two CPUs a child takes every other
-    # 1 MiB block; when the fork fails, this process parses those blocks,
-    # and the record parser, which reads the whole input, is never called
-    d, _ = synth_dataset(SeedState(7, "failed fork"), 25_000, 5, 1, noise_sd=1.0)
-    _written(csv_path, dataset_to_csv(d))
-    assert csv_path.stat().st_size > 2 * natreg.data.MIN_PART_BYTES
-    monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 2)
-
-    def factors():
-        with open(csv_path, encoding="utf-8") as handle:
-            r, n_examples = csv_block_factors(handle, 5, 1)
-        return r.tobytes(), n_examples
-
-    forked = factors()
-    fallbacks = _spy(monkeypatch, "_parse_records")
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert factors() == forked
-    assert forked[1] == 25_000 and not fallbacks
 
 
 def test_csv_file_below_two_parts_never_forks(csv_path, monkeypatch):
     d, _ = synth_dataset(SeedState(6, "small"), 9000, 7, 1, noise_sd=1.0)
     monkeypatch.setattr(os, "fork", _forked)
     monkeypatch.setattr(natreg.data, "_usable_cpus", lambda: 64)
-    text = dataset_to_csv(d)
+    csv_path.write_text(dataset_to_csv(d))
     # two blocks, a whole MiB and a tail, and one process for both
-    assert natreg.data.MIN_PART_BYTES < len(text.encode()) < 2 * natreg.data.MIN_PART_BYTES
-    back = _parse_file(_written(csv_path, text), 7, 1)
-    np.testing.assert_array_equal(back.x, d.x)
+    assert MIN_PART_BYTES < csv_path.stat().st_size < 2 * MIN_PART_BYTES
+    np.testing.assert_array_equal(_parse_file(csv_path, 7, 1).x, d.x)
 
 
 def test_csv_file_parse_peak_memory_is_about_the_arrays(csv_path):
@@ -835,52 +622,39 @@ def test_csv_file_parse_peak_memory_is_about_the_arrays(csv_path):
     # a byte that is not UTF-8 in the last line costs that line's block,
     # never a read of the bytes before it
     outcome, bad_peak = parse_peak(raw[:-2] + b"\xff\n")
-    assert outcome == _not_utf8(20_001)
-    assert bad_peak <= peak + natreg.data.MIN_PART_BYTES
+    assert outcome == _bad(20_001, _UTF8) and bad_peak <= peak + MIN_PART_BYTES
 
 
 def dataset_to_csv(d: Dataset) -> str:
     """Serialize at 17 significant digits so parsing back is bit-exact."""
-    lines = []
-    for xi, yi in zip(d.x, d.y):
-        fields = [format(v, ".17g") for v in (*xi, *yi)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    rows = (",".join(format(v, ".17g") for v in (*xi, *yi)) for xi, yi in zip(d.x, d.y))
+    return "".join(row + "\n" for row in rows)
+
+
+def _assert_round_trip(d: Dataset) -> None:
+    back = dataset_from_csv(dataset_to_csv(d), p=d.p, q=d.q)
+    np.testing.assert_array_equal(back.x, d.x)
+    np.testing.assert_array_equal(back.y, d.y)
 
 
 def test_csv_round_trip_is_bit_exact():
-    tricky = Dataset(
+    _assert_round_trip(Dataset(
         [[0.1, -1e300], [1e-300, 3.141592653589793], [2.0 / 3.0, -0.0]],
         [[1.0000000000000002], [-5e-324], [123456789.12345679]],
-    )
-    back = dataset_from_csv(dataset_to_csv(tricky), p=2, q=1)
-    np.testing.assert_array_equal(back.x, tricky.x)
-    np.testing.assert_array_equal(back.y, tricky.y)
+    ))
 
 
 def test_csv_round_trip_on_sampled_data():
     for i in range(25):
-        d, _ = synth_dataset(SeedState(300 + i, "roundtrip"), 7, 3, 2, noise_sd=1.0)
-        back = dataset_from_csv(dataset_to_csv(d), p=3, q=2)
-        np.testing.assert_array_equal(back.x, d.x)
-        np.testing.assert_array_equal(back.y, d.y)
+        _assert_round_trip(synth_dataset(SeedState(300 + i, "roundtrip"), 7, 3, 2, noise_sd=1.0)[0])
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        min_size=1,
-        max_size=6,
-    )
-)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=6))
 def test_csv_round_trip_any_finite_doubles(rows):
-    d = Dataset([[a] for a, _ in rows], [[b] for _, b in rows])
-    back = dataset_from_csv(dataset_to_csv(d), p=1, q=1)
-    np.testing.assert_array_equal(back.x, d.x)
-    np.testing.assert_array_equal(back.y, d.y)
+    _assert_round_trip(Dataset([[a] for a, _ in rows], [[b] for _, b in rows]))
 
 
 def test_synth_dataset_is_deterministic():
@@ -905,9 +679,8 @@ def test_synth_dataset_noise_perturbs_targets():
 
 def test_synth_dataset_full_rank_when_enough_examples():
     for i in range(50):
-        seed = SeedState(400 + i, "rank")
         p = 1 + i % 8
-        d, _ = synth_dataset(seed, p + 1 + i % 5, p, 1, noise_sd=1.0)
+        d, _ = synth_dataset(SeedState(400 + i, "rank"), p + 1 + i % 5, p, 1, noise_sd=1.0)
         assert numerical_rank(d.x) == p
 
 

@@ -209,6 +209,10 @@ def test_audit_config_validation():
         ("trials_per_cell", 2.5),
         ("master_seed", None),
         ("max_examples", np.float64(40)),
+        ("trials_per_cell", True),
+        ("master_seed", False),
+        ("p_range", (True, 2)),
+        ("q_range", (1, np.True_)),
         # refused before any trial runs, not at the report or deep in the engine
         ("base_tolerance", True),
         ("base_tolerance", np.True_),

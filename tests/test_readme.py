@@ -1,5 +1,6 @@
 """The README's library example runs as written and names the package surface,
-and its table of maximal families is the audit's."""
+its table of maximal families is the audit's, and it names the Python versions
+CI runs."""
 
 from __future__ import annotations
 
@@ -41,3 +42,11 @@ def test_readme_maximal_families_are_the_audits():
         algorithm, *families = row.strip("| ").split(" | ")
         table[AlgorithmKind(algorithm)] = dict(zip(axes, map(CategoryKind, families)))
     assert table == MAXIMAL
+
+
+def test_readme_lists_the_python_versions_ci_runs():
+    workflow = README.parent / ".github" / "workflows" / "tests.yml"
+    matrix = re.search(r"python-version: \[(.*?)\]", workflow.read_text(encoding="utf-8"))[1]
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"on Python ((?:3\.\d+(?:,? and |, )?)+)", text)[1]
+    assert re.findall(r"3\.\d+", listed) == re.findall(r"3\.\d+", matrix)
