@@ -11,7 +11,7 @@ every other name is imported from the module that defines it.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = ["AlgorithmSpec", "AuditConfig", "SeedState", "run_audit", "synth_dataset"]
 

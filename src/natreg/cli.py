@@ -20,14 +20,13 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .data import csv_block_factors
 from .errors import NatregError, RankDeficient
-from .regression import AlgorithmKind, AlgorithmSpec, fit_block_factors
+from .exact import AlgorithmKind
 
-# natreg.naturality and natreg.report are imported inside the subcommands
-# that use them, so `natreg fit` never loads them.  Such an import reads the
-# module's attributes at call time, so a name rebound there (by a test or a
-# tracer) is the one called.
+# Every other module is imported inside the subcommand that uses it: `fit`
+# loads no audit module, and `counterexamples`, `--version` and `--help` load
+# no numpy.  Such an import reads the module's attributes at call time, so a
+# name rebound there (by a test or a tracer) is the one called.
 
 
 def _positive_int(text: str) -> int:
@@ -105,6 +104,9 @@ def _output(out: str | None):
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .data import csv_block_factors
+    from .regression import AlgorithmSpec, fit_block_factors
+
     spec = AlgorithmSpec(AlgorithmKind(args.algorithm), args.lam)  # usage errors before I/O
     with _output(args.out) as write:
         with open(args.data, "r", encoding="utf-8") as handle:
@@ -166,7 +168,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_counterexamples(args: argparse.Namespace) -> int:
-    from .naturality import counterexample_ols_shear, counterexample_ridge_scaling
+    from .exact import counterexample_ols_shear, counterexample_ridge_scaling
     from .report import counterexamples_to_json, counterexamples_to_text
 
     shear = counterexample_ols_shear(args.k)

@@ -1,4 +1,4 @@
-"""Commutative-diagram checks, the randomized audit engine, and counterexamples.
+"""Commutative-diagram checks and the randomized audit engine.
 
 For a fitting algorithm F and a structured map on one dataset axis, the
 corresponding diagram commutes when transforming the data and fitting agrees
@@ -14,8 +14,8 @@ function returns one diagram's relative residual for a ``Dataset`` and a
 for the audit engine (:func:`_transform`, :func:`_residual`), which computes
 the same numbers from raw arrays for many seeded trials per (algorithm,
 axis, kind) cell and compares the outcome with the expected classification.
-Two tiny exact counterexamples on plain arrays pin down why the negative
-cells are negative.
+The two exact counterexamples that pin down why the negative cells are
+negative are in :mod:`natreg.exact`.
 """
 
 from __future__ import annotations
@@ -32,25 +32,17 @@ from ._forkjoin import fork_map
 from ._forkjoin import usable_cpus as _usable_cpus
 from .data import Dataset, draw_dataset
 from .errors import ConfigError, ContractViolation
+# re-exported for benchmarks/trace_child.py, until its in-process tracer is retired
+from .exact import counterexample_ols_shear, counterexample_ridge_scaling  # noqa: F401
 from .linalg import SeedState, _rel_distance, _stream_modules, rel_distance
 from .morphisms import Axis, CategoryKind, Morphism, SQUARE_KINDS, draw_morphism_matrix, subcategories
-from .regression import (
-    AlgorithmKind,
-    AlgorithmSpec,
-    fit_systems,
-    min_norm_ols_fit,
-    ridge_fit,
-    sse,
-)
+from .regression import AlgorithmKind, AlgorithmSpec, fit_systems
 
 # Noise level for audit trial datasets; naturality does not depend on it.
 TRIAL_NOISE_SD = 1.0
 
 # A trial counts as an exhibited violation only well clear of the pass line.
 VIOLATION_MARGIN = 10.0
-
-# Counterexample residuals above this threshold count as exhibited.
-COUNTEREXAMPLE_THRESHOLD = 1e-6
 
 ALL_AXES = tuple(Axis)
 ALL_CATEGORIES = tuple(CategoryKind)
@@ -449,109 +441,3 @@ def run_audit(config: AuditConfig) -> AuditReport:
         for group, blocks in zip(groups, runs)
     ]
     return AuditReport(tool_version=__version__, config=config, cells=tuple(summaries))
-
-
-@dataclass(frozen=True)
-class ShearCounterexample:
-    """Minimum-norm fit under a shear of an underdetermined predictor space.
-
-    One example with x = [1, 0] and y = 1.  Both the original and sheared
-    data are fit exactly (both sse vanish), yet pulling the second fit back
-    through the shear misses the first in its second coordinate, leaving a
-    diagram residual of |k| / (1 + k^2).
-    """
-
-    k: float
-    fit: np.ndarray
-    fit_transformed: np.ndarray
-    pulled_back: np.ndarray
-    residual: float
-    sse_original: float
-    sse_transformed: float
-
-    @property
-    def violation_exhibited(self) -> bool:
-        return self.residual > COUNTEREXAMPLE_THRESHOLD
-
-
-def counterexample_ols_shear(k: float) -> ShearCounterexample:
-    """Exact witness that the minimum-norm fit is not shear-equivariant."""
-    if not math.isfinite(k):
-        raise ContractViolation(f"k must be finite, got {k}")
-    d = Dataset(x=[[1.0, 0.0]], y=[[1.0]])
-    xi = np.array([[1.0, float(k)], [0.0, 1.0]])
-    fitted = min_norm_ols_fit(d)
-    transformed = Dataset(x=d.x @ xi, y=d.y)
-    refitted = min_norm_ols_fit(transformed)
-    pulled_back = xi @ refitted.coef
-    return ShearCounterexample(
-        k=float(k),
-        fit=fitted.coef,
-        fit_transformed=refitted.coef,
-        pulled_back=pulled_back,
-        residual=math.hypot(*(pulled_back - fitted.coef).ravel()),
-        sse_original=sse(d, fitted),
-        sse_transformed=sse(transformed, refitted),
-    )
-
-
-@dataclass(frozen=True)
-class ScalingCounterexample:
-    """Penalized fit under a scalar predictor rescaling x -> c x.
-
-    With one example (x = b, y = 1) the closed forms give
-    fit = b / (b^2 + lambda) and fit_transformed = b c / (b^2 c^2 + lambda).
-    Commuting would force fit_transformed = fit / c, which holds only in the
-    unpenalized limit, so a positive penalty leaves a nonzero residual.
-    """
-
-    b: float
-    c: float
-    lam: float
-    fit: float
-    fit_transformed: float
-    fit_closed_form: float
-    fit_transformed_closed_form: float
-    expected_if_natural: float
-    residual: float
-    pulled_back_residual: float
-
-    @property
-    def violation_exhibited(self) -> bool:
-        return self.residual > COUNTEREXAMPLE_THRESHOLD
-
-
-def _one_example_ridge(b: float, lam: float) -> float:
-    """b / (b^2 + lam), the penalized fit to the one example (x = b, y = 1),
-    written as 1 / (b + lam / b) so that b^2 cannot overflow."""
-    return 0.0 if b == 0.0 else 1.0 / (b + lam / b)
-
-
-def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCounterexample:
-    """Exact witness that the penalized fit is not scaling-equivariant."""
-    if not math.isfinite(b):
-        raise ContractViolation(f"b must be finite, got {b}")
-    if not (math.isfinite(c) and c != 0.0):
-        raise ContractViolation(f"c must be finite and nonzero, got {c}")
-    b, c, lam = float(b), float(c), float(lam)
-    if not math.isfinite(b * c):
-        raise ContractViolation(f"b * c overflows float64 (b = {b:g}, c = {c:g})")
-    d = Dataset(x=[[b]], y=[[1.0]])
-    xi = np.array([[c]])
-    fitted = float(ridge_fit(d, lam).coef[0, 0])
-    refitted = float(ridge_fit(Dataset(x=d.x @ xi, y=d.y), lam).coef[0, 0])
-    for name, value in (("fit / c", fitted / c), ("c * fit'", c * refitted)):
-        if not math.isfinite(value):
-            raise ContractViolation(f"{name} overflows float64 (b = {b:g}, c = {c:g}, lambda = {lam:g})")
-    return ScalingCounterexample(
-        b=b,
-        c=c,
-        lam=lam,
-        fit=fitted,
-        fit_transformed=refitted,
-        fit_closed_form=_one_example_ridge(b, lam),
-        fit_transformed_closed_form=_one_example_ridge(b * c, lam),
-        expected_if_natural=fitted / c,
-        residual=abs(refitted - fitted / c),
-        pulled_back_residual=abs(c * refitted - fitted),
-    )

@@ -11,15 +11,13 @@ each distinct ``x`` once for all of its fits (:func:`fit_systems`).
 
 from __future__ import annotations
 
-import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ContractViolation, InvalidHyperparameter, RankDeficient
+from .exact import AlgorithmKind, _check_lambda
 from .linalg import _rank, as_matrix
 
 
@@ -41,20 +39,6 @@ class LinearModel:
     @property
     def q(self) -> int:
         return self.coef.shape[1]
-
-
-class AlgorithmKind(enum.Enum):
-    OLS = "ols"
-    RIDGE = "ridge"
-    MIN_NORM_OLS = "minnorm-ols"
-
-
-def _check_lambda(lam: float) -> None:
-    """The ridge penalty must be a positive finite number (a bool is not one)."""
-    if isinstance(lam, bool) or not (
-        isinstance(lam, numbers.Real) and math.isfinite(lam) and lam > 0.0
-    ):
-        raise InvalidHyperparameter(f"lambda must be a positive finite number, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -93,22 +77,6 @@ class AlgorithmSpec:
         if self.kind is AlgorithmKind.RIDGE:
             return f"ridge(lambda={self.lam:g})"
         return self.kind.value
-
-
-def _check_shapes(d: Dataset, model: LinearModel) -> None:
-    if model.p != d.p or model.q != d.q:
-        raise ContractViolation(
-            f"model is {model.p}x{model.q}, dataset needs {d.p}x{d.q}"
-        )
-
-
-def sse(d: Dataset, model: LinearModel) -> float:
-    """Sum of squared residuals over all examples and target coordinates."""
-    _check_shapes(d, model)
-    # an sse past the float64 range is inf, and says so without a warning
-    with np.errstate(over="ignore"):
-        r = d.y - d.x @ model.coef
-        return float(np.sum(r * r))
 
 
 def _penalized(sse_value: float, coef: np.ndarray, lam: float) -> float:

@@ -7,9 +7,9 @@ is byte-stable (parsing a report and re-serializing reproduces it exactly).
 The audit's ``config`` and each counterexample are written from their
 dataclass fields, so a new field is reported without an edit here: a
 dataclass is an object of its fields, with ``lam`` written as ``"lambda"``;
-an enum is its value; a tuple, a list or a numpy array is a list.  A
-witness adds ``violation_exhibited``.  A cell's keys, and the
-counterexamples' ``config``, are derived values and are written out below.
+an enum is its value; a tuple or a list is a list.  A witness adds
+``violation_exhibited``.  A cell's keys, and the counterexamples'
+``config``, are derived values and are written out below.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .naturality import (
-    AuditReport,
-    CellSummary,
-    ScalingCounterexample,
-    ShearCounterexample,
-)
+if TYPE_CHECKING:
+    from .exact import ScalingCounterexample, ShearCounterexample
+    from .naturality import AuditReport, CellSummary
 
 
 def _expected_label(natural: bool) -> str:
@@ -56,8 +52,6 @@ def _data(value):
         }
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, (tuple, list)):
         return [_data(item) for item in value]
     return value
@@ -145,7 +139,7 @@ def counterexamples_to_text(
         return format(v, ".17g")
 
     def flat(m) -> str:
-        return "[" + ", ".join(fmt(v) for v in m.ravel()) + "]"
+        return "[" + ", ".join(fmt(v) for row in m for v in row) + "]"
 
     shear_mark = "VIOLATION" if shear.violation_exhibited else "no violation"
     scaling_mark = "VIOLATION" if scaling.violation_exhibited else "no violation"

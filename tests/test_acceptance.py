@@ -12,20 +12,16 @@ import time
 
 import numpy as np
 from conftest import record_criterion, strict_json
-from oracles import ols_oracle_fit, ridge_objective, ridge_objective_gradient, sse_gradient
+from oracles import ols_oracle_fit, ridge_objective, ridge_objective_gradient, sse, sse_gradient
 
 import natreg.naturality
 from natreg.cli import main
 from natreg.data import Dataset, synth_dataset
+from natreg.exact import counterexample_ols_shear, counterexample_ridge_scaling
 from natreg.linalg import SeedState, rel_distance
 from natreg.morphisms import Axis, CategoryKind, sample_morphism
-from natreg.naturality import (
-    check_index_invariance,
-    check_predictor_dinaturality,
-    counterexample_ols_shear,
-    counterexample_ridge_scaling,
-)
-from natreg.regression import AlgorithmSpec, LinearModel, ols_fit, ridge_fit, sse
+from natreg.naturality import check_index_invariance, check_predictor_dinaturality
+from natreg.regression import AlgorithmSpec, LinearModel, ols_fit, ridge_fit
 
 
 def _criterion(number: int, description: str):
@@ -78,11 +74,9 @@ def test_criterion_1_default_audit_certifies_the_expected_cells(tmp_path):
 def test_criterion_2_ridge_scaling_counterexample():
     with _criterion(2, "ridge scaling witness matches closed forms, vanishes as lambda -> 0"):
         result = counterexample_ridge_scaling(1.0, 2.0, 1.0)
-        assert abs(result.fit - result.fit_closed_form) <= 1e-12
-        assert abs(result.fit - 0.5) <= 1e-12
-        assert abs(result.fit_transformed - result.fit_transformed_closed_form) <= 1e-12
-        assert abs(result.fit_transformed - 0.4) <= 1e-12
-        assert abs(result.residual - 0.15) <= 1e-12
+        assert result.fit == result.fit_closed_form == 0.5
+        assert result.fit_transformed == result.fit_transformed_closed_form == 0.4
+        assert result.residual == 0.15
         tiny = counterexample_ridge_scaling(1.0, 2.0, 1e-12)
         assert tiny.residual <= 1e-6
 
@@ -90,9 +84,8 @@ def test_criterion_2_ridge_scaling_counterexample():
 def test_criterion_3_min_norm_shear_counterexample():
     with _criterion(3, "shear witness: residual 0.5 with both fits exact"):
         result = counterexample_ols_shear(1.0)
-        assert abs(result.residual - 0.5) <= 1e-12
-        assert result.sse_original <= 1e-20
-        assert result.sse_transformed <= 1e-20
+        assert result.residual == 0.5
+        assert result.sse_original == result.sse_transformed == 0.0
 
 
 def test_criterion_4_ridge_commutes_with_expanding_isometries():

@@ -150,7 +150,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
         raise AssertionError("the work ran before --out was checked")
 
     monkeypatch.setattr(natreg.naturality, "run_audit", never)
-    monkeypatch.setattr(natreg.cli, "csv_block_factors", never)
+    monkeypatch.setattr(natreg.data, "csv_block_factors", never)
     data = _write(tmp_path, "d.csv", EXACT_CSV)
     missing = str(tmp_path / "nope" / "out.txt")
     through_a_file = str(tmp_path / "d.csv" / "coef.csv")
@@ -183,21 +183,21 @@ def test_out_is_opened_before_the_work_and_truncated_after_it(tmp_path, monkeypa
     link = tmp_path / "link"
     link.symlink_to(tmp_path / "target.csv")  # dangling: open creates its target
     outs, seen = [kept, str(link)], []
-    real = natreg.cli.csv_block_factors
+    real = natreg.data.csv_block_factors
 
     def note_the_output(*parse_args):
         with open(outs[len(seen)], encoding="utf-8") as out:
             seen.append(out.read())
         return real(*parse_args)
 
-    monkeypatch.setattr(natreg.cli, "csv_block_factors", note_the_output)
+    monkeypatch.setattr(natreg.data, "csv_block_factors", note_the_output)
     for out in outs:
         assert main([*args, "--out", out]) == 0
     assert seen == [old, ""]  # while the work ran, each was open and not yet truncated
     assert (tmp_path / "kept.csv").read_text() == expected
     assert (tmp_path / "target.csv").read_text() == expected
     # a FIFO is written, not truncated
-    monkeypatch.setattr(natreg.cli, "csv_block_factors", real)
+    monkeypatch.setattr(natreg.data, "csv_block_factors", real)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening the writer does not block
@@ -506,7 +506,7 @@ def test_counterexamples_default_exits_zero(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.count("VIOLATION") == 2
-    assert "0.15000000000000002" in captured.out
+    assert "0.14999999999999999" in captured.out  # 3/20, rounded once
 
 
 def test_counterexamples_identity_shear_exits_one(capsys):
@@ -525,14 +525,22 @@ def test_counterexamples_json_format(capsys):
     captured = capsys.readouterr()
     assert code == 0
     payload = strict_json(captured.out)
-    assert payload["counterexamples"]["shear"]["residual"] == pytest.approx(0.5)
-    assert payload["counterexamples"]["ridge_scaling"]["residual"] == pytest.approx(0.15)
+    assert payload["counterexamples"]["shear"]["residual"] == 0.5
+    assert payload["counterexamples"]["ridge_scaling"]["residual"] == 0.15
 
 
 def test_counterexamples_bad_arguments_exit_two(capsys):
     assert main(["counterexamples", "--c", "0"]) == 2
     assert main(["counterexamples", "--lambda", "0"]) == 2
-    capsys.readouterr()
+    # the exact gap, about 3.75e-601, is not 0 but would print as 0
+    assert main(["counterexamples", "--b", "1e200", "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: c must be finite and nonzero, got 0.0",
+        "error: lambda must be a positive finite number, got 0.0",
+        "error: |fit' - fit/c| is nonzero but rounds to 0 in float64 (b = 1e+200, c = 2, lambda = 1)",
+    ]
 
 
 @pytest.mark.parametrize("argv", [
@@ -637,6 +645,22 @@ def test_fit_loads_no_audit_module(tmp_path):
         "print(code, 'hashlib' in sys.modules)\n"
     )
     assert out.splitlines() == ["[]", "0 []", "0 False"]
+
+
+def test_counterexamples_version_and_help_load_no_numpy():
+    # the witnesses are exact rationals, so these commands need no numpy
+    unused = ("numpy", "natreg.data", "natreg.regression", "natreg.naturality", "hashlib")
+    out = _python(
+        "import io, sys, contextlib\n"
+        "import natreg.cli\n"
+        "codes = []\n"
+        "for argv in (['counterexamples'], ['counterexamples', '--format', 'json'],\n"
+        "             ['--version'], ['--help']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(natreg.cli.main(argv))\n"
+        f"print(codes, [name for name in {unused!r} if name in sys.modules])\n"
+    )
+    assert out == "[0, 0, 0, 0] []\n"
 
 
 def test_benchmark_trace_installs_and_its_calls_succeed(tmp_path):

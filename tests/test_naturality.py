@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from natreg.errors import (
     InvalidHyperparameter,
     RankDeficient,
 )
+from natreg.exact import counterexample_ols_shear, counterexample_ridge_scaling
 from natreg.linalg import SeedState, condition_estimate
 from natreg.morphisms import Axis, CategoryKind, Morphism, sample_morphism, subcategories
 from natreg.naturality import (
@@ -30,8 +32,6 @@ from natreg.naturality import (
     check_index_invariance,
     check_predictor_dinaturality,
     check_target_naturality,
-    counterexample_ols_shear,
-    counterexample_ridge_scaling,
     draw_trial,
     expected_natural,
     run_audit,
@@ -605,25 +605,24 @@ def test_run_audit_own_cell_raising_stops_the_other_workers(monkeypatch, error):
 
 def test_shear_counterexample_exact_values():
     result = counterexample_ols_shear(1.0)
-    np.testing.assert_allclose(result.fit, [[1.0], [0.0]], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(
-        result.fit_transformed, [[0.5], [0.5]], rtol=0, atol=1e-15
-    )
-    np.testing.assert_allclose(result.pulled_back, [[1.0], [0.5]], rtol=0, atol=1e-15)
-    assert abs(result.residual - 0.5) <= 1e-12
-    assert result.sse_original <= 1e-20
-    assert result.sse_transformed <= 1e-20
+    assert result.fit == ((1.0,), (0.0,))
+    assert result.fit_transformed == ((0.5,), (0.5,))
+    assert result.pulled_back == ((1.0,), (0.5,))
+    assert result.residual == 0.5
+    assert result.sse_original == result.sse_transformed == 0.0
     assert result.violation_exhibited
 
 
 def test_shear_counterexample_general_k():
     # the pulled-back fit differs from the original only in the second
-    # coordinate, by k / (1 + k^2); at k = 1e200 its square underflows
-    for k in (0.5, 2.0, -1.0, 10.0, 1e200):
+    # coordinate, by k / (1 + k^2), rounded once; k^2 overflows float64 at
+    # k = 1e200 and underflows at k = 5e-324
+    for k in (0.5, 2.0, -1.0, 10.0, 1e200, 5e-324):
         result = counterexample_ols_shear(k)
-        expected = 1.0 / (abs(k) + 1.0 / abs(k))
-        assert abs(result.residual - expected) <= 1e-12 * expected
-        assert result.sse_transformed <= 1e-20
+        exact = Fraction(k)
+        assert result.residual == float(abs(exact) / (1 + exact * exact)) > 0.0
+        assert result.pulled_back == ((1.0,), (float(exact / (1 + exact * exact)),))
+        assert result.sse_original == result.sse_transformed == 0.0
 
 
 def test_shear_counterexample_identity_is_silent():
@@ -632,47 +631,56 @@ def test_shear_counterexample_identity_is_silent():
     assert not result.violation_exhibited
 
 
+def _scaling_closed_forms(b: float, c: float, lam: float) -> tuple[float, float, float]:
+    """b / (b^2 + lam), b c / (b^2 c^2 + lam) and the gap |fit' - fit/c|,
+    each exact and rounded once."""
+    b, c, lam = Fraction(b), Fraction(c), Fraction(lam)
+    fit, refit = b / (b * b + lam), b * c / (b * b * c * c + lam)
+    return float(fit), float(refit), float(abs(refit - fit / c))
+
+
 def test_scaling_counterexample_exact_values():
     result = counterexample_ridge_scaling(1.0, 2.0, 1.0)
-    assert abs(result.fit - 0.5) <= 1e-12
-    assert abs(result.fit_closed_form - 0.5) <= 1e-15
-    assert abs(result.fit_transformed - 0.4) <= 1e-12
-    assert abs(result.fit_transformed_closed_form - 0.4) <= 1e-15
-    assert abs(result.residual - 0.15) <= 1e-12
-    assert abs(result.pulled_back_residual - 0.3) <= 1e-12
+    assert result.fit == result.fit_closed_form == 0.5
+    assert result.fit_transformed == result.fit_transformed_closed_form == 0.4
+    assert result.expected_if_natural == 0.25
+    assert result.residual == 0.15
+    assert result.pulled_back_residual == 0.3
     assert result.violation_exhibited
 
 
 def test_scaling_counterexample_matches_closed_forms_generally():
     for b, c, lam in ((2.0, 3.0, 0.5), (-1.0, 0.5, 2.0), (0.25, -2.0, 1e-3)):
         result = counterexample_ridge_scaling(b, c, lam)
-        assert abs(result.fit - b / (b * b + lam)) <= 1e-12
-        assert abs(
-            result.fit_transformed - b * c / (b * b * c * c + lam)
-        ) <= 1e-12
+        assert (result.fit, result.fit_transformed, result.residual) == _scaling_closed_forms(b, c, lam)
 
 
 def test_scaling_counterexample_closed_forms_hold_at_extreme_scale():
-    # b^2 overflows at b = 1e200; the fit and both closed forms stay exact
-    result = counterexample_ridge_scaling(1e200, 2.0, 1.0)
-    assert result.fit == result.fit_closed_form == 1e-200
-    assert result.fit_transformed == result.fit_transformed_closed_form == 5e-201
-    assert result.residual == 0.0
-    assert not result.violation_exhibited
+    # b^2 overflows float64 at b = 1e200; the witness does not
+    result = counterexample_ridge_scaling(1e200, 2.0, 1e300)
+    assert (result.fit, result.fit_transformed, result.residual) == _scaling_closed_forms(1e200, 2.0, 1e300)
+    assert result.fit == result.fit_closed_form
+    assert result.fit_transformed == result.fit_transformed_closed_form
+    assert result.residual > 0.0
+    # with lambda = 1 the exact gap, about 3.75e-601, is not 0 but rounds to 0
+    with pytest.raises(ContractViolation, match=r"^\|fit' - fit/c\| is nonzero but rounds to 0 in float64"):
+        counterexample_ridge_scaling(1e200, 2.0, 1.0)
     result = counterexample_ridge_scaling(0.0, 2.0, 1.0)
     assert result.fit == result.fit_closed_form == 0.0
     assert result.fit_transformed == result.fit_transformed_closed_form == 0.0
+    assert result.residual == result.pulled_back_residual == 0.0
 
 
 def test_scaling_counterexample_vanishes_without_penalty():
     result = counterexample_ridge_scaling(1.0, 2.0, 1e-12)
+    assert result.residual == _scaling_closed_forms(1.0, 2.0, 1e-12)[2]
     assert result.residual <= 1e-6
     assert not result.violation_exhibited
 
 
 def test_scaling_counterexample_unit_scaling_is_silent():
     result = counterexample_ridge_scaling(1.0, 1.0, 1.0)
-    assert result.residual <= 1e-15
+    assert result.residual == result.pulled_back_residual == 0.0
     assert not result.violation_exhibited
 
 
@@ -681,8 +689,9 @@ def test_counterexample_argument_validation():
         counterexample_ridge_scaling(1.0, 0.0, 1.0)
     with pytest.raises(ContractViolation, match=r"^b must be finite"):
         counterexample_ridge_scaling(math.inf, 2.0, 1.0)
-    with pytest.raises(InvalidHyperparameter):
-        counterexample_ridge_scaling(1.0, 2.0, 0.0)
+    for lam in (0.0, True):  # a bool is not a penalty, as AlgorithmSpec.ridge says
+        with pytest.raises(InvalidHyperparameter):
+            counterexample_ridge_scaling(1.0, 2.0, lam)
     with pytest.raises(ContractViolation):
         counterexample_ols_shear(math.inf)
     # witnesses that float64 cannot hold: each would report an inf, or warn

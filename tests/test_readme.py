@@ -1,6 +1,6 @@
 """The README's library example runs as written and names the package surface,
-its table of maximal families is the audit's, and it names the Python versions
-CI runs."""
+its table of maximal families is the audit's, its counterexamples are what the
+command prints, and it names the Python versions CI runs."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pathlib
 import re
 
 import natreg
+from natreg.cli import main
 from natreg.morphisms import Axis, CategoryKind
 from natreg.naturality import MAXIMAL
 from natreg.regression import AlgorithmKind
@@ -42,6 +43,13 @@ def test_readme_maximal_families_are_the_audits():
         algorithm, *families = row.strip("| ").split(" | ")
         table[AlgorithmKind(algorithm)] = dict(zip(axes, map(CategoryKind, families)))
     assert table == MAXIMAL
+
+
+def test_readme_counterexamples_are_what_the_command_prints(capsys):
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"```text\n(shear counterexample.*?)```", text, re.DOTALL)
+    assert main(["counterexamples"]) == 0
+    assert capsys.readouterr().out == block
 
 
 def test_readme_lists_the_python_versions_ci_runs():

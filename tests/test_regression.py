@@ -12,6 +12,7 @@ from oracles import (
     ols_oracle_fit,
     ridge_objective,
     ridge_objective_gradient,
+    sse,
     sse_gradient,
 )
 
@@ -19,6 +20,7 @@ import natreg.data
 import natreg.regression
 from natreg.data import Dataset, csv_block_factors, dataset_from_csv, synth_dataset
 from natreg.errors import ContractViolation, InvalidHyperparameter, RankDeficient
+from natreg.exact import counterexample_ols_shear, counterexample_ridge_scaling
 from natreg.linalg import SeedState, numerical_rank, rel_distance
 from natreg.regression import (
     AlgorithmKind,
@@ -29,7 +31,6 @@ from natreg.regression import (
     min_norm_ols_fit,
     ols_fit,
     ridge_fit,
-    sse,
 )
 
 
@@ -262,6 +263,35 @@ def test_min_norm_is_small_lambda_ridge_limit():
     fitted = min_norm_ols_fit(d)
     near = ridge_fit(d, 1e-10)
     assert rel_distance(near.coef, fitted.coef) <= 1e-4
+
+
+def _within_4_ulp(coef: np.ndarray, exact: tuple[tuple[float], ...]) -> bool:
+    """Whether each coefficient is within 4 ulp of the largest exact one: an
+    SVD fit's error is normwise, so a coordinate 1e-6 of the largest can be
+    hundreds of its own ulp off (k = 1e3 below)."""
+    scale = math.ulp(max(abs(v) for (v,) in exact))
+    return coef.shape == (len(exact), 1) and all(
+        abs(a - e) <= 4 * scale for a, (e,) in zip(coef.ravel().tolist(), exact)
+    )
+
+
+@pytest.mark.parametrize("k", [1.0, 0.5, -3.0, 10.0, 1e-3, 1e3])
+def test_min_norm_fits_the_shear_witness_data_as_the_exact_witness_does(k):
+    witness = counterexample_ols_shear(k)
+    spec = AlgorithmSpec.min_norm_ols()
+    assert _within_4_ulp(spec.fit(Dataset([[1.0, 0.0]], [[1.0]])).coef, witness.fit)
+    assert _within_4_ulp(spec.fit(Dataset([[1.0, k]], [[1.0]])).coef, witness.fit_transformed)
+
+
+@pytest.mark.parametrize(
+    "b, c, lam",
+    [(1.0, 2.0, 1.0), (2.0, 3.0, 0.5), (-1.0, 0.5, 2.0), (0.25, -2.0, 1e-3), (1e200, 2.0, 1e300)],
+)
+def test_ridge_fits_the_scaling_witness_data_as_the_exact_witness_does(b, c, lam):
+    witness = counterexample_ridge_scaling(b, c, lam)
+    spec = AlgorithmSpec.ridge(lam)
+    assert _within_4_ulp(spec.fit(Dataset([[b]], [[1.0]])).coef, ((witness.fit,),))
+    assert _within_4_ulp(spec.fit(Dataset([[b * c]], [[1.0]])).coef, ((witness.fit_transformed,),))
 
 
 def test_oracle_matches_closed_form():

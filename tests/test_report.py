@@ -8,13 +8,9 @@ import math
 
 import pytest
 
+from natreg.exact import counterexample_ols_shear, counterexample_ridge_scaling
 from natreg.morphisms import Axis, CategoryKind
-from natreg.naturality import (
-    AuditConfig,
-    counterexample_ols_shear,
-    counterexample_ridge_scaling,
-    run_audit,
-)
+from natreg.naturality import AuditConfig, run_audit
 from natreg.regression import AlgorithmSpec
 from natreg.report import (
     audit_report_to_json,
