@@ -129,7 +129,7 @@ def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCount
 
     A witness that float64 cannot show raises :class:`ContractViolation`:
     one where ``b * c``, ``fit / c`` or ``c * fit'`` overflows, or where a
-    residual is nonzero but rounds to 0.
+    residual, ``fit``, ``fit'`` or ``fit / c`` is nonzero but rounds to 0.
     """
     from fractions import Fraction
     if not math.isfinite(b):
@@ -151,8 +151,8 @@ def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCount
         except OverflowError:
             raise ContractViolation(f"{name} overflows float64 {where}") from None
     gaps = {"|fit' - fit/c|": abs(refit - fit / scale), "|c fit' - fit|": abs(scale * refit - fit)}
-    for name, gap in gaps.items():
-        if gap and not float(gap):
+    for name, value in (*gaps.items(), ("fit", fit), ("fit'", refit), ("fit / c", fit / scale)):
+        if value and not float(value):
             raise ContractViolation(f"{name} is nonzero but rounds to 0 in float64 {where}")
     residual, pulled_back_residual = map(float, gaps.values())
     return ScalingCounterexample(

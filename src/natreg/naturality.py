@@ -41,6 +41,15 @@ from .regression import AlgorithmKind, AlgorithmSpec, fit_systems
 # Noise level for audit trial datasets; naturality does not depend on it.
 TRIAL_NOISE_SD = 1.0
 
+# The fixed regime each trial's dimensions are drawn from: p and q from
+# these inclusive ranges, and N from p + 1 to MAX_EXAMPLES, so that OLS has
+# full rank almost surely.  A non-square map's codomain is at most
+# CODOMAIN_OFFSET above its domain (euc_mono) or either side of it (finvec).
+P_RANGE = (1, 8)
+Q_RANGE = (1, 8)
+MAX_EXAMPLES = 40
+CODOMAIN_OFFSET = 5
+
 # A trial counts as an exhibited violation only well clear of the pass line.
 VIOLATION_MARGIN = 10.0
 
@@ -119,7 +128,8 @@ def expected_natural(kind: AlgorithmKind, axis: Axis, category: CategoryKind) ->
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Everything that determines an audit run, and therefore its report."""
+    """Everything a caller chooses about an audit run: with the fixed trial
+    regime above, what determines its report."""
 
     algorithms: tuple[AlgorithmSpec, ...] = (
         AlgorithmSpec.ols(),
@@ -127,16 +137,12 @@ class AuditConfig:
     )
     axes: tuple[Axis, ...] = ALL_AXES
     categories: tuple[CategoryKind, ...] = ALL_CATEGORIES
-    p_range: tuple[int, int] = (1, 8)
-    q_range: tuple[int, int] = (1, 8)
-    max_examples: int = 40
-    codomain_offset: int = 5
     trials_per_cell: int = 200
     master_seed: int = 42
     base_tolerance: float = 1e-8
 
     def __post_init__(self):
-        for name in ("max_examples", "codomain_offset", "trials_per_cell", "master_seed"):
+        for name in ("trials_per_cell", "master_seed"):
             object.__setattr__(self, name, _config_int(name, getattr(self, name)))
         for name, kind in (("algorithms", AlgorithmSpec), ("axes", Axis), ("categories", CategoryKind)):
             object.__setattr__(self, name, _config_members(name, getattr(self, name), kind))
@@ -146,23 +152,6 @@ class AuditConfig:
                     "algorithms",
                     f"{spec.kind.value} has no expected classification to audit against",
                 )
-        for name in ("p_range", "q_range"):
-            lo_hi = getattr(self, name)
-            try:
-                lo, hi = lo_hi
-            except (TypeError, ValueError):
-                raise ConfigError(name, f"need a pair (lo, hi), got {lo_hi!r}") from None
-            lo, hi = _config_int(name, lo), _config_int(name, hi)
-            if not (1 <= lo <= hi):
-                raise ConfigError(name, f"need 1 <= lo <= hi, got {(lo, hi)}")
-            object.__setattr__(self, name, (lo, hi))
-        if self.max_examples < self.p_range[1] + 1:
-            raise ConfigError(
-                "max_examples",
-                f"need at least p_max + 1 = {self.p_range[1] + 1}, got {self.max_examples}",
-            )
-        if self.codomain_offset < 0:
-            raise ConfigError("codomain_offset", f"must be >= 0, got {self.codomain_offset}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
         tolerance = self.base_tolerance
@@ -332,7 +321,7 @@ class AuditReport:
 
 
 def draw_trial(
-    axis: Axis, category: CategoryKind, config: AuditConfig, seed: SeedState
+    axis: Axis, category: CategoryKind, seed: SeedState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
     """The dataset arrays (x, y), the morphism matrix and its condition number
     (``None`` unless the category is finvec_iso) of one audit trial.
@@ -341,17 +330,17 @@ def draw_trial(
     order: the dimensions, then x, coef and noise, then the morphism.
     """
     gen = seed.generator()
-    p = int(gen.integers(config.p_range[0], config.p_range[1] + 1))
-    q = int(gen.integers(config.q_range[0], config.q_range[1] + 1))
-    n = int(gen.integers(p + 1, config.max_examples + 1))
+    p = int(gen.integers(P_RANGE[0], P_RANGE[1] + 1))
+    q = int(gen.integers(Q_RANGE[0], Q_RANGE[1] + 1))
+    n = int(gen.integers(p + 1, MAX_EXAMPLES + 1))
     source = {Axis.PREDICTOR: p, Axis.TARGET: q, Axis.INDEX: n}[axis]
     if category in SQUARE_KINDS:
         target = source
     elif category is CategoryKind.EUC_MONO:
-        target = source + int(gen.integers(0, config.codomain_offset + 1))
+        target = source + int(gen.integers(0, CODOMAIN_OFFSET + 1))
     else:  # FINVEC: any codomain near the source, above or below
-        lo = max(1, source - config.codomain_offset)
-        target = int(gen.integers(lo, source + config.codomain_offset + 1))
+        lo = max(1, source - CODOMAIN_OFFSET)
+        target = int(gen.integers(lo, source + CODOMAIN_OFFSET + 1))
     x, y, _ = draw_dataset(gen, n, p, q, noise_sd=TRIAL_NOISE_SD)
     m, kappa = draw_morphism_matrix(category, axis, source, target, gen)
     return x, y, m, kappa
@@ -394,7 +383,7 @@ def _run_group(axis: Axis, category: CategoryKind, seed: SeedState, config: Audi
     maps = []
     systems = []
     for i, row in enumerate(rows):
-        x, y, m, kappa = draw_trial(axis, category, config, seed.derive(i))
+        x, y, m, kappa = draw_trial(axis, category, seed.derive(i))
         x2, y2 = _transform(axis, category, x, y, m)
         tolerance = config.base_tolerance
         if kappa is not None:

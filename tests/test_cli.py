@@ -534,12 +534,17 @@ def test_counterexamples_bad_arguments_exit_two(capsys):
     assert main(["counterexamples", "--lambda", "0"]) == 2
     # the exact gap, about 3.75e-601, is not 0 but would print as 0
     assert main(["counterexamples", "--b", "1e200", "--lambda", "1"]) == 2
+    # fit' is about 1e-640 and fit / c is 1e-400: each would print as 0
+    assert main(["counterexamples", "--b", "1e-320", "--c", "1e-320", "--lambda", "1"]) == 2
+    assert main(["counterexamples", "--b", "1e-300", "--c", "1e100", "--lambda", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: c must be finite and nonzero, got 0.0",
         "error: lambda must be a positive finite number, got 0.0",
         "error: |fit' - fit/c| is nonzero but rounds to 0 in float64 (b = 1e+200, c = 2, lambda = 1)",
+        "error: fit' is nonzero but rounds to 0 in float64 (b = 9.99989e-321, c = 9.99989e-321, lambda = 1)",
+        "error: fit / c is nonzero but rounds to 0 in float64 (b = 1e-300, c = 1e+100, lambda = 1)",
     ]
 
 

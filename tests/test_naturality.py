@@ -165,15 +165,37 @@ def test_expected_classification_table():
         expected_natural(AlgorithmKind.MIN_NORM_OLS, Axis.TARGET, CategoryKind.FINVEC)
 
 
-def test_observed_verdicts_are_downward_closed():
+@pytest.fixture(scope="module")
+def default_report():
+    return run_audit(AuditConfig())
+
+
+def test_observed_verdicts_are_downward_closed(default_report):
     # a cell of the default report that passes every trial implies the same
     # of every smaller kind's cell in its (algorithm, axis)
-    cells = {(c.spec, c.axis, c.category): c for c in run_audit(AuditConfig()).cells}
+    cells = {(c.spec, c.axis, c.category): c for c in default_report.cells}
     for (spec, axis, category), cell in cells.items():
         if cell.pass_count == cell.trial_count:
             for smaller in subcategories(category):
                 below = cells[(spec, axis, smaller)]
                 assert below.pass_count == below.trial_count, (spec, axis, category, smaller)
+
+
+def test_default_trials_span_the_fixed_regime(default_report):
+    # every trial lies in the regime the README states, and each (axis, kind)
+    # group reaches each of its ends
+    for cell in default_report.cells:
+        label = (cell.spec, cell.axis, cell.category)
+        p, q, n, dim = cell.rows[:, 2:].astype(int).T
+        source = {Axis.PREDICTOR: p, Axis.TARGET: q, Axis.INDEX: n}[cell.axis]
+        assert (p.min(), p.max(), q.min(), q.max()) == (1, 8, 1, 8), label
+        assert (n - p).min() == 1 and n.max() == 40, label
+        offsets = {CategoryKind.EUC_MONO: (0, 5), CategoryKind.FINVEC: (-5, 5)}
+        offset = dim - source
+        assert (offset.min(), offset.max()) == offsets.get(cell.category, (0, 0)), label
+        if cell.category is CategoryKind.FINVEC:
+            # a codomain is never empty: a small p or q reaches 1, N (at least 2) reaches 2
+            assert dim.min() == (2 if cell.axis is Axis.INDEX else 1), label
 
 
 def test_audit_config_validation():
@@ -190,29 +212,15 @@ def test_audit_config_validation():
     with pytest.raises(ConfigError) as excinfo:
         AuditConfig(categories=())
     assert excinfo.value.field == "categories"
-    with pytest.raises(ConfigError) as excinfo:
-        AuditConfig(codomain_offset=-1)
-    assert excinfo.value.field == "codomain_offset"
     for tolerance in (0.0, math.inf, math.nan):
         # an infinite pass line could count no trial as a violation
         with pytest.raises(ConfigError):
             AuditConfig(base_tolerance=tolerance)
-    with pytest.raises(ConfigError):
-        AuditConfig(p_range=(3, 2))
-    with pytest.raises(ConfigError):
-        AuditConfig(max_examples=5)
     for field, value in (
-        ("p_range", (1, 8.5)),
-        ("p_range", (1, 2, 3)),
-        ("q_range", 3),
-        ("q_range", ("1", "8")),
         ("trials_per_cell", 2.5),
         ("master_seed", None),
-        ("max_examples", np.float64(40)),
         ("trials_per_cell", True),
         ("master_seed", False),
-        ("p_range", (True, 2)),
-        ("q_range", (1, np.True_)),
         # refused before any trial runs, not at the report or deep in the engine
         ("base_tolerance", True),
         ("base_tolerance", np.True_),
@@ -236,18 +244,15 @@ def test_audit_config_stores_numpy_integers_as_ints():
     # the float, so the report is the one the Python number gives, and
     # strict JSON can write it
     config = AuditConfig(
-        p_range=(np.int32(1), np.int64(3)), q_range=[1, np.uint8(2)], max_examples=np.int64(9),
-        codomain_offset=np.int16(2), trials_per_cell=np.int64(2), master_seed=np.int64(7),
-        base_tolerance=np.float32(1e-8), axes=[Axis.TARGET], categories=[CategoryKind.EUC],
+        trials_per_cell=np.int64(2), master_seed=np.int64(7), base_tolerance=np.float32(1e-8),
+        axes=[Axis.TARGET], categories=[CategoryKind.EUC],
     )
     plain = AuditConfig(
-        p_range=(1, 3), q_range=(1, 2), max_examples=9, codomain_offset=2, trials_per_cell=2,
-        master_seed=7, base_tolerance=float(np.float32(1e-8)), axes=(Axis.TARGET,),
-        categories=(CategoryKind.EUC,),
+        trials_per_cell=2, master_seed=7, base_tolerance=float(np.float32(1e-8)),
+        axes=(Axis.TARGET,), categories=(CategoryKind.EUC,),
     )
     assert config == plain
-    for value in (*config.p_range, *config.q_range, config.max_examples,
-                  config.codomain_offset, config.trials_per_cell, config.master_seed):
+    for value in (config.trials_per_cell, config.master_seed):
         assert type(value) is int
     assert type(config.base_tolerance) is float
     report = audit_report_to_json(run_audit(config))
@@ -403,7 +408,7 @@ def test_engine_matches_the_scalar_checkers_trial_by_trial():
     domain_exits = 0
     for cell in report.cells:
         for trial in cell.trials:
-            x, y, m, kappa = draw_trial(cell.axis, cell.category, config, trial.seed)
+            x, y, m, kappa = draw_trial(cell.axis, cell.category, trial.seed)
             d = Dataset(x, y)
             morphism = Morphism(cell.category, cell.axis, m)
             try:
@@ -702,3 +707,10 @@ def test_counterexample_argument_validation():
         counterexample_ridge_scaling(1.0, 1e-320, 1.0)
     with pytest.raises(ContractViolation, match=r"^c \* fit' overflows"):
         counterexample_ridge_scaling(1e-320, 1e300, 1e-300)
+    # a shown value that is nonzero but would print as 0, as a residual is refused
+    with pytest.raises(ContractViolation, match=r"^fit' is nonzero but rounds to 0 in float64"):
+        counterexample_ridge_scaling(1e-320, 1e-320, 1.0)  # fit' is about 1e-640
+    with pytest.raises(ContractViolation, match=r"^fit / c is nonzero but rounds to 0 in float64"):
+        counterexample_ridge_scaling(1e-300, 1e100, 1.0)  # fit / c is 1e-400
+    with pytest.raises(ContractViolation, match=r"^fit is nonzero but rounds to 0 in float64"):
+        counterexample_ridge_scaling(5e-324, 1.0, 1e300)  # fit is about 5e-624
