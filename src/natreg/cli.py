@@ -139,7 +139,8 @@ def _parse_names(raw: str, allowed: dict[str, object], flag: str, parser: argpar
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .naturality import ALL_AXES, ALL_CATEGORIES, AuditConfig, run_audit
+    from .morphisms import Axis, CategoryKind
+    from .naturality import AuditConfig, run_audit
     from .report import audit_report_to_json, audit_report_to_text
 
     # AuditConfig alone holds the defaults, so it gets only the flags given;
@@ -147,8 +148,8 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     # its default penalty)
     named = (
         ("algorithms", "--algorithm", args.algorithm, {s.kind.value: s for s in AuditConfig.algorithms}),
-        ("axes", "--axes", args.axes, {axis.value: axis for axis in ALL_AXES}),
-        ("categories", "--categories", args.categories, {kind.value: kind for kind in ALL_CATEGORIES}),
+        ("axes", "--axes", args.axes, {axis.value: axis for axis in Axis}),
+        ("categories", "--categories", args.categories, {kind.value: kind for kind in CategoryKind}),
     )
     given = {
         field: _parse_names(raw, allowed, flag, parser)

@@ -3,9 +3,9 @@ algorithm names and penalty check that the fits share with them.
 
 Each witness fits one example (x, y = 1), where minimum-norm OLS (lam = 0,
 x nonzero) and ridge share one closed form, x' / (|x|^2 + lam).  Its values
-are computed as :class:`~fractions.Fraction` from the float inputs, each
-rounded once by ``float()``, which rounds correctly; a matrix is a tuple of
-rows.  Only the standard library is used, so ``natreg counterexamples``
+are computed as :class:`~fractions.Fraction` from the float inputs, and each
+value reported is rounded once, correctly, by :func:`_float`; a matrix is a
+tuple of rows.  Only the standard library is used, so ``natreg counterexamples``
 loads no numpy.
 """
 
@@ -45,9 +45,16 @@ def _one_example_fit(
     return tuple(v / denominator for v in x)
 
 
-def _column(values: tuple[numbers.Rational, ...]) -> tuple[tuple[float], ...]:
-    """``values`` rounded once each, as the rows of a column matrix."""
-    return tuple((float(v),) for v in values)
+def _float(name: str, value: numbers.Rational, where: str, *, shown: bool = True) -> float:
+    """``value`` rounded once to float64, refused (naming it and ``where``) if it
+    overflows or, when it is ``shown``, if it is nonzero but rounds to 0."""
+    try:
+        rounded = float(value)
+    except OverflowError:
+        raise ContractViolation(f"{name} overflows float64 {where}") from None
+    if shown and value and not rounded:
+        raise ContractViolation(f"{name} is nonzero but rounds to 0 in float64 {where}")
+    return rounded
 
 
 @dataclass(frozen=True)
@@ -74,25 +81,28 @@ class ShearCounterexample:
 
 
 def counterexample_ols_shear(k: float) -> ShearCounterexample:
-    """Exact witness that the minimum-norm fit is not shear-equivariant."""
+    """Exact witness that the minimum-norm fit is not shear-equivariant; refused
+    for |k| above about 6.4e161, where fit' = 1 / (1 + k^2) rounds to 0."""
     # imported here: `natreg fit` and `natreg audit` load this module for AlgorithmKind alone
     from fractions import Fraction
     if not math.isfinite(k):
         raise ContractViolation(f"k must be finite, got {k}")
+    k = float(k)
+    where = f"(k = {k:g})"
     shear = Fraction(k)
     x, sheared = (Fraction(1), Fraction(0)), (Fraction(1), shear)  # x and x @ [[1, k], [0, 1]]
     fit, refit = _one_example_fit(x), _one_example_fit(sheared)
     pulled_back = (refit[0] + shear * refit[1], refit[1])
     sse = [(1 - sum(map(operator.mul, row, coef))) ** 2 for row, coef in ((x, fit), (sheared, refit))]
     return ShearCounterexample(
-        k=float(k),
-        fit=_column(fit),
-        fit_transformed=_column(refit),
-        pulled_back=_column(pulled_back),
+        k=k,
+        fit=tuple((_float("fit", v, where),) for v in fit),
+        fit_transformed=tuple((_float("fit'", v, where),) for v in refit),
+        pulled_back=tuple((_float("shear @ fit'", v, where),) for v in pulled_back),
         # the first coordinates agree (both are 1): |k| / (1 + k^2), 0 only at k = 0
-        residual=float(abs(pulled_back[1] - fit[1])),
-        sse_original=float(sse[0]),
-        sse_transformed=float(sse[1]),
+        residual=_float("|shear @ fit' - fit|", abs(pulled_back[1] - fit[1]), where),
+        sse_original=_float("sse", sse[0], where),
+        sse_transformed=_float("sse'", sse[1], where),
     )
 
 
@@ -104,8 +114,6 @@ class ScalingCounterexample:
     fit = b / (b^2 + lambda) and fit_transformed = b c / (b^2 c^2 + lambda).
     Commuting would force fit_transformed = fit / c, which holds only in the
     unpenalized limit, so a positive penalty leaves a nonzero residual.
-    ``fit_closed_form`` and ``fit_transformed_closed_form`` equal ``fit``
-    and ``fit_transformed``: the fits are their closed forms, rounded once.
     """
 
     b: float
@@ -113,8 +121,6 @@ class ScalingCounterexample:
     lam: float
     fit: float
     fit_transformed: float
-    fit_closed_form: float
-    fit_transformed_closed_form: float
     expected_if_natural: float
     residual: float
     pulled_back_residual: float
@@ -145,25 +151,18 @@ def counterexample_ridge_scaling(b: float, c: float, lam: float) -> ScalingCount
     scale, penalty = Fraction(c), Fraction(lam)
     [fit] = _one_example_fit((Fraction(b),), penalty)
     [refit] = _one_example_fit((Fraction(b) * scale,), penalty)
-    for name, value in (("fit / c", fit / scale), ("c * fit'", scale * refit)):
-        try:
-            float(value)
-        except OverflowError:
-            raise ContractViolation(f"{name} overflows float64 {where}") from None
-    gaps = {"|fit' - fit/c|": abs(refit - fit / scale), "|c fit' - fit|": abs(scale * refit - fit)}
-    for name, value in (*gaps.items(), ("fit", fit), ("fit'", refit), ("fit / c", fit / scale)):
-        if value and not float(value):
-            raise ContractViolation(f"{name} is nonzero but rounds to 0 in float64 {where}")
-    residual, pulled_back_residual = map(float, gaps.values())
-    return ScalingCounterexample(
+    expected, pulled_back = fit / scale, scale * refit
+    # Overflows are refused before any value that rounds to 0.  c * fit' is not
+    # shown, but |c fit' - fit| can overflow only where it does.
+    for name, value in (("fit / c", expected), ("c * fit'", pulled_back)):
+        _float(name, value, where, shown=False)
+    return ScalingCounterexample(  # keywords in refusal order: the residuals first
         b=b,
         c=c,
         lam=lam,
-        fit=float(fit),
-        fit_transformed=float(refit),
-        fit_closed_form=float(fit),
-        fit_transformed_closed_form=float(refit),
-        expected_if_natural=float(fit / scale),
-        residual=residual,
-        pulled_back_residual=pulled_back_residual,
+        residual=_float("|fit' - fit/c|", abs(refit - expected), where),
+        pulled_back_residual=_float("|c fit' - fit|", abs(pulled_back - fit), where),
+        fit=_float("fit", fit, where),
+        fit_transformed=_float("fit'", refit, where),
+        expected_if_natural=_float("fit / c", expected, where),
     )

@@ -53,9 +53,6 @@ CODOMAIN_OFFSET = 5
 # A trial counts as an exhibited violation only well clear of the pass line.
 VIOLATION_MARGIN = 10.0
 
-ALL_AXES = tuple(Axis)
-ALL_CATEGORIES = tuple(CategoryKind)
-
 # Each algorithm's maximal category per axis: its diagram is expected to
 # commute with the maps of that kind and of every kind below it.
 #   target     finvec for both: both closed forms are linear in y.
@@ -135,8 +132,8 @@ class AuditConfig:
         AlgorithmSpec.ols(),
         AlgorithmSpec.ridge(1.0),
     )
-    axes: tuple[Axis, ...] = ALL_AXES
-    categories: tuple[CategoryKind, ...] = ALL_CATEGORIES
+    axes: tuple[Axis, ...] = tuple(Axis)
+    categories: tuple[CategoryKind, ...] = tuple(CategoryKind)
     trials_per_cell: int = 200
     master_seed: int = 42
     base_tolerance: float = 1e-8

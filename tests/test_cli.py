@@ -537,6 +537,8 @@ def test_counterexamples_bad_arguments_exit_two(capsys):
     # fit' is about 1e-640 and fit / c is 1e-400: each would print as 0
     assert main(["counterexamples", "--b", "1e-320", "--c", "1e-320", "--lambda", "1"]) == 2
     assert main(["counterexamples", "--b", "1e-300", "--c", "1e100", "--lambda", "1"]) == 2
+    # the shear's fit' = 1 / (1 + k^2) is about 1e-400
+    assert main(["counterexamples", "--k", "1e200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -545,6 +547,7 @@ def test_counterexamples_bad_arguments_exit_two(capsys):
         "error: |fit' - fit/c| is nonzero but rounds to 0 in float64 (b = 1e+200, c = 2, lambda = 1)",
         "error: fit' is nonzero but rounds to 0 in float64 (b = 9.99989e-321, c = 9.99989e-321, lambda = 1)",
         "error: fit / c is nonzero but rounds to 0 in float64 (b = 1e-300, c = 1e+100, lambda = 1)",
+        "error: fit' is nonzero but rounds to 0 in float64 (k = 1e+200)",
     ]
 
 

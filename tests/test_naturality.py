@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import no_fork, strict_json
+from hypothesis import example, given, settings, strategies as st
 
 import natreg._forkjoin
 import natreg.naturality
@@ -621,8 +622,8 @@ def test_shear_counterexample_exact_values():
 def test_shear_counterexample_general_k():
     # the pulled-back fit differs from the original only in the second
     # coordinate, by k / (1 + k^2), rounded once; k^2 overflows float64 at
-    # k = 1e200 and underflows at k = 5e-324
-    for k in (0.5, 2.0, -1.0, 10.0, 1e200, 5e-324):
+    # k = 1e160 and underflows at k = 5e-324
+    for k in (0.5, 2.0, -1.0, 10.0, 1e160, 5e-324):
         result = counterexample_ols_shear(k)
         exact = Fraction(k)
         assert result.residual == float(abs(exact) / (1 + exact * exact)) > 0.0
@@ -646,8 +647,8 @@ def _scaling_closed_forms(b: float, c: float, lam: float) -> tuple[float, float,
 
 def test_scaling_counterexample_exact_values():
     result = counterexample_ridge_scaling(1.0, 2.0, 1.0)
-    assert result.fit == result.fit_closed_form == 0.5
-    assert result.fit_transformed == result.fit_transformed_closed_form == 0.4
+    assert result.fit == 0.5
+    assert result.fit_transformed == 0.4
     assert result.expected_if_natural == 0.25
     assert result.residual == 0.15
     assert result.pulled_back_residual == 0.3
@@ -655,7 +656,8 @@ def test_scaling_counterexample_exact_values():
 
 
 def test_scaling_counterexample_matches_closed_forms_generally():
-    for b, c, lam in ((2.0, 3.0, 0.5), (-1.0, 0.5, 2.0), (0.25, -2.0, 1e-3)):
+    # at (1e-100, 1e-200, 1), c * fit' is about 1e-500, which is not shown
+    for b, c, lam in ((2.0, 3.0, 0.5), (-1.0, 0.5, 2.0), (0.25, -2.0, 1e-3), (1e-100, 1e-200, 1.0)):
         result = counterexample_ridge_scaling(b, c, lam)
         assert (result.fit, result.fit_transformed, result.residual) == _scaling_closed_forms(b, c, lam)
 
@@ -664,15 +666,12 @@ def test_scaling_counterexample_closed_forms_hold_at_extreme_scale():
     # b^2 overflows float64 at b = 1e200; the witness does not
     result = counterexample_ridge_scaling(1e200, 2.0, 1e300)
     assert (result.fit, result.fit_transformed, result.residual) == _scaling_closed_forms(1e200, 2.0, 1e300)
-    assert result.fit == result.fit_closed_form
-    assert result.fit_transformed == result.fit_transformed_closed_form
     assert result.residual > 0.0
     # with lambda = 1 the exact gap, about 3.75e-601, is not 0 but rounds to 0
     with pytest.raises(ContractViolation, match=r"^\|fit' - fit/c\| is nonzero but rounds to 0 in float64"):
         counterexample_ridge_scaling(1e200, 2.0, 1.0)
     result = counterexample_ridge_scaling(0.0, 2.0, 1.0)
-    assert result.fit == result.fit_closed_form == 0.0
-    assert result.fit_transformed == result.fit_transformed_closed_form == 0.0
+    assert result.fit == result.fit_transformed == 0.0
     assert result.residual == result.pulled_back_residual == 0.0
 
 
@@ -689,6 +688,46 @@ def test_scaling_counterexample_unit_scaling_is_silent():
     assert not result.violation_exhibited
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _shown_exactly(reported: tuple, exact: tuple) -> bool:
+    """Each reported value is its exact value rounded once, and 0 only where that is 0."""
+    return all(r == float(e) and (r == 0) == (e == 0) for r, e in zip(reported, exact, strict=True))
+
+
+@settings(deadline=None)
+@given(k=_FINITE, b=_FINITE, c=_FINITE, lam=_FINITE)
+@example(k=1e200, b=1.0, c=2.0, lam=1.0)  # fit' = 1 / (1 + k^2) is about 1e-400
+def test_witnesses_report_their_exact_closed_forms_or_refuse(k, b, c, lam):
+    try:
+        shear = counterexample_ols_shear(k)
+    except ContractViolation:
+        pass
+    else:
+        k = Fraction(k)
+        refit = (1 / (1 + k * k), k / (1 + k * k))
+        assert _shown_exactly(
+            (shear.k, *(v for [v] in shear.fit + shear.fit_transformed + shear.pulled_back),
+             shear.residual, shear.sse_original, shear.sse_transformed),
+            (k, 1, 0, *refit, 1, refit[1], abs(refit[1]), 0, 0),
+        )
+    try:
+        scaling = counterexample_ridge_scaling(b, c, lam)
+    except InvalidHyperparameter:
+        assert lam <= 0
+    except ContractViolation:
+        pass
+    else:
+        b, c, lam = Fraction(b), Fraction(c), Fraction(lam)
+        fit, refit = b / (b * b + lam), b * c / (b * b * c * c + lam)
+        assert _shown_exactly(
+            (scaling.b, scaling.c, scaling.lam, scaling.fit, scaling.fit_transformed,
+             scaling.expected_if_natural, scaling.residual, scaling.pulled_back_residual),
+            (b, c, lam, fit, refit, fit / c, abs(refit - fit / c), abs(c * refit - fit)),
+        )
+
+
 def test_counterexample_argument_validation():
     with pytest.raises(ContractViolation):
         counterexample_ridge_scaling(1.0, 0.0, 1.0)
@@ -699,6 +738,9 @@ def test_counterexample_argument_validation():
             counterexample_ridge_scaling(1.0, 2.0, lam)
     with pytest.raises(ContractViolation):
         counterexample_ols_shear(math.inf)
+    # fit' = 1 / (1 + k^2) is about 1e-400, not 0, though it would print as 0
+    with pytest.raises(ContractViolation, match=r"^fit' is nonzero but rounds to 0 in float64 \(k = 1e\+200\)$"):
+        counterexample_ols_shear(1e200)
     # witnesses that float64 cannot hold: each would report an inf, or warn
     # of an overflowing product
     with pytest.raises(ContractViolation, match=r"^b \* c overflows"):
@@ -714,3 +756,9 @@ def test_counterexample_argument_validation():
         counterexample_ridge_scaling(1e-300, 1e100, 1.0)  # fit / c is 1e-400
     with pytest.raises(ContractViolation, match=r"^fit is nonzero but rounds to 0 in float64"):
         counterexample_ridge_scaling(5e-324, 1.0, 1e300)  # fit is about 5e-624
+    # a witness that fails two checks names the first: overflows, then the
+    # residuals, fit, fit' and fit / c
+    with pytest.raises(ContractViolation, match=r"^fit / c overflows"):
+        counterexample_ridge_scaling(1e-10, 1e-320, 1.0)  # fit' is about 1e-330
+    with pytest.raises(ContractViolation, match=r"^\|fit' - fit/c\| is nonzero but rounds to 0"):
+        counterexample_ridge_scaling(5e-324, 2.0, 10.0)  # so do fit, fit' and fit / c

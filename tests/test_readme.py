@@ -1,6 +1,7 @@
 """The README's library example runs as written and names the package surface,
 its table of maximal families is the audit's, its counterexamples are what the
-command prints, and it names the Python versions CI runs."""
+command prints, and it names the Python versions CI runs and the commands its
+smoke test runs."""
 
 from __future__ import annotations
 
@@ -50,6 +51,16 @@ def test_readme_counterexamples_are_what_the_command_prints(capsys):
     [block] = re.findall(r"```text\n(shear counterexample.*?)```", text, re.DOTALL)
     assert main(["counterexamples"]) == 0
     assert capsys.readouterr().out == block
+
+
+def test_readme_tests_section_names_each_command_ci_smoke_tests():
+    workflow = (README.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = re.search(r"- name: Console script\n.*?run: \|\n(.*?)(?=\n      - |\Z)", workflow, re.S)[1]
+    commands = {f"natreg {command}" for command in re.findall(r"^\s*natreg (\S+)", step, re.M)}
+    assert {"natreg audit", "natreg counterexamples", "natreg fit", "natreg --version"} <= commands
+    tests = re.search(r"^## Tests\n(.*?)^## ", README.read_text(encoding="utf-8"), re.M | re.S)[1]
+    tests = " ".join(tests.split())  # a command may break across lines
+    assert [command for command in sorted(commands) if command not in tests] == []
 
 
 def test_readme_lists_the_python_versions_ci_runs():

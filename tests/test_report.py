@@ -93,9 +93,7 @@ def test_json_config_and_witnesses_hold_every_field():
         "c",
         "expected_if_natural",
         "fit",
-        "fit_closed_form",
         "fit_transformed",
-        "fit_transformed_closed_form",
         "lambda",
         "pulled_back_residual",
         "residual",
